@@ -36,7 +36,6 @@ from .maps import (
     point_inclusion,
     terminal_map,
     validate_map,
-    vertex_of,
 )
 from .limits import DiagonalData, FiberProduct, diagonal, product, pullback
 from .components import (

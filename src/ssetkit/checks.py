@@ -8,7 +8,10 @@ and the reported witness is always the first one in the documented order.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import vertex_table
 from .components import injection_cartesian_check, pi0, pi0_map, trivial_covering_check
@@ -106,8 +109,11 @@ def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
 
     Every compatible family (y_i) over the faces of a base cell u must admit
     x with d_i(x) = y_i and h(x) = u.  The witness is the first unfillable
-    horn in (degree, horn index, base cell, family) order.
+    horn in (degree, horn index, base cell, family) order.  A negative
+    bound raises ValueError.
     """
+    if bound is not None and bound < 0:
+        raise ValueError(f"kan bound must be >= 0, got {bound}")
     A, B = h.source, h.target
     N = A.truncation
     bound = N if bound is None else min(bound, N)
@@ -185,6 +191,102 @@ def separable_direct(h: SimplicialMap, diag: DiagonalData | None = None) -> Chec
     return CheckReport("separable-direct", inner.verdict, inner.witness, inner.stats)
 
 
+@functools.cache
+def _reads(predicate: Callable) -> tuple[str, ...]:
+    return tuple(inspect.signature(predicate).parameters)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One machine-verified equivalence or implication, as a row of CLAIMS.
+
+    The conclusion names the reports it reads (direct, lifting, covering,
+    kan, ...) by its parameters and reads them off whatever object it is
+    given; it returns a boolean, or a list of failures that is empty when
+    the claim holds.  A claim with a hypothesis assumes that report's
+    verdict; campaigns count the records meeting it as <hypothesis>_instances.
+    """
+
+    name: str  # campaign record key
+    hypothesis: str | None  # the report whose verdict the claim assumes, if any
+    conclusion: Callable[..., bool | list[str]]
+    violations: str  # campaign document field listing the violating records
+    agreements: str | None  # campaign document field counting the holding records
+    verify: str  # the `ssetkit verify` kind whose exit code the claim decides
+    # violating campaign records carry the verdicts and the serialized instance
+    keeps_instance: bool = True
+
+    def value(self, obj) -> bool | list[str] | None:
+        """The conclusion on obj, or None when obj is outside the hypothesis."""
+        if self.hypothesis is not None and not getattr(obj, self.hypothesis).verdict:
+            return None
+        return self.conclusion(*(getattr(obj, r) for r in _reads(self.conclusion)))
+
+
+def violates(value: bool | list[str] | None) -> bool:
+    """Whether a value Claim.value returned is a violation."""
+    return bool(value) if isinstance(value, list) else value is False
+
+
+def _implication_failures(trivial, covering, kan, direct) -> list[str]:
+    chain = (  # (premise, consequence, failure)
+        (trivial, covering, "trivial-covering implies covering"),
+        (covering, kan, "covering implies kan"),
+        (covering, direct, "covering implies separable"),
+    )
+    return [failure for p, q, failure in chain if p.verdict and not q.verdict]
+
+
+def _injection_failures(trivial, trivial_delta, direct, injection_cartesian) -> list[str]:
+    out = []
+    if injection_cartesian is not None and injection_cartesian.verdict != trivial.verdict:
+        out.append("injection-cartesian vs trivial-covering on the map")
+    if trivial_delta.verdict != direct.verdict:
+        out.append("injection-cartesian vs trivial-covering on the diagonal")
+    return out
+
+
+# Every verified claim, in campaign scoring order: (record key, hypothesis,
+# conclusion, violations field, agreements field, verify kind).  Campaign
+# records and documents, the agreement reports and `ssetkit verify` exit
+# codes are all derived from this table.
+CLAIMS = {
+    c.name: c
+    for c in (
+        Claim("separability_agree", None,
+              lambda direct, lifting: direct.verdict == lifting.verdict,
+              "separability_disagreements", "separability_agreements", "theorem1"),
+        Claim("covering_agree", "kan",
+              lambda direct, covering: direct.verdict == covering.verdict,
+              "covering_disagreements", "covering_agreements", "theorem2"),
+        # a failing covering check on a Kan map never lacks lifts
+        Claim("ambiguous_only", "kan",
+              lambda covering: covering.stats.get("missing", 0) == 0,
+              "missing_lift_violations", None, "theorem2"),
+        Claim("implication_failures", None, _implication_failures,
+              "implication_violations", None, "chain"),
+        Claim("injection_failures", None, _injection_failures,
+              "injection_violations", None, "chain"),
+        # the audit lists the checks whose failure witness does not replay
+        Claim("witness_failures", None, lambda audit: audit,
+              "witness_failures", None, "theorem1", keeps_instance=False),
+    )
+}
+
+
+def holds(verify: str, obj) -> bool:
+    """The `ssetkit verify <verify>` verdict on one map's reports in obj.
+
+    Only claims whose conclusion's reports obj carries are decided: a single
+    map's SeparabilityAgreement is not held to the campaign's witness audit.
+    """
+    return not any(
+        violates(c.value(obj))
+        for c in CLAIMS.values()
+        if c.verify == verify and all(hasattr(obj, r) for r in _reads(c.conclusion))
+    )
+
+
 @dataclass
 class SeparabilityAgreement:
     """Both separability characterizations, and whether they agree."""
@@ -194,7 +296,7 @@ class SeparabilityAgreement:
 
     @property
     def agree(self) -> bool:
-        return self.direct.verdict == self.lifting.verdict
+        return CLAIMS["separability_agree"].value(self)
 
     def to_doc(self) -> dict:
         return {
@@ -215,21 +317,20 @@ class CoveringAgreement:
     """
 
     kan: CheckReport
-    out_of_hypothesis: bool
     direct: CheckReport | None = None
     covering: CheckReport | None = None
 
     @property
+    def out_of_hypothesis(self) -> bool:
+        return not self.kan.verdict
+
+    @property
     def agree(self) -> bool | None:
-        if self.out_of_hypothesis:
-            return None
-        return self.direct.verdict == self.covering.verdict
+        return CLAIMS["covering_agree"].value(self)
 
     @property
     def ambiguous_only(self) -> bool | None:
-        if self.out_of_hypothesis:
-            return None
-        return self.covering.stats.get("missing", 0) == 0
+        return CLAIMS["ambiguous_only"].value(self)
 
     def to_doc(self) -> dict:
         doc: dict = {
@@ -251,19 +352,12 @@ def separability_agreement(h: SimplicialMap) -> SeparabilityAgreement:
     return SeparabilityAgreement(separable_direct(h, dd), separable_via_lifting(h))
 
 
-def covering_agreement(
-    h: SimplicialMap,
-    kan: CheckReport | None = None,
-    direct: CheckReport | None = None,
-    covering: CheckReport | None = None,
-) -> CoveringAgreement:
+def covering_agreement(h: SimplicialMap) -> CoveringAgreement:
     """Compare separability with being a covering, under the Kan hypothesis."""
-    kan = kan or kan_check(h)
-    if not kan.verdict:
-        return CoveringAgreement(kan, True)
-    return CoveringAgreement(
-        kan, False, direct or separable_direct(h), covering or covering_check(h)
-    )
+    rep = CoveringAgreement(kan_check(h))
+    if not rep.out_of_hypothesis:
+        rep.direct, rep.covering = separable_direct(h), covering_check(h)
+    return rep
 
 
 def revalidate_witness(h: SimplicialMap, report: CheckReport) -> bool:

@@ -16,6 +16,7 @@ from . import io
 from .checks import (
     covering_agreement,
     covering_check,
+    holds,
     kan_check,
     separability_agreement,
     separable_direct,
@@ -25,7 +26,7 @@ from .components import pi0, trivial_covering_check
 from .core import validate
 from .groupoids import pi1_presentation
 from .harness import GenConfig, evaluate_instance, gen_morphism, gen_sset, run_campaign
-from .maps import validate_map
+from .maps import validate_parts
 from .standard import build_standard, parse_spec, union_spec
 
 
@@ -48,26 +49,22 @@ def _render_lines(doc, prefix: str = "") -> str:
     return "\n".join(out) + ("\n" if not prefix else "")
 
 
-def _load_object(path: str):
-    return io.object_from_doc(io.load_json(path))
-
-
-def _load_map(path: str):
-    doc = io.load_json(path)
-    if not isinstance(doc, dict):
-        raise io.InterchangeError(f"{path}: expected a JSON object")
-    return io.map_from_doc(doc, base_dir=Path(path).resolve().parent)
+def _load_valid_object(path: str):
+    X = io.object_from_doc(io.load_json(path))
+    rep = validate(X)
+    if not rep.ok:
+        raise io.InterchangeError(f"{path}: invalid object: {rep.failure}")
+    return X
 
 
 def _load_valid_map(path: str):
-    h = _load_map(path)
-    for label, rep in (
-        ("source", validate(h.source)),
-        ("target", validate(h.target)),
-        ("map", validate_map(h)),
-    ):
-        if not rep.ok:
-            raise io.InterchangeError(f"{path}: invalid {label}: {rep.failure}")
+    doc = io.load_json(path)
+    if not isinstance(doc, dict):
+        raise io.InterchangeError(f"{path}: expected a JSON object")
+    h = io.map_from_doc(doc, base_dir=Path(path).resolve().parent)
+    label, rep = validate_parts(h)
+    if not rep.ok:
+        raise io.InterchangeError(f"{path}: invalid {label}: {rep.failure}")
     return h
 
 
@@ -75,8 +72,7 @@ def _cmd_validate(args) -> int:
     doc = io.load_json(args.path)
     if isinstance(doc, dict) and "level" in doc:
         f = io.map_from_doc(doc, base_dir=Path(args.path).resolve().parent)
-        reports = [validate(f.source), validate(f.target), validate_map(f)]
-        rep = next((r for r in reports if not r.ok), reports[-1])
+        _, rep = validate_parts(f)
         kind = "map"
     else:
         rep = validate(io.object_from_doc(doc))
@@ -95,10 +91,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pi0(args) -> int:
-    X = _load_object(args.path)
-    rep = validate(X)
-    if not rep.ok:
-        raise io.InterchangeError(f"{args.path}: invalid object: {rep.failure}")
+    X = _load_valid_object(args.path)
     part = pi0(X)
     _emit(
         args,
@@ -112,10 +105,7 @@ def _cmd_pi0(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
-    X = _load_object(args.path)
-    rep = validate(X)
-    if not rep.ok:
-        raise io.InterchangeError(f"{args.path}: invalid object: {rep.failure}")
+    X = _load_valid_object(args.path)
     pres = pi1_presentation(X)
     _emit(args, pres.to_doc(), pres.format_text())
     return 0
@@ -146,33 +136,30 @@ def _campaign_config(args) -> GenConfig:
     )
 
 
+# the reports `verify KIND map.json` computes for one map
+_VERIFY_MAP = {
+    "theorem1": separability_agreement,
+    "theorem2": covering_agreement,
+    "chain": evaluate_instance,
+}
+
+
 def _cmd_verify(args) -> int:
     if args.map is not None:
         h = _load_valid_map(args.map)
-        if args.kind == "theorem1":
-            rep = separability_agreement(h)
+        rep = _VERIFY_MAP[args.kind](h)
+        ok = holds(args.kind, rep)
+        if args.kind == "chain":
+            failures = rep.implication_failures() + rep.injection_failures()
+            _emit(args, {"equivalence": "chain", "failures": failures, "ok": ok})
+        else:
             _emit(args, rep.to_doc())
-            return 0 if rep.agree else 1
-        if args.kind == "theorem2":
-            rep = covering_agreement(h)
-            _emit(args, rep.to_doc())
-            ok = rep.out_of_hypothesis or (rep.agree and rep.ambiguous_only)
-            return 0 if ok else 1
-        v = evaluate_instance(h)
-        failures = v.implication_failures() + v.injection_failures()
-        _emit(args, {"equivalence": "chain", "failures": failures, "ok": not failures})
-        return 0 if not failures else 1
+        return 0 if ok else 1
     campaign = run_campaign(_campaign_config(args), jobs=args.jobs)
     doc = campaign.to_doc()
-    if args.kind == "theorem1":
-        ok = not campaign.separability_disagreements and not campaign.witness_failures
-    elif args.kind == "theorem2":
-        ok = not campaign.covering_disagreements and not campaign.missing_lift_violations
-    else:
-        ok = not campaign.implication_violations and not campaign.injection_violations
-    doc["ok"] = ok
+    doc["ok"] = campaign.holds(args.kind)
     _emit(args, doc, _campaign_text(doc))
-    return 0 if ok else 1
+    return 0 if doc["ok"] else 1
 
 
 def _campaign_text(doc: dict) -> str:
@@ -254,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="verify an equivalence on a map or a campaign")
-    p.add_argument("kind", choices=("theorem1", "theorem2", "chain"))
+    p.add_argument("kind", choices=tuple(_VERIFY_MAP))
     p.add_argument("map", nargs="?", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
@@ -292,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (io.InterchangeError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

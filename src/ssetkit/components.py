@@ -27,10 +27,13 @@ class _UnionFind:
             a = p[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b under the lesser root; False if already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
 
 
 @dataclass

@@ -11,19 +11,21 @@ from __future__ import annotations
 import copy
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .checks import (
+    CLAIMS,
     covering_check,
     kan_check,
     revalidate_witness,
     separable_direct,
     separable_via_lifting,
+    violates,
 )
-from .components import injection_cartesian_check, trivial_covering_check
-from .core import TruncatedSSet, disjoint_union, empty_sset, validate
+from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
+from .core import TruncatedSSet, disjoint_union, empty_sset
 from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
 from .limits import diagonal, product
 from .maps import (
@@ -33,7 +35,7 @@ from .maps import (
     cyclic_cover_projection,
     fold_map,
     terminal_map,
-    validate_map,
+    validate_parts,
 )
 from .report import CheckReport
 from .standard import StandardObjectSpec, build_standard, circle_spec, simplex_spec
@@ -75,25 +77,11 @@ class GenConfig:
             raise ValueError("at least one fixture weight must be positive")
 
     def to_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_nondegenerate_dim": self.max_nondegenerate_dim,
-            "max_cells_per_degree": self.max_cells_per_degree,
-            "trials": self.trials,
-            "fixture_mix": dict(self.fixture_mix),
-            "include_curated": self.include_curated,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_doc(doc: dict) -> "GenConfig":
-        return GenConfig(
-            seed=doc["seed"],
-            max_nondegenerate_dim=doc["max_nondegenerate_dim"],
-            max_cells_per_degree=doc["max_cells_per_degree"],
-            trials=doc["trials"],
-            fixture_mix=dict(doc["fixture_mix"]),
-            include_curated=doc["include_curated"],
-        )
+        return GenConfig(**{**doc, "fixture_mix": dict(doc["fixture_mix"])})
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -111,22 +99,12 @@ def quotient(
     Classes are numbered by least member per degree.
     """
     N = X.truncation
-    parent = [list(range(c)) for c in X.cells]
-
-    def find(n: int, a: int) -> int:
-        p = parent[n]
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
+    classes = [_UnionFind(c) for c in X.cells]
     work = [(n, a, b) for (n, a, b) in pairs]
     while work:
         n, a, b = work.pop()
-        ra, rb = find(n, a), find(n, b)
-        if ra == rb:
+        if not classes[n].union(a, b):
             continue
-        parent[n][max(ra, rb)] = min(ra, rb)
         if n >= 1:
             for i in range(n + 1):
                 work.append((n - 1, X.face[n][i][a], X.face[n][i][b]))
@@ -140,7 +118,7 @@ def quotient(
         lab = [-1] * X.cells[n]
         mem = []
         for x in range(X.cells[n]):
-            r = find(n, x)
+            r = classes[n].find(x)
             if lab[r] == -1:
                 lab[r] = len(mem)
                 mem.append(r)
@@ -256,10 +234,6 @@ def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> Simplicia
     return product(X, K).pr1
 
 
-def _instance_valid(h: SimplicialMap) -> bool:
-    return bool(validate(h.source)) and bool(validate(h.target)) and bool(validate_map(h))
-
-
 def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     others = [n for n in _FAMILY_NAMES if n != "corrupted"]
     base = _FAMILIES[others[int(rng.integers(0, len(others)))]](rng, cfg)
@@ -290,7 +264,7 @@ def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap
         x = int(rng.integers(0, len(row)))
         bump = int(rng.integers(1, size))
         row[x] = (row[x] + bump) % size
-        if not _instance_valid(h):
+        if not validate_parts(h)[1].ok:
             return h
     # nothing mutable (degenerate draw): break the map shape instead
     h = copy.deepcopy(base)
@@ -348,31 +322,32 @@ class InstanceVerdicts:
     trivial_delta: CheckReport
     injective: bool
     injection_cartesian: CheckReport | None
+    # checks whose failure witness does not replay; campaign scoring fills it in
+    audit: list[str] | None = None
 
     def implication_failures(self) -> list[str]:
-        out = []
-        if self.trivial.verdict and not self.covering.verdict:
-            out.append("trivial-covering implies covering")
-        if self.covering.verdict and not self.kan.verdict:
-            out.append("covering implies kan")
-        if self.covering.verdict and not self.direct.verdict:
-            out.append("covering implies separable")
-        return out
+        return CLAIMS["implication_failures"].value(self)
 
     def injection_failures(self) -> list[str]:
-        out = []
-        if self.injection_cartesian is not None:
-            if self.injection_cartesian.verdict != self.trivial.verdict:
-                out.append("injection-cartesian vs trivial-covering on the map")
-        if self.trivial_delta.verdict != self.direct.verdict:
-            out.append("injection-cartesian vs trivial-covering on the diagonal")
-        return out
+        return CLAIMS["injection_failures"].value(self)
+
+
+# (campaign "verdicts" document key, InstanceVerdicts field) for the checks
+# run on the map itself, in witness audit order.
+_MAP_CHECKS = (
+    ("separable_direct", "direct"),
+    ("separable_lifting", "lifting"),
+    ("covering", "covering"),
+    ("kan", "kan"),
+    ("trivial_covering", "trivial"),
+)
 
 
 def evaluate_instance(h: SimplicialMap) -> InstanceVerdicts:
     """Run every classifier once, sharing the diagonal construction."""
     dd = diagonal(h)
     direct = separable_direct(h, dd)
+    injective = classify(h).injective
     return InstanceVerdicts(
         direct=direct,
         lifting=separable_via_lifting(h),
@@ -380,23 +355,20 @@ def evaluate_instance(h: SimplicialMap) -> InstanceVerdicts:
         kan=kan_check(h),
         trivial=trivial_covering_check(h),
         trivial_delta=trivial_covering_check(dd.delta),
-        injective=classify(h).injective,
-        injection_cartesian=(
-            injection_cartesian_check(h) if classify(h).injective else None
-        ),
+        injective=injective,
+        injection_cartesian=injection_cartesian_check(h) if injective else None,
     )
 
 
 def _witness_audit(h: SimplicialMap, v: InstanceVerdicts) -> list[str]:
     """Re-check every failure witness; return the checks whose witness is bogus."""
     bad = []
-    dd_delta = None
-    for rep in (v.direct, v.lifting, v.covering, v.kan, v.trivial):
+    for _, name in _MAP_CHECKS:
+        rep = getattr(v, name)
         if not rep.verdict and not revalidate_witness(h, rep):
             bad.append(rep.check)
     if not v.trivial_delta.verdict:
-        dd_delta = diagonal(h).delta
-        if not revalidate_witness(dd_delta, v.trivial_delta):
+        if not revalidate_witness(diagonal(h).delta, v.trivial_delta):
             bad.append("trivial-covering(diagonal)")
     if v.injection_cartesian is not None and not v.injection_cartesian.verdict:
         if not revalidate_witness(h, v.injection_cartesian):
@@ -405,13 +377,7 @@ def _witness_audit(h: SimplicialMap, v: InstanceVerdicts) -> list[str]:
 
 
 def _verdict_doc(v: InstanceVerdicts) -> dict:
-    doc = {
-        "separable_direct": v.direct.to_doc(),
-        "separable_lifting": v.lifting.to_doc(),
-        "covering": v.covering.to_doc(),
-        "kan": v.kan.to_doc(),
-        "trivial_covering": v.trivial.to_doc(),
-    }
+    doc = {key: getattr(v, name).to_doc() for key, name in _MAP_CHECKS}
     if v.injection_cartesian is not None:
         doc["injection_cartesian"] = v.injection_cartesian.to_doc()
     return doc
@@ -419,109 +385,93 @@ def _verdict_doc(v: InstanceVerdicts) -> dict:
 
 def _roundtrip_verdicts_match(h: SimplicialMap, v: InstanceVerdicts) -> bool:
     """Serialize the instance, re-parse, re-run, and compare verdicts."""
-    h2 = io.map_from_doc(io.map_to_doc(h))
-    v2 = evaluate_instance(h2)
-    return (
-        v.direct.verdict == v2.direct.verdict
-        and v.lifting.verdict == v2.lifting.verdict
-        and v.covering.verdict == v2.covering.verdict
-        and v.kan.verdict == v2.kan.verdict
-        and v.trivial.verdict == v2.trivial.verdict
+    v2 = evaluate_instance(io.map_from_doc(io.map_to_doc(h)))
+    return all(
+        getattr(v, name).verdict == getattr(v2, name).verdict for _, name in _MAP_CHECKS
     )
 
 
-def _adequacy_class(v: InstanceVerdicts) -> list[str]:
-    classes = []
-    if v.covering.verdict and v.direct.verdict:
-        classes.append("separable-covering")
-    if v.kan.verdict and not v.direct.verdict:
-        classes.append("nonseparable-kan")
-    if v.trivial.verdict:
-        classes.append("trivial-covering")
-    if not v.kan.verdict:
-        classes.append("non-kan")
-    return classes
-
-
-_ADEQUACY_CLASSES = (
-    "separable-covering",
-    "nonseparable-kan",
-    "trivial-covering",
-    "non-kan",
-)
+# The behaviour classes an adequate corpus hits at least once each.
+_ADEQUACY_CLASSES = {
+    "separable-covering": lambda v: v.covering.verdict and v.direct.verdict,
+    "nonseparable-kan": lambda v: v.kan.verdict and not v.direct.verdict,
+    "trivial-covering": lambda v: v.trivial.verdict,
+    "non-kan": lambda v: not v.kan.verdict,
+}
 
 
 def _trial_record(cfg_doc: dict, trial: int) -> dict:
     """Generate, validate and score one trial; JSON-ready output."""
     cfg = GenConfig.from_doc(cfg_doc)
     family, h = gen_morphism(cfg, trial)
-    if not _instance_valid(h):
+    if not validate_parts(h)[1].ok:
         return {"trial": trial, "family": family, "skipped": True}
     return _score(f"trial:{trial}", family, h)
 
 
+_HYPOTHESES = tuple(dict.fromkeys(c.hypothesis for c in CLAIMS.values() if c.hypothesis))
+
+
 def _score(label: str, family: str, h: SimplicialMap) -> dict:
     v = evaluate_instance(h)
+    v.audit = _witness_audit(h, v)
     rec: dict = {
         "trial": label,
         "family": family,
         "skipped": False,
-        "classes": _adequacy_class(v),
-        "separability_agree": v.direct.verdict == v.lifting.verdict,
-        "kan": v.kan.verdict,
-        "covering_agree": (
-            None if not v.kan.verdict else v.direct.verdict == v.covering.verdict
-        ),
-        "ambiguous_only": (
-            None if not v.kan.verdict else v.covering.stats.get("missing", 0) == 0
-        ),
-        "implication_failures": v.implication_failures(),
-        "injection_failures": v.injection_failures(),
-        "witness_failures": _witness_audit(h, v),
+        "classes": [c for c, member in _ADEQUACY_CLASSES.items() if member(v)],
     }
-    disagreed = (
-        not rec["separability_agree"]
-        or rec["covering_agree"] is False
-        or rec["ambiguous_only"] is False
-        or rec["implication_failures"]
-        or rec["injection_failures"]
-    )
-    if disagreed:
+    for hyp in _HYPOTHESES:
+        rec[hyp] = getattr(v, hyp).verdict
+    for c in CLAIMS.values():
+        rec[c.name] = c.value(v)
+    if any(c.keeps_instance and violates(rec[c.name]) for c in CLAIMS.values()):
         rec["verdicts"] = _verdict_doc(v)
         rec["instance"] = io.map_to_doc(h)
         rec["recheck_same"] = _roundtrip_verdicts_match(h, v)
     return rec
 
 
+def _claim_fields(scored: list[dict]) -> dict:
+    """The campaign document fields of every hypothesis and claim."""
+    fields: dict = {}
+    for hyp in _HYPOTHESES:
+        fields[f"{hyp}_instances"] = sum(rec[hyp] for rec in scored)
+    for c in CLAIMS.values():
+        fields[c.violations] = [rec for rec in scored if violates(rec[c.name])]
+        if c.agreements is not None:
+            fields[c.agreements] = sum(rec[c.name] is True for rec in scored)
+    return fields
+
+
 @dataclass
 class CampaignReport:
+    """Aggregated campaign results; each claims field is also an attribute."""
+
     config: dict
     scored: int
     skipped: int
     curated: int
     families: dict[str, int]
-    separability_agreements: int
-    separability_disagreements: list[dict]
-    kan_instances: int
-    covering_agreements: int
-    covering_disagreements: list[dict]
-    missing_lift_violations: list[dict]
-    implication_violations: list[dict]
-    injection_violations: list[dict]
-    witness_failures: list[dict]
+    claims: dict  # the fields _claim_fields derives from the claims table
     adequacy: dict
     runtime_seconds: float
 
+    def __getattr__(self, name: str):
+        claims = self.__dict__.get("claims", {})
+        if name not in claims:
+            raise AttributeError(name)
+        return claims[name]
+
+    def holds(self, verify: str) -> bool:
+        """No record violates a claim that `ssetkit verify <verify>` decides."""
+        return not any(
+            self.claims[c.violations] for c in CLAIMS.values() if c.verify == verify
+        )
+
     @property
     def ok(self) -> bool:
-        return not (
-            self.separability_disagreements
-            or self.covering_disagreements
-            or self.missing_lift_violations
-            or self.implication_violations
-            or self.injection_violations
-            or self.witness_failures
-        )
+        return all(self.holds(c.verify) for c in CLAIMS.values())
 
     def to_doc(self, include_runtime: bool = True) -> dict:
         doc = {
@@ -530,15 +480,7 @@ class CampaignReport:
             "skipped": self.skipped,
             "curated": self.curated,
             "families": dict(self.families),
-            "separability_agreements": self.separability_agreements,
-            "separability_disagreements": self.separability_disagreements,
-            "kan_instances": self.kan_instances,
-            "covering_agreements": self.covering_agreements,
-            "covering_disagreements": self.covering_disagreements,
-            "missing_lift_violations": self.missing_lift_violations,
-            "implication_violations": self.implication_violations,
-            "injection_violations": self.injection_violations,
-            "witness_failures": self.witness_failures,
+            **self.claims,
             "adequacy": dict(self.adequacy),
             "ok": self.ok,
         }
@@ -568,61 +510,21 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     else:
         records.extend(_trial_record(cfg_doc, t) for t in range(cfg.trials))
 
+    scored = [rec for rec in records if not rec["skipped"]]
     families: dict[str, int] = {}
-    adequacy_counts = {c: 0 for c in _ADEQUACY_CLASSES}
-    scored = skipped = curated = 0
-    sep_agree = kan_instances = cov_agree = 0
-    sep_dis: list[dict] = []
-    cov_dis: list[dict] = []
-    missing_viol: list[dict] = []
-    implication_viol: list[dict] = []
-    injection_viol: list[dict] = []
-    witness_fail: list[dict] = []
-    for rec in records:
-        if rec["skipped"]:
-            skipped += 1
-            continue
-        scored += 1
-        if rec["family"] == "curated":
-            curated += 1
+    adequacy = dict.fromkeys(_ADEQUACY_CLASSES, 0)
+    for rec in scored:
         families[rec["family"]] = families.get(rec["family"], 0) + 1
         for c in rec["classes"]:
-            adequacy_counts[c] += 1
-        if rec["separability_agree"]:
-            sep_agree += 1
-        else:
-            sep_dis.append(rec)
-        if rec["kan"]:
-            kan_instances += 1
-            if rec["covering_agree"]:
-                cov_agree += 1
-            else:
-                cov_dis.append(rec)
-            if not rec["ambiguous_only"]:
-                missing_viol.append(rec)
-        if rec["implication_failures"]:
-            implication_viol.append(rec)
-        if rec["injection_failures"]:
-            injection_viol.append(rec)
-        if rec["witness_failures"]:
-            witness_fail.append(rec)
-    adequacy = dict(adequacy_counts)
-    adequacy["adequate"] = all(adequacy_counts[c] > 0 for c in _ADEQUACY_CLASSES)
+            adequacy[c] += 1
+    adequacy["adequate"] = all(adequacy[c] > 0 for c in _ADEQUACY_CLASSES)
     return CampaignReport(
-        config=cfg.to_doc(),
-        scored=scored,
-        skipped=skipped,
-        curated=curated,
+        config=cfg_doc,
+        scored=len(scored),
+        skipped=len(records) - len(scored),
+        curated=families.get("curated", 0),
         families=families,
-        separability_agreements=sep_agree,
-        separability_disagreements=sep_dis,
-        kan_instances=kan_instances,
-        covering_agreements=cov_agree,
-        covering_disagreements=cov_dis,
-        missing_lift_violations=missing_viol,
-        implication_violations=implication_viol,
-        injection_violations=injection_viol,
-        witness_failures=witness_fail,
+        claims=_claim_fields(scored),
         adequacy=adequacy,
         runtime_seconds=time.perf_counter() - started,
     )

@@ -127,7 +127,7 @@ def load_json(path: str | Path):
     text = Path(path).read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InterchangeError(f"{path}: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ from .core import (
     closure_step,
     discrete_sset,
     disjoint_union,
+    validate,
 )
 from .standard import skeleton_sset, _cyclic_skeleton
 
@@ -26,9 +27,6 @@ class SimplicialMap:
     source: TruncatedSSet
     target: TruncatedSSet
     level: list[list[int]]
-
-    def __call__(self, n: int, x: int) -> int:
-        return self.level[n][x]
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,23 @@ def validate_map(f: SimplicialMap) -> ValidationReport:
     return ValidationReport(ok=True)
 
 
+def validate_parts(f: SimplicialMap) -> tuple[str, ValidationReport]:
+    """Validate the source, the target and the map, in that order.
+
+    Returns the first failing part as (label, report), or ("map", the
+    passing report) when all three are valid.
+    """
+    for label, check, subject in (
+        ("source", validate, f.source),
+        ("target", validate, f.target),
+        ("map", validate_map, f),
+    ):
+        rep = check(subject)
+        if not rep.ok:
+            break
+    return label, rep
+
+
 def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     """g after f."""
     if f.target != g.source:
@@ -121,12 +136,6 @@ def inverse(f: SimplicialMap) -> SimplicialMap:
             inv[v] = x
         level.append(inv)
     return SimplicialMap(f.target, f.source, level)
-
-
-def vertex_of(f_or_X, n: int, x: int, j: int) -> int:
-    """j-th vertex of x, accepting either an object or anything with .source."""
-    X = f_or_X if isinstance(f_or_X, TruncatedSSet) else f_or_X.source
-    return X.vertex(n, x, j)
 
 
 def copair(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -1,10 +1,14 @@
 """Instance generator, scoring, and campaign determinism."""
 
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
 import ssetkit as sk
+from ssetkit import harness
+from ssetkit.cli import main
 from ssetkit.core import validate
 from ssetkit.harness import (
     DEFAULT_MIX,
@@ -185,3 +189,39 @@ def test_campaign_doc_shape():
     assert doc["config"]["seed"] == 3
     trimmed = run_campaign(GenConfig(seed=3, trials=8)).to_doc(include_runtime=False)
     assert "runtime_seconds" not in trimmed
+
+
+def test_campaign_golden():
+    doc = run_campaign(GenConfig(seed=5, trials=40)).to_doc(include_runtime=False)
+    assert dumps_canonical(doc) == (GOLDEN / "campaign-seed5-trials40.json").read_text()
+
+
+def test_bogus_witness_fails_campaign_theorem1_only(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "revalidate_witness", lambda h, report: False)
+    argv = ["--trials", "6", "--seed", "3"]
+    assert main(["verify", "theorem1", *argv]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["witness_failures"]
+    assert all("instance" not in rec for rec in doc["witness_failures"])
+    for kind in ("theorem2", "chain"):
+        assert main(["verify", kind, *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_disagreement_records_carry_the_instance(monkeypatch):
+    lifting = harness.separable_via_lifting
+
+    def flipped(h):
+        report = lifting(h)
+        return dataclasses.replace(report, verdict=not report.verdict)
+
+    monkeypatch.setattr(harness, "separable_via_lifting", flipped)
+    report = run_campaign(GenConfig(seed=3, trials=8))
+    assert not report.ok
+    assert report.separability_disagreements
+    for rec in report.separability_disagreements:
+        assert rec["separability_agree"] is False
+        assert {"verdicts", "instance", "recheck_same"} <= set(rec)
+        assert rec["recheck_same"] is True
+        assert validate_map(sk.io.map_from_doc(rec["instance"])).ok

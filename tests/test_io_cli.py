@@ -122,6 +122,25 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_directory_path_is_invalid_input(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    assert main(["validate", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_negative_kan_bound_is_invalid_input(tmp_path, named_maps, capsys):
+    path = _write_map(tmp_path, named_maps["curated:fold-interval"])
+    assert main(["check", "kan", path, "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_cli_pi0(tmp_path, zoo, capsys):
     U = sk.disjoint_union(zoo["interval"], zoo["circle"])
     path = _write_object(tmp_path, U)

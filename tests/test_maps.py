@@ -18,7 +18,6 @@ from ssetkit.maps import (
     point_inclusion,
     terminal_map,
     validate_map,
-    vertex_of,
 )
 from ssetkit.standard import build_standard, circle_spec, simplex_spec
 
@@ -93,16 +92,16 @@ def test_inverse_round_trip(zoo):
         inverse(terminal_map(zoo["interval"]))
 
 
-def test_vertex_of(named_maps):
+def test_vertex_naturality(named_maps):
     h = named_maps["curated:circle-nerve-projection"]
     A = h.source
     for n in range(A.truncation + 1):
         for x in range(A.cells[n]):
             for j in range(n + 1):
-                assert vertex_of(A, n, x, j) == orc.naive_vertex(A, n, x, j)
+                assert A.vertex(n, x, j) == orc.naive_vertex(A, n, x, j)
                 # naturality of vertices under the map
-                assert h.level[0][vertex_of(A, n, x, j)] == vertex_of(
-                    h.target, n, h.level[n][x], j
+                assert h.level[0][A.vertex(n, x, j)] == h.target.vertex(
+                    n, h.level[n][x], j
                 )
 
 
