@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TruncatedSSet, discrete_sset, vertex_table
-from .limits import pullback
+from .core import TruncatedSSet, discrete_sset
 from .maps import SimplicialMap
 from .report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
 
@@ -50,6 +49,15 @@ class ComponentPartition:
 
 
 def pi0(X: TruncatedSSet) -> ComponentPartition:
+    """The component partition of X, computed once per object and shared.
+
+    Raises ValueError if some simplex has vertices in two components, which
+    the simplicial identities rule out on a validated object.
+    """
+    return X.derived("pi0", _pi0)
+
+
+def _pi0(X: TruncatedSSet) -> ComponentPartition:
     uf = _UnionFind(X.cells[0])
     if X.truncation >= 1:
         for e in range(X.cells[1]):
@@ -62,17 +70,17 @@ def pi0(X: TruncatedSSet) -> ComponentPartition:
             vertex_class[r] = count
             count += 1
         vertex_class[v] = vertex_class[r]
-    vertices = vertex_table(X)
-    class_of: list[list[int]] = []
-    for n in range(X.truncation + 1):
-        row = []
-        for x in range(X.cells[n]):
-            vs = vertices[n][x]
-            c = vertex_class[vs[0]]
-            # every vertex of a simplex is edge-connected to the others
-            if any(vertex_class[v] != c for v in vs):
-                raise ValueError(f"component class not constant on simplex {x} at degree {n}")
-            row.append(c)
+    # Degree by degree: if every (n-1)-simplex has one class, x has one class
+    # exactly when its faces d_n x (vertices 0..n-1) and d_0 x (vertex n)
+    # agree, so this fails at the first simplex whose vertices disagree.
+    class_of = [list(vertex_class)]
+    for n in range(1, X.truncation + 1):
+        prev = class_of[-1]
+        row = [prev[y] for y in X.face[n][n]]
+        last = [prev[y] for y in X.face[n][0]]
+        if row != last:
+            x = next(x for x, (a, b) in enumerate(zip(row, last)) if a != b)
+            raise ValueError(f"component class not constant on simplex {x} at degree {n}")
         class_of.append(row)
     return ComponentPartition(count, vertex_class, class_of)
 
@@ -112,46 +120,44 @@ def pi0_map(
 def trivial_covering_check(h: SimplicialMap) -> CheckReport:
     """Is the comparison A -> B x_{pi0 B} pi0 A an isomorphism?
 
-    The comparison sends x to the pair (h(x), class of x) in the materialized
-    pullback of the unit of B along the induced map of component objects.
-    Injectivity clashes are reported before surjectivity misses degree by
-    degree; within a degree the least pair wins.
+    The comparison sends x to the pair (h(x), class of x).  The n-cells of
+    the pullback are the pairs (b, c) with b an n-cell of B in the component
+    that c maps to, in lexicographic order; they are enumerated from the two
+    partitions.  Injectivity clashes are reported before surjectivity misses
+    degree by degree; within a degree the least pair wins.
     """
     A, B = h.source, h.target
     N = A.truncation
     pa, pb = pi0(A), pi0(B)
     p0 = pi0_map(h, pa, pb) if pa.count else []
-    unit_b = component_unit(B, pb)
-    hi_h = SimplicialMap(
-        component_object(pa, N),
-        component_object(pb, N),
-        [list(p0) for _ in range(N + 1)],
-    )
-    fp = pullback(unit_b, hi_h)
+    over: dict[int, list[int]] = {}  # component of B -> the classes of A over it
+    for c, d in enumerate(p0):
+        over.setdefault(d, []).append(c)
     witness = None
-    misses = clashes = 0
+    misses = clashes = pairs = 0
     for n in range(N + 1):
-        seen: dict[int, int] = {}
+        seen: dict[tuple[int, int], int] = {}
         clash_here = None
-        for x in range(A.cells[n]):
-            p = fp.index[n][(h.level[n][x], pa.class_of[n][x])]
-            if p in seen:
+        for x, key in enumerate(zip(h.level[n], pa.class_of[n])):
+            if key in seen:
                 clashes += 1
                 if clash_here is None:
-                    clash_here = ComparisonClash(n, seen[p], x)
+                    clash_here = ComparisonClash(n, seen[key], x)
             else:
-                seen[p] = x
+                seen[key] = x
         miss_here = None
-        for p, (b, c) in enumerate(fp.pairs[n]):
-            if p not in seen:
-                misses += 1
-                if miss_here is None:
-                    miss_here = ComparisonMiss(n, b, c)
+        for b, d in enumerate(pb.class_of[n]):
+            for c in over.get(d, ()):
+                pairs += 1
+                if (b, c) not in seen:
+                    misses += 1
+                    if miss_here is None:
+                        miss_here = ComparisonMiss(n, b, c)
         if witness is None:
             witness = clash_here or miss_here
     stats = {
         "cells_source": sum(A.cells),
-        "cells_pullback": sum(fp.object.cells),
+        "cells_pullback": pairs,
         "misses": misses,
         "clashes": clashes,
     }
@@ -175,17 +181,16 @@ def injection_cartesian_check(m: SimplicialMap) -> CheckReport:
     for n in range(B.truncation + 1):
         for y in image[n]:
             meets[pb.class_of[n][y]] = True
+    # one scan in (degree, cell) order: the first leak found in a component
+    # is its least, so the witness is the least over components
     witness = None
     leaks = 0
-    for c in range(pb.count):
-        if not meets[c]:
-            continue
-        for n in range(B.truncation + 1):
-            for y in range(B.cells[n]):
-                if pb.class_of[n][y] == c and y not in image[n]:
-                    leaks += 1
-                    if witness is None:
-                        witness = ComponentLeak(c, n, y)
+    for n in range(B.truncation + 1):
+        for y, c in enumerate(pb.class_of[n]):
+            if meets[c] and y not in image[n]:
+                leaks += 1
+                if witness is None or c < witness.component:
+                    witness = ComponentLeak(c, n, y)
     stats = {
         "components": pb.count,
         "meeting": sum(meets),

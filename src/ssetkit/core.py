@@ -10,6 +10,9 @@ forgotten; everything below is stored explicitly, including degenerate cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -50,14 +53,38 @@ class TruncatedSSet:
     cells[n] is the number of n-simplices.  face[n][i][x] is d_i(x) for
     1 <= n <= truncation, 0 <= i <= n (face[0] is an empty placeholder).
     degeneracy[n][i][x] is s_i(x) for 0 <= n <= truncation - 1, 0 <= i <= n.
-    Simplex identity is positional; tables are treated as immutable once the
-    object has been validated.
+    Simplex identity is positional.
+
+    Derived tables (vertex_table, pi0) are computed once per object, on first
+    use, and kept on it; equality, repr, serialization and copies ignore
+    them, and a copy starts without them.  The tables must therefore not be
+    mutated once anything has been derived from them: build a new object,
+    or tamper with a copy.
     """
 
     truncation: int
     cells: list[int]
     face: list[list[list[int]]]
     degeneracy: list[list[list[int]]]
+
+    def __post_init__(self) -> None:
+        self._derived: dict[str, object] = {}
+
+    def __getstate__(self) -> dict:
+        # copy.copy, copy.deepcopy and pickle go through here
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
+
+    def derived(self, name: str, build: Callable[["TruncatedSSet"], _T]) -> _T:
+        """The derived table ``name``: build(self) on first use, then kept."""
+        try:
+            return self._derived[name]
+        except KeyError:
+            value = self._derived[name] = build(self)
+            return value
 
     def n_cells(self, n: int) -> int:
         if 0 <= n <= self.truncation:
@@ -245,12 +272,16 @@ def validate(X: TruncatedSSet) -> ValidationReport:
 
 
 def vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
-    """All vertices of all simplices, computed bottom-up.
+    """All vertices of all simplices, computed bottom-up once per object.
 
     table[n][x] is the (n+1)-tuple of vertices of x.  Uses a different face
     composite than TruncatedSSet.vertex, which the tests exploit as a cross
-    check.
+    check.  The table is shared by every caller: read it, do not modify it.
     """
+    return X.derived("vertex_table", _vertex_table)
+
+
+def _vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
     table: list[list[tuple[int, ...]]] = [[(v,) for v in range(X.cells[0])]]
     for n in range(1, X.truncation + 1):
         last, first = X.face[n][n], X.face[n][0]

@@ -3,12 +3,12 @@
 Trials are driven by a counter-based RNG keyed by (seed, trial index), so any
 subset of trials can be reproduced independently and campaigns can be merged
 or parallelized without changing results.  Corrupted near-miss draws must
-fail validation and are counted as skipped, never scored.
+fail validation and are counted as skipped, never scored; every other family
+must draw a valid map, and a campaign raises RuntimeError when one does not.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,7 +27,7 @@ from .checks import (
 from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
 from .core import TruncatedSSet, disjoint_union, empty_sset
 from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
-from .limits import diagonal, product
+from .limits import DiagonalData, diagonal, product
 from .maps import (
     SimplicialMap,
     classify,
@@ -237,39 +237,46 @@ def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> Simplicia
 def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     others = [n for n in _FAMILY_NAMES if n != "corrupted"]
     base = _FAMILIES[others[int(rng.integers(0, len(others)))]](rng, cfg)
-    for _ in range(40):
-        h = copy.deepcopy(base)
-        spots: list[tuple] = []
-        A, B = h.source, h.target
-        for n in range(A.truncation + 1):
-            if A.cells[n] and B.cells[n] >= 2:
-                spots.append(("level", n))
-        for n in range(1, A.truncation + 1):
-            if A.cells[n] and A.cells[n - 1] >= 2:
-                spots.append(("face", n))
-        for n in range(A.truncation):
-            if A.cells[n] and A.cells[n + 1] >= 2:
-                spots.append(("degeneracy", n))
-        if not spots:
-            break
+    A, B = base.source, base.target
+    spots: list[tuple] = []
+    for n in range(A.truncation + 1):
+        if A.cells[n] and B.cells[n] >= 2:
+            spots.append(("level", n))
+    for n in range(1, A.truncation + 1):
+        if A.cells[n] and A.cells[n - 1] >= 2:
+            spots.append(("face", n))
+    for n in range(A.truncation):
+        if A.cells[n] and A.cells[n + 1] >= 2:
+            spots.append(("degeneracy", n))
+    for _ in range(40 if spots else 0):
+        # each attempt copies the rows it bumps; base is never edited
         kind, n = spots[int(rng.integers(0, len(spots)))]
+        source, level = A, list(base.level)
         if kind == "level":
-            row, size = h.level[n], B.cells[n]
-        elif kind == "face":
-            i = int(rng.integers(0, n + 1))
-            row, size = A.face[n][i], A.cells[n - 1]
+            level[n] = _bumped(level[n], rng, B.cells[n])
         else:
             i = int(rng.integers(0, n + 1))
-            row, size = A.degeneracy[n][i], A.cells[n + 1]
-        x = int(rng.integers(0, len(row)))
-        bump = int(rng.integers(1, size))
-        row[x] = (row[x] + bump) % size
+            face, degeneracy = list(A.face), list(A.degeneracy)
+            if kind == "face":
+                face[n] = list(face[n])
+                face[n][i] = _bumped(face[n][i], rng, A.cells[n - 1])
+            else:
+                degeneracy[n] = list(degeneracy[n])
+                degeneracy[n][i] = _bumped(degeneracy[n][i], rng, A.cells[n + 1])
+            source = TruncatedSSet(A.truncation, list(A.cells), face, degeneracy)
+        h = SimplicialMap(source, B, level)
         if not validate_parts(h)[1].ok:
             return h
     # nothing mutable (degenerate draw): break the map shape instead
-    h = copy.deepcopy(base)
-    h.level = h.level[:-1]
-    return h
+    return SimplicialMap(A, B, base.level[:-1])
+
+
+def _bumped(row: list[int], rng: np.random.Generator, size: int) -> list[int]:
+    """A copy of row with one random entry moved by a random nonzero amount mod size."""
+    row = list(row)
+    x = int(rng.integers(0, len(row)))
+    row[x] = (row[x] + int(rng.integers(1, size))) % size
+    return row
 
 
 _FAMILIES = {
@@ -343,9 +350,12 @@ _MAP_CHECKS = (
 )
 
 
-def evaluate_instance(h: SimplicialMap) -> InstanceVerdicts:
-    """Run every classifier once, sharing the diagonal construction."""
-    dd = diagonal(h)
+def evaluate_instance(h: SimplicialMap, diag: DiagonalData | None = None) -> InstanceVerdicts:
+    """Run every classifier once, sharing the diagonal construction.
+
+    diag, when given, must be diagonal(h); it is built here otherwise.
+    """
+    dd = diag or diagonal(h)
     direct = separable_direct(h, dd)
     injective = classify(h).injective
     return InstanceVerdicts(
@@ -360,15 +370,19 @@ def evaluate_instance(h: SimplicialMap) -> InstanceVerdicts:
     )
 
 
-def _witness_audit(h: SimplicialMap, v: InstanceVerdicts) -> list[str]:
-    """Re-check every failure witness; return the checks whose witness is bogus."""
+def _witness_audit(h: SimplicialMap, v: InstanceVerdicts, dd: DiagonalData) -> list[str]:
+    """Re-check every failure witness; return the checks whose witness is bogus.
+
+    dd is diagonal(h); the diagonal's trivial-covering witness is replayed
+    against dd.delta.
+    """
     bad = []
     for _, name in _MAP_CHECKS:
         rep = getattr(v, name)
         if not rep.verdict and not revalidate_witness(h, rep):
             bad.append(rep.check)
     if not v.trivial_delta.verdict:
-        if not revalidate_witness(diagonal(h).delta, v.trivial_delta):
+        if not revalidate_witness(dd.delta, v.trivial_delta):
             bad.append("trivial-covering(diagonal)")
     if v.injection_cartesian is not None and not v.injection_cartesian.verdict:
         if not revalidate_witness(h, v.injection_cartesian):
@@ -404,7 +418,14 @@ def _trial_record(cfg_doc: dict, trial: int) -> dict:
     """Generate, validate and score one trial; JSON-ready output."""
     cfg = GenConfig.from_doc(cfg_doc)
     family, h = gen_morphism(cfg, trial)
-    if not validate_parts(h)[1].ok:
+    valid = validate_parts(h)[1].ok
+    # a skipped trial must be a deliberate near miss, never a generator bug
+    if valid == (family == "corrupted"):
+        raise RuntimeError(
+            f"generator invariant broken at seed {cfg.seed}, trial {trial}, family"
+            f" {family!r}: drew {'a valid' if valid else 'an invalid'} map"
+        )
+    if not valid:
         return {"trial": trial, "family": family, "skipped": True}
     return _score(f"trial:{trial}", family, h)
 
@@ -413,8 +434,9 @@ _HYPOTHESES = tuple(dict.fromkeys(c.hypothesis for c in CLAIMS.values() if c.hyp
 
 
 def _score(label: str, family: str, h: SimplicialMap) -> dict:
-    v = evaluate_instance(h)
-    v.audit = _witness_audit(h, v)
+    dd = diagonal(h)
+    v = evaluate_instance(h, dd)
+    v.audit = _witness_audit(h, v, dd)
     rec: dict = {
         "trial": label,
         "family": family,

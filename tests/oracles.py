@@ -10,8 +10,17 @@ from __future__ import annotations
 
 import itertools
 
+from ssetkit.components import (
+    ComponentPartition,
+    _UnionFind,
+    component_object,
+    component_unit,
+    pi0_map,
+)
 from ssetkit.core import TruncatedSSet
+from ssetkit.limits import pullback
 from ssetkit.maps import SimplicialMap
+from ssetkit.report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
 
 
 def ordinal_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -376,3 +385,125 @@ def raw_nerve_counts(
         ]
         counts.append(len(strings))
     return counts[: truncation + 1]
+
+
+# Reference copies of earlier library implementations.  The library now
+# derives pi0 degree by degree, enumerates the trivial-covering pairs without
+# building the pullback, and scans for component leaks once; these keep the
+# direct versions (vertex tuples, a materialized pullback, one scan per
+# component), uncached, so the tests can require identical reports.
+
+
+def reference_vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
+    """Vertex tuples bottom-up, recomputed on every call."""
+    table: list[list[tuple[int, ...]]] = [[(v,) for v in range(X.cells[0])]]
+    for n in range(1, X.truncation + 1):
+        last, first = X.face[n][n], X.face[n][0]
+        prev = table[n - 1]
+        table.append(
+            [prev[last[x]] + (prev[first[x]][n - 1],) for x in range(X.cells[n])]
+        )
+    return table
+
+
+def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
+    """Components by union-find; a simplex takes the class of its vertex tuple."""
+    uf = _UnionFind(X.cells[0])
+    if X.truncation >= 1:
+        for e in range(X.cells[1]):
+            uf.union(X.face[1][0][e], X.face[1][1][e])
+    vertex_class = [-1] * X.cells[0]
+    count = 0
+    for v in range(X.cells[0]):
+        r = uf.find(v)
+        if vertex_class[r] == -1:
+            vertex_class[r] = count
+            count += 1
+        vertex_class[v] = vertex_class[r]
+    vertices = reference_vertex_table(X)
+    class_of: list[list[int]] = []
+    for n in range(X.truncation + 1):
+        row = []
+        for x in range(X.cells[n]):
+            vs = vertices[n][x]
+            c = vertex_class[vs[0]]
+            if any(vertex_class[v] != c for v in vs):
+                raise ValueError(f"component class not constant on simplex {x} at degree {n}")
+            row.append(c)
+        class_of.append(row)
+    return ComponentPartition(count, vertex_class, class_of)
+
+
+def reference_trivial_covering_check(h: SimplicialMap) -> CheckReport:
+    """The comparison A -> B x_{pi0 B} pi0 A against a materialized pullback."""
+    A, B = h.source, h.target
+    N = A.truncation
+    pa, pb = reference_pi0(A), reference_pi0(B)
+    p0 = pi0_map(h, pa, pb) if pa.count else []
+    unit_b = component_unit(B, pb)
+    hi_h = SimplicialMap(
+        component_object(pa, N),
+        component_object(pb, N),
+        [list(p0) for _ in range(N + 1)],
+    )
+    fp = pullback(unit_b, hi_h)
+    witness = None
+    misses = clashes = 0
+    for n in range(N + 1):
+        seen: dict[int, int] = {}
+        clash_here = None
+        for x in range(A.cells[n]):
+            p = fp.index[n][(h.level[n][x], pa.class_of[n][x])]
+            if p in seen:
+                clashes += 1
+                if clash_here is None:
+                    clash_here = ComparisonClash(n, seen[p], x)
+            else:
+                seen[p] = x
+        miss_here = None
+        for p, (b, c) in enumerate(fp.pairs[n]):
+            if p not in seen:
+                misses += 1
+                if miss_here is None:
+                    miss_here = ComparisonMiss(n, b, c)
+        if witness is None:
+            witness = clash_here or miss_here
+    stats = {
+        "cells_source": sum(A.cells),
+        "cells_pullback": sum(fp.object.cells),
+        "misses": misses,
+        "clashes": clashes,
+    }
+    return CheckReport("trivial-covering", witness is None, witness, stats)
+
+
+def reference_injection_cartesian_check(m: SimplicialMap) -> CheckReport:
+    """Component containment, rescanning the target once per meeting component."""
+    for row in m.level:
+        if len(set(row)) != len(row):
+            raise ValueError("injection_cartesian_check requires an injective map")
+    B = m.target
+    pb = reference_pi0(B)
+    image = [set(row) for row in m.level]
+    meets = [False] * pb.count
+    for n in range(B.truncation + 1):
+        for y in image[n]:
+            meets[pb.class_of[n][y]] = True
+    witness = None
+    leaks = 0
+    for c in range(pb.count):
+        if not meets[c]:
+            continue
+        for n in range(B.truncation + 1):
+            for y in range(B.cells[n]):
+                if pb.class_of[n][y] == c and y not in image[n]:
+                    leaks += 1
+                    if witness is None:
+                        witness = ComponentLeak(c, n, y)
+    stats = {
+        "components": pb.count,
+        "meeting": sum(meets),
+        "leaks": leaks,
+        "cells_scanned": sum(B.cells),
+    }
+    return CheckReport("injection-cartesian", witness is None, witness, stats)

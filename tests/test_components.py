@@ -1,5 +1,8 @@
 """Connected components and the two component-comparison checks."""
 
+import copy
+import random
+
 import pytest
 
 import oracles as orc
@@ -12,11 +15,11 @@ from ssetkit.components import (
     pi0_map,
     trivial_covering_check,
 )
-from ssetkit.core import validate
+from ssetkit.core import validate, vertex_table
 from ssetkit.harness import GenConfig, gen_morphism, gen_sset
 from ssetkit.limits import diagonal
-from ssetkit.maps import point_inclusion, validate_map
-from ssetkit.report import ComparisonClash, ComponentLeak
+from ssetkit.maps import classify, point_inclusion, validate_map, validate_parts
+from ssetkit.report import ComparisonClash, ComparisonMiss, ComponentLeak
 from ssetkit.standard import build_standard, simplex_spec
 
 
@@ -100,6 +103,14 @@ def test_trivial_covering_witness_golden(named_maps):
     assert isinstance(w, ComparisonClash)
     assert (w.degree, w.first, w.second) == (0, 0, 1)
     assert report.stats["clashes"] > 0
+    # two points on one end of the interval: pairs (b, c) are missed in
+    # lexicographic order, so the far end with the first point comes first
+    end = point_inclusion(named_maps["curated:interval-to-point"].source, 0)
+    report = trivial_covering_check(sk.copair(end, end))
+    w = report.witness
+    assert isinstance(w, ComparisonMiss)
+    assert (w.degree, w.target_cell, w.component) == (0, 1, 0)
+    assert report.stats["cells_pullback"] == 2 * sum(end.target.cells)
 
 
 def test_trivial_covering_on_identity(zoo):
@@ -140,6 +151,11 @@ def test_injection_cartesian_golden(zoo):
     # a component equal to its image passes even when others are untouched
     V = sk.disjoint_union(zoo["interval"], zoo["point"])
     assert injection_cartesian_check(point_inclusion(V, 2)).verdict
+    # the least component wins, though component 1 leaks at a lower degree
+    both_ends = sk.copair(point_inclusion(U, 0), point_inclusion(U, 1))
+    report = injection_cartesian_check(sk.copair(both_ends, point_inclusion(U, 2)))
+    w = report.witness
+    assert (w.component, w.degree) == (0, 1) and report.stats["leaks"] > 2
 
 
 def test_injection_cartesian_matches_oracle_on_diagonals():
@@ -168,3 +184,76 @@ def test_pi0_map_composes(named_maps):
     left = pi0_map(sk.compose(t, h))
     step = [pi0_map(t)[c] for c in pi0_map(h)]
     assert left == step
+
+
+def test_copies_never_carry_derived_tables(zoo):
+    X = zoo["two-points"]
+    part, verts = pi0(X), vertex_table(X)
+    Y = copy.deepcopy(X)
+    assert Y == X and repr(Y) == repr(X)
+    Y.face[1][0][1] = 0  # the degenerate edge at vertex 1 now ends at vertex 0
+    assert pi0(Y) == orc.reference_pi0(Y) and pi0(Y).count == 1
+    assert vertex_table(Y) == orc.reference_vertex_table(Y) and vertex_table(Y)[1][1] == (1, 0)
+    assert pi0(X) is part and part == orc.reference_pi0(X) and part.count == 2
+    assert vertex_table(X) is verts and verts == orc.reference_vertex_table(X)
+
+
+def _differential_maps(zoo, named_maps):
+    """Zoo-built maps, the named maps and a seeded corpus, then all their diagonals."""
+    maps = []
+    for name, X in zoo.items():
+        maps += [
+            (f"identity:{name}", sk.identity_map(X)),
+            (f"terminal:{name}", sk.terminal_map(X)),
+            (f"fold:{name}", sk.fold_map(X)),
+        ]
+        if X.cells[0]:
+            maps.append((f"vertex:{name}", point_inclusion(X, 0)))
+    maps += named_maps.items()
+    cfg = GenConfig(seed=31, trials=0)
+    for t in range(80):
+        _, h = gen_morphism(cfg, t)
+        if validate_parts(h)[1].ok:
+            maps.append((f"trial:{t}", h))
+    return maps + [(f"diagonal:{name}", diagonal(h).delta) for name, h in maps]
+
+
+def test_component_checks_match_references(zoo, named_maps):
+    injective = 0
+    for name, m in _differential_maps(zoo, named_maps):
+        for X in (m.source, m.target):
+            assert pi0(X) == orc.reference_pi0(X), name
+        want = orc.reference_trivial_covering_check(m)
+        assert trivial_covering_check(m).to_doc() == want.to_doc(), name
+        if classify(m).injective:
+            injective += 1
+            want = orc.reference_injection_cartesian_check(m)
+            assert injection_cartesian_check(m).to_doc() == want.to_doc(), name
+        else:
+            with pytest.raises(ValueError):
+                injection_cartesian_check(m)
+    assert injective >= 60
+
+
+def test_pi0_matches_reference_on_tampered_objects(zoo):
+    rng = random.Random(0)
+    objects = list(zoo.values()) + [gen_sset(GenConfig(seed=13, trials=0), t) for t in range(20)]
+    outcomes = {"raised": 0, "partition": 0}
+    for _ in range(300):
+        X = copy.deepcopy(rng.choice(objects))
+        degrees = [n for n in range(1, X.truncation + 1) if X.cells[n] and X.cells[n - 1] >= 2]
+        if not degrees:
+            continue
+        n = rng.choice(degrees)
+        X.face[n][rng.randrange(n + 1)][rng.randrange(X.cells[n])] = rng.randrange(X.cells[n - 1])
+        try:
+            want = orc.reference_pi0(X)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                pi0(X)
+            assert str(got.value) == str(exc)
+            outcomes["raised"] += 1
+        else:
+            assert pi0(X) == want
+            outcomes["partition"] += 1
+    assert min(outcomes.values()) >= 10, outcomes

@@ -225,3 +225,37 @@ def test_disagreement_records_carry_the_instance(monkeypatch):
         assert {"verdicts", "instance", "recheck_same"} <= set(rec)
         assert rec["recheck_same"] is True
         assert validate_map(sk.io.map_from_doc(rec["instance"])).ok
+
+
+def test_clean_family_drawing_an_invalid_map_stops_the_campaign(monkeypatch):
+    def broken_fold(rng, cfg):
+        h = harness._family_fold(rng, cfg)
+        return sk.SimplicialMap(h.source, h.target, h.level[:-1])
+
+    monkeypatch.setitem(harness._FAMILIES, "fold", broken_fold)
+    cfg = GenConfig(seed=3, trials=4, fixture_mix={"fold": 1.0}, include_curated=False)
+    with pytest.raises(RuntimeError, match=r"seed 3, trial 0, family 'fold'"):
+        run_campaign(cfg)
+
+
+def test_corrupted_draws_leave_their_base_untouched(monkeypatch):
+    bases = []
+
+    def recording(family):
+        def draw(rng, cfg):
+            h = family(rng, cfg)
+            bases.append((h, dumps_canonical(map_to_doc(h))))
+            return h
+
+        return draw
+
+    for name, family in list(harness._FAMILIES.items()):
+        if name != "corrupted":
+            monkeypatch.setitem(harness._FAMILIES, name, recording(family))
+    cfg = GenConfig(seed=7, fixture_mix={"corrupted": 1.0})
+    for t in range(40):
+        _, h = gen_morphism(cfg, t)
+        assert not harness.validate_parts(h)[1].ok
+    assert len(bases) == 40
+    for h, before in bases:
+        assert dumps_canonical(map_to_doc(h)) == before

@@ -127,6 +127,18 @@ def test_cli_directory_path_is_invalid_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_unreadable_files_are_invalid_input(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(range(128)) * 4)  # valid UTF-8, control characters
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"truncation": 0, "na\u00efve": 1}'.encode("latin-1"))
+    for path in (binary, latin1):
+        for argv in (["validate", str(path)], ["check", "covering", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_cli_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000)
