@@ -76,32 +76,29 @@ def covering_check(h: SimplicialMap) -> CheckReport:
 
 
 def _compatible_families(
-    cands: list[list[int]], slots: list[int], face_row: list[list[int]]
-):
-    """Backtrack over horn slots in ascending order, yielding families.
+    cands: list[int],
+    later: list[dict[int, list[int]]],
+    slots: list[int],
+    face_row: list[list[int]],
+) -> list[tuple[int, ...]]:
+    """The compatible families over one horn, in lexicographic order.
 
     face_row is the face table one degree down.  Compatibility: for slots
-    i < j, d_i(y_j) = d_{j-1}(y_i).
+    i < j, d_i(y_j) = d_{j-1}(y_i).  cands lists the candidates for the
+    first slot.  For p >= 1, later[p - 1][v] lists, in ascending order, the
+    candidates y for slot p with d_{slots[0]}(y) = v, so the constraint
+    against the first slot is one lookup and only slots 1..p-1 are tested.  Families are
+    extended slot by slot, each keeping its candidates' order, so they come
+    out in the order of a full backtracking scan over (y_0, y_1, ...).
     """
-    chosen: list[int] = []
-
-    def rec(p: int):
-        if p == len(slots):
-            yield tuple(chosen)
-            return
-        jp = slots[p]
-        for y in cands[p]:
-            ok = True
-            for q in range(p):
-                if face_row[slots[q]][y] != face_row[jp - 1][chosen[q]]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(y)
-                yield from rec(p + 1)
-                chosen.pop()
-
-    yield from rec(0)
+    families = [(y,) for y in cands]
+    for p in range(1, len(slots)):
+        own, look = face_row[slots[p] - 1], later[p - 1]
+        families = [fam + (y,) for fam in families for y in look.get(own[fam[0]], ())]
+        for q in range(1, p):
+            row = face_row[slots[q]]
+            families = [fam for fam in families if row[fam[p]] == own[fam[q]]]
+    return families
 
 
 def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
@@ -109,8 +106,12 @@ def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
 
     Every compatible family (y_i) over the faces of a base cell u must admit
     x with d_i(x) = y_i and h(x) = u.  The witness is the first unfillable
-    horn in (degree, horn index, base cell, family) order.  A negative
-    bound raises ValueError.
+    horn in (degree, horn index, base cell, family) order, families in
+    lexicographic order.  Families are enumerated by lookup: at degree n
+    each fiber of degree n-1 is grouped by its d_0 and by its d_1, the face
+    that the first compatibility test of a later slot reads, so a slot's
+    candidates come from one dict instead of a scan of the fiber.  A
+    negative bound raises ValueError.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"kan bound must be >= 0, got {bound}")
@@ -121,28 +122,34 @@ def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
     witness = None
     horns = missing = 0
     for n in range(1, bound + 1):
-        face_tuple = [
-            tuple(A.face[n][i][x] for i in range(n + 1)) for x in range(A.cells[n])
-        ]
         face_row = A.face[n - 1] if n >= 2 else []
+        # by_face[i][b][v]: the y over b with d_i y = v, ascending; i = slots[0]
+        by_face: list[dict[int, dict[int, list[int]]]] = []
+        for i in range(2) if n >= 2 else ():
+            groups: dict[int, dict[int, list[int]]] = {}
+            for b, ys in fibers[n - 1].items():
+                at_b = groups[b] = {}
+                for y in ys:
+                    at_b.setdefault(face_row[i][y], []).append(y)
+            by_face.append(groups)
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
+            groups = by_face[slots[0]] if by_face else {}
+            # horn_of[x]: the faces of x in the slots, the horn x fills
+            horn_of = list(zip(*(A.face[n][i] for i in slots)))
             for u in range(B.cells[n]):
-                cands = [fibers[n - 1].get(B.face[n][i][u], []) for i in slots]
-                if any(not c for c in cands):
+                bases = [B.face[n][i][u] for i in slots]
+                if any(b not in fibers[n - 1] for b in bases):
                     continue
-                filled = {
-                    tuple(face_tuple[x][i] for i in slots)
-                    for x in fibers[n].get(u, ())
-                }
-                for fam in _compatible_families(cands, slots, face_row):
-                    horns += 1
-                    if fam not in filled:
-                        missing += 1
-                        if witness is None:
-                            witness = MissingHornFiller(
-                                n, k, u, tuple(zip(slots, fam))
-                            )
+                cands = fibers[n - 1][bases[0]]
+                later = [groups[b] for b in bases[1:]]
+                families = _compatible_families(cands, later, slots, face_row)
+                filled = {horn_of[x] for x in fibers[n].get(u, ())}
+                unfilled = [fam for fam in families if fam not in filled]
+                horns += len(families)
+                missing += len(unfilled)
+                if witness is None and unfilled:
+                    witness = MissingHornFiller(n, k, u, tuple(zip(slots, unfilled[0])))
     stats = {"horns": horns, "missing": missing}
     return CheckReport("kan", witness is None, witness, stats)
 
@@ -364,8 +371,9 @@ def revalidate_witness(h: SimplicialMap, report: CheckReport) -> bool:
     """Independently re-check a failure witness against the raw tables.
 
     h must be the map the report was produced for (for separable-direct the
-    diagonal is rebuilt from h).  Returns True when the witness demonstrates
-    a genuine violation.
+    diagonal is rebuilt from h; a caller that holds diagonal(h) can replay
+    the report as an injection-cartesian one against its delta instead).
+    Returns True when the witness demonstrates a genuine violation.
     """
     if report.verdict or report.witness is None:
         return report.verdict and report.witness is None

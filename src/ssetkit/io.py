@@ -124,10 +124,14 @@ def dumps_canonical(doc) -> str:
 
 
 def load_json(path: str | Path):
-    text = Path(path).read_text()
+    """Parse a JSON file; undecodable or malformed content names the file.
+
+    OSError (a missing, unreadable or directory path) propagates as is.
+    """
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        return json.loads(Path(path).read_text())
+    # RecursionError: nested too deeply
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InterchangeError(f"{path}: {exc}") from exc
 
 

@@ -4,10 +4,20 @@ A fiber product is stored as an honest object whose n-simplices are the
 pairs (x, y) with f(x) = g(y), indexed in lexicographic order of (x, y); the
 projections are simplicial maps.  Pair order is part of the contract so that
 witnesses and serialized instances are reproducible.
+
+Cells are found by arithmetic, not by search: the pairs are x-major, so the
+index of (x, y) at degree n is offset[n][x] (the number of pairs before x)
+plus rank[n][y] (the position of y in its fiber of g).  The face and
+degeneracy tables of the fiber product are filled that way, which is valid
+because f and g are simplicial: d_i x and d_i y again lie over one base
+cell.  The pair tuples and the tuple-keyed index dicts are built only when
+read.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import TruncatedSSet
@@ -16,61 +26,90 @@ from .maps import SimplicialMap, terminal_map
 
 @dataclass
 class FiberProduct:
+    """The fiber product of along = (f, g) with its two projections.
+
+    The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y].
+    pairs[n][p] is the pair (x, y) of cell p, read off the projections, and
+    index[n][(x, y)] is p; both are built on first read.
+    """
+
     object: TruncatedSSet
     pr1: SimplicialMap
     pr2: SimplicialMap
     along: tuple[SimplicialMap, SimplicialMap]
-    # pairs[n][p] is the (x, y) pair realizing cell p at degree n
-    pairs: list[list[tuple[int, int]]]
-    index: list[dict[tuple[int, int], int]]
+    # offset[n][x] is the number of pairs (x', y) with x' < x
+    offset: list[list[int]]
+    # rank[n][y] is the number of y' < y with g(y') = g(y)
+    rank: list[list[int]]
+
+    @functools.cached_property
+    def pairs(self) -> list[list[tuple[int, int]]]:
+        return [list(zip(xs, ys)) for xs, ys in zip(self.pr1.level, self.pr2.level)]
+
+    @functools.cached_property
+    def index(self) -> list[dict[tuple[int, int], int]]:
+        return [{p: i for i, p in enumerate(at_n)} for at_n in self.pairs]
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
-    """Fiber product of f and g over their shared target."""
+    """Fiber product of f and g over their shared target.
+
+    f and g must be simplicial maps (validated); the tables are filled by
+    offset + rank arithmetic, which relies on it.
+    """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
     X, Y = f.source, g.source
     N = X.truncation
-    pairs: list[list[tuple[int, int]]] = []
-    index: list[dict[tuple[int, int], int]] = []
+    # per degree: the pairs as two columns (the levels of pr1 and pr2), and
+    # over_x[n][x], the y with g(y) = f(x) in ascending order
+    left: list[list[int]] = []
+    right: list[list[int]] = []
+    over_x: list[list[Sequence[int]]] = []
+    offset: list[list[int]] = []
+    rank: list[list[int]] = []
     for n in range(N + 1):
-        by_image: dict[int, list[int]] = {}
-        for y in range(Y.cells[n]):
-            by_image.setdefault(g.level[n][y], []).append(y)
-        at_n = [
-            (x, y)
-            for x in range(X.cells[n])
-            for y in by_image.get(f.level[n][x], ())
-        ]
-        at_n.sort()
-        pairs.append(at_n)
-        index.append({p: i for i, p in enumerate(at_n)})
+        fiber: dict[int, list[int]] = {}
+        rank_n = []
+        for y, b in enumerate(g.level[n]):
+            ys = fiber.setdefault(b, [])
+            rank_n.append(len(ys))
+            ys.append(y)
+        over_n = [fiber.get(b, ()) for b in f.level[n]]
+        # x-major with each fiber ascending: already lexicographic
+        offset_n, left_n, right_n = [], [], []
+        for x, ys in enumerate(over_n):
+            offset_n.append(len(right_n))
+            left_n += [x] * len(ys)
+            right_n += ys
+        left.append(left_n)
+        right.append(right_n)
+        over_x.append(over_n)
+        offset.append(offset_n)
+        rank.append(rank_n)
+    # Table entries are the shared ints of one range per degree, not a fresh
+    # int per entry: the tables are most of a fiber product's memory.
+    ids = [list(range(len(right_n))) for right_n in right]
+
+    def table(n: int, m: int, Xt: list[int], Yt: list[int]) -> list[int]:
+        # the degree-m cell of (Xt[x], Yt[y]) for every degree-n pair (x, y)
+        at_m, off, rk = ids[m], offset[m], rank[m]
+        ox = [off[v] for v in Xt]
+        ry = [rk[v] for v in Yt]
+        return [at_m[o + ry[y]] for o, ys in zip(ox, over_x[n]) for y in ys]
+
     face: list[list[list[int]]] = [[]]
     for n in range(1, N + 1):
         face.append(
-            [
-                [
-                    index[n - 1][(X.face[n][i][x], Y.face[n][i][y])]
-                    for (x, y) in pairs[n]
-                ]
-                for i in range(n + 1)
-            ]
+            [table(n, n - 1, X.face[n][i], Y.face[n][i]) for i in range(n + 1)]
         )
-    degeneracy = []
-    for n in range(N):
-        degeneracy.append(
-            [
-                [
-                    index[n + 1][(X.degeneracy[n][i][x], Y.degeneracy[n][i][y])]
-                    for (x, y) in pairs[n]
-                ]
-                for i in range(n + 1)
-            ]
-        )
-    P = TruncatedSSet(N, [len(p) for p in pairs], face, degeneracy)
-    pr1 = SimplicialMap(P, X, [[x for (x, _) in pairs[n]] for n in range(N + 1)])
-    pr2 = SimplicialMap(P, Y, [[y for (_, y) in pairs[n]] for n in range(N + 1)])
-    return FiberProduct(P, pr1, pr2, (f, g), pairs, index)
+    degeneracy = [
+        [table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i]) for i in range(n + 1)]
+        for n in range(N)
+    ]
+    P = TruncatedSSet(N, [len(right_n) for right_n in right], face, degeneracy)
+    pr1, pr2 = SimplicialMap(P, X, left), SimplicialMap(P, Y, right)
+    return FiberProduct(P, pr1, pr2, (f, g), offset, rank)
 
 
 def product(X: TruncatedSSet, Y: TruncatedSSet) -> FiberProduct:
@@ -91,11 +130,10 @@ class DiagonalData:
 def diagonal(h: SimplicialMap) -> DiagonalData:
     """The relative diagonal A -> A x_B A of h: A -> B."""
     fp = pullback(h, h)
-    A = h.source
     level = [
-        [fp.index[n][(x, x)] for x in range(A.cells[n])]
-        for n in range(A.truncation + 1)
+        [off + rk for off, rk in zip(fp.offset[n], fp.rank[n])]
+        for n in range(h.source.truncation + 1)
     ]
-    delta = SimplicialMap(A, fp.object, level)
-    image = [sorted(set(row)) for row in level]
+    delta = SimplicialMap(h.source, fp.object, level)
+    image = [list(row) for row in level]  # (x, x) increases with x
     return DiagonalData(fp, delta, image)

@@ -1,9 +1,13 @@
-"""Shared fixtures: a small object zoo, the named maps, and the campaign."""
+"""Shared fixtures: a small object zoo, the named maps, the differential
+corpus, and the campaign."""
 
 import pytest
 
 import ssetkit as sk
 from ssetkit.groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
+from ssetkit.harness import GenConfig, gen_morphism
+from ssetkit.limits import diagonal
+from ssetkit.maps import validate_parts
 from ssetkit.standard import (
     boundary_spec,
     build_standard,
@@ -44,3 +48,28 @@ def named_maps():
 def campaign500():
     """The acceptance campaign: 500 seeded trials plus curated fixtures."""
     return sk.run_campaign(sk.GenConfig(seed=42, trials=500))
+
+
+@pytest.fixture(scope="session")
+def differential_maps(zoo, named_maps):
+    """(name, map) for the differential tests against the reference copies.
+
+    Zoo-built maps, the named maps and a seeded corpus, then all their
+    diagonals.
+    """
+    maps = []
+    for name, X in zoo.items():
+        maps += [
+            (f"identity:{name}", sk.identity_map(X)),
+            (f"terminal:{name}", sk.terminal_map(X)),
+            (f"fold:{name}", sk.fold_map(X)),
+        ]
+        if X.cells[0]:
+            maps.append((f"vertex:{name}", sk.point_inclusion(X, 0)))
+    maps += named_maps.items()
+    cfg = GenConfig(seed=31, trials=0)
+    for t in range(80):
+        _, h = gen_morphism(cfg, t)
+        if validate_parts(h)[1].ok:
+            maps.append((f"trial:{t}", h))
+    return maps + [(f"diagonal:{name}", diagonal(h).delta) for name, h in maps]

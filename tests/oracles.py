@@ -20,7 +20,13 @@ from ssetkit.components import (
 from ssetkit.core import TruncatedSSet
 from ssetkit.limits import pullback
 from ssetkit.maps import SimplicialMap
-from ssetkit.report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
+from ssetkit.report import (
+    CheckReport,
+    ComparisonClash,
+    ComparisonMiss,
+    ComponentLeak,
+    MissingHornFiller,
+)
 
 
 def ordinal_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -507,3 +513,115 @@ def reference_injection_cartesian_check(m: SimplicialMap) -> CheckReport:
         "cells_scanned": sum(B.cells),
     }
     return CheckReport("injection-cartesian", witness is None, witness, stats)
+
+
+# The library now fills fiber-product tables by offset + rank arithmetic and
+# draws horn candidates from face-indexed fibers; these keep the earlier
+# versions (a tuple-keyed index dict per degree, sorted pairs; a full scan of
+# each slot's fiber), so the tests can require identical results.
+
+
+def reference_pullback(f: SimplicialMap, g: SimplicialMap):
+    """(object, pairs, index, pr1, pr2) of the fiber product, via index dicts."""
+    if f.target != g.target:
+        raise ValueError("pullback requires a shared target")
+    X, Y = f.source, g.source
+    N = X.truncation
+    pairs: list[list[tuple[int, int]]] = []
+    index: list[dict[tuple[int, int], int]] = []
+    for n in range(N + 1):
+        by_image: dict[int, list[int]] = {}
+        for y in range(Y.cells[n]):
+            by_image.setdefault(g.level[n][y], []).append(y)
+        at_n = [
+            (x, y)
+            for x in range(X.cells[n])
+            for y in by_image.get(f.level[n][x], ())
+        ]
+        at_n.sort()
+        pairs.append(at_n)
+        index.append({p: i for i, p in enumerate(at_n)})
+    face: list[list[list[int]]] = [[]]
+    for n in range(1, N + 1):
+        face.append(
+            [
+                [index[n - 1][(X.face[n][i][x], Y.face[n][i][y])] for (x, y) in pairs[n]]
+                for i in range(n + 1)
+            ]
+        )
+    degeneracy = [
+        [
+            [index[n + 1][(X.degeneracy[n][i][x], Y.degeneracy[n][i][y])] for (x, y) in pairs[n]]
+            for i in range(n + 1)
+        ]
+        for n in range(N)
+    ]
+    P = TruncatedSSet(N, [len(p) for p in pairs], face, degeneracy)
+    pr1 = SimplicialMap(P, X, [[x for (x, _) in pairs[n]] for n in range(N + 1)])
+    pr2 = SimplicialMap(P, Y, [[y for (_, y) in pairs[n]] for n in range(N + 1)])
+    return P, pairs, index, pr1, pr2
+
+
+def reference_diagonal_level(h: SimplicialMap) -> list[list[int]]:
+    """The relative diagonal's level table, looked up in the index dicts."""
+    index = reference_pullback(h, h)[2]
+    return [
+        [index[n][(x, x)] for x in range(h.source.cells[n])]
+        for n in range(h.source.truncation + 1)
+    ]
+
+
+def _reference_compatible_families(cands, slots, face_row):
+    chosen: list[int] = []
+
+    def rec(p: int):
+        if p == len(slots):
+            yield tuple(chosen)
+            return
+        jp = slots[p]
+        for y in cands[p]:
+            if all(
+                face_row[slots[q]][y] == face_row[jp - 1][chosen[q]] for q in range(p)
+            ):
+                chosen.append(y)
+                yield from rec(p + 1)
+                chosen.pop()
+
+    yield from rec(0)
+
+
+def reference_kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
+    """Horn filling, trying every candidate of every slot's fiber."""
+    A, B = h.source, h.target
+    N = A.truncation
+    bound = N if bound is None else min(bound, N)
+    fibers = []
+    for n in range(N + 1):
+        at_n: dict[int, list[int]] = {}
+        for x in range(A.cells[n]):
+            at_n.setdefault(h.level[n][x], []).append(x)
+        fibers.append(at_n)
+    witness = None
+    horns = missing = 0
+    for n in range(1, bound + 1):
+        face_tuple = [
+            tuple(A.face[n][i][x] for i in range(n + 1)) for x in range(A.cells[n])
+        ]
+        face_row = A.face[n - 1] if n >= 2 else []
+        for k in range(n + 1):
+            slots = [i for i in range(n + 1) if i != k]
+            for u in range(B.cells[n]):
+                cands = [fibers[n - 1].get(B.face[n][i][u], []) for i in slots]
+                if any(not c for c in cands):
+                    continue
+                filled = {
+                    tuple(face_tuple[x][i] for i in slots) for x in fibers[n].get(u, ())
+                }
+                for fam in _reference_compatible_families(cands, slots, face_row):
+                    horns += 1
+                    if fam not in filled:
+                        missing += 1
+                        if witness is None:
+                            witness = MissingHornFiller(n, k, u, tuple(zip(slots, fam)))
+    stats = {"horns": horns, "missing": missing}
+    return CheckReport("kan", witness is None, witness, stats)

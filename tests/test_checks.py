@@ -18,9 +18,10 @@ from ssetkit.checks import (
 from ssetkit.core import validate
 from ssetkit.harness import GenConfig, gen_morphism
 from ssetkit.limits import diagonal
-from ssetkit.maps import extend_map, identity_map, validate_map
+from ssetkit.maps import extend_map, identity_map, terminal_map, validate_map
 from ssetkit.components import injection_cartesian_check
 from ssetkit.report import AmbiguousLift, MissingHornFiller, MissingLift
+from ssetkit.standard import build_standard, parse_spec
 
 
 def _valid_generated(seed, count, upto=150):
@@ -258,3 +259,18 @@ def test_empty_source_is_separable_everywhere(zoo):
     assert separable_via_lifting(h).verdict
     assert covering_check(h).verdict  # no vertices downstairs to anchor
     assert kan_check(h).verdict
+
+
+def test_kan_check_matches_reference(differential_maps):
+    cover = build_standard(parse_spec("cyclic-cover:8"), 3)
+    maps = differential_maps + [
+        ("terminal:cyclic-cover:8", terminal_map(cover)),
+        ("cyclic-cover-projection:16", sk.cyclic_cover_projection(16, 3)),
+    ]
+    negative = 0
+    for name, h in maps:
+        for bound in (None, 1, 2):
+            want = orc.reference_kan_check(h, bound)
+            assert kan_check(h, bound).to_doc() == want.to_doc(), (name, bound)
+            negative += not want.verdict
+    assert negative >= 30

@@ -18,7 +18,7 @@ from ssetkit.components import (
 from ssetkit.core import validate, vertex_table
 from ssetkit.harness import GenConfig, gen_morphism, gen_sset
 from ssetkit.limits import diagonal
-from ssetkit.maps import classify, point_inclusion, validate_map, validate_parts
+from ssetkit.maps import classify, point_inclusion, validate_map
 from ssetkit.report import ComparisonClash, ComparisonMiss, ComponentLeak
 from ssetkit.standard import build_standard, simplex_spec
 
@@ -198,29 +198,9 @@ def test_copies_never_carry_derived_tables(zoo):
     assert vertex_table(X) is verts and verts == orc.reference_vertex_table(X)
 
 
-def _differential_maps(zoo, named_maps):
-    """Zoo-built maps, the named maps and a seeded corpus, then all their diagonals."""
-    maps = []
-    for name, X in zoo.items():
-        maps += [
-            (f"identity:{name}", sk.identity_map(X)),
-            (f"terminal:{name}", sk.terminal_map(X)),
-            (f"fold:{name}", sk.fold_map(X)),
-        ]
-        if X.cells[0]:
-            maps.append((f"vertex:{name}", point_inclusion(X, 0)))
-    maps += named_maps.items()
-    cfg = GenConfig(seed=31, trials=0)
-    for t in range(80):
-        _, h = gen_morphism(cfg, t)
-        if validate_parts(h)[1].ok:
-            maps.append((f"trial:{t}", h))
-    return maps + [(f"diagonal:{name}", diagonal(h).delta) for name, h in maps]
-
-
-def test_component_checks_match_references(zoo, named_maps):
+def test_component_checks_match_references(differential_maps):
     injective = 0
-    for name, m in _differential_maps(zoo, named_maps):
+    for name, m in differential_maps:
         for X in (m.source, m.target):
             assert pi0(X) == orc.reference_pi0(X), name
         want = orc.reference_trivial_covering_check(m)

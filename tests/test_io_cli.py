@@ -1,10 +1,13 @@
 """JSON interchange format and the command-line interface."""
 
 import copy
+import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,25 @@ def test_cli_unreadable_files_are_invalid_input(tmp_path, capsys):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")
+            assert str(path) in captured.err
+
+
+def test_cli_permission_denied_is_invalid_input(tmp_path, named_maps, monkeypatch, capsys):
+    # as root a chmod 000 file stays readable, so the denial is simulated
+    path = _write_map(tmp_path, named_maps["curated:fold-interval"])
+    read_text = Path.read_text
+
+    def denied(self, *args, **kwargs):
+        if str(self) == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    for argv in (["validate", path], ["check", "covering", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert path in captured.err
 
 
 def test_cli_deeply_nested_json_is_invalid_input(tmp_path, capsys):

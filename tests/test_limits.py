@@ -145,3 +145,34 @@ def test_empty_source_pullback(zoo):
     assert orc.universal_property_holds(
         f, g, fp, sk.empty_sset(3)
     )
+
+
+def test_pullback_matches_reference(zoo, differential_maps):
+    cospans = [(name, m, m) for name, m in differential_maps]
+    cospans += [
+        (f"product:{a}x{b}", terminal_map(X), terminal_map(Y))
+        for (a, X), (b, Y) in itertools.product(zoo.items(), repeat=2)
+    ]
+    for name, f, g in cospans:
+        P, pairs, index, pr1, pr2 = orc.reference_pullback(f, g)
+        fp = pullback(f, g)
+        assert fp.object == P and fp.pairs == pairs and fp.index == index, name
+        assert fp.pr1 == pr1 and fp.pr2 == pr2, name
+    for name, h in differential_maps:
+        dd = diagonal(h)
+        level = orc.reference_diagonal_level(h)
+        assert dd.delta.level == level, name
+        assert dd.image == [sorted(set(row)) for row in level], name
+
+
+def test_pullback_tables_share_cell_ints():
+    # one int object per cell, however many table entries name it
+    P = diagonal(sk.cyclic_cover_projection(24, 3)).fiber_product.object
+    for m in range(P.truncation + 1):
+        rows = P.face[m + 1] if m < P.truncation else []
+        rows = rows + (P.degeneracy[m - 1] if m else [])
+        first: dict[int, int] = {}
+        for row in rows:
+            for v in row:
+                assert first.setdefault(v, v) is v, (m, v)
+        assert any(v > 256 for v in first), m
