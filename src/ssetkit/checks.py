@@ -38,6 +38,21 @@ def _fibers(h: SimplicialMap) -> list[dict[int, list[int]]]:
     return out
 
 
+def _lift_buckets(
+    h: SimplicialMap, va: list[list[tuple[int, ...]]], n: int, j: int
+) -> dict[int, list[int]]:
+    """The degree-n cells x of h's source, grouped by (h(x), j-th vertex of x).
+
+    va is the source's vertex table.  The pair (u, a) is keyed by the int
+    u * |A_0| + a, and each group lists its cells in ascending order.
+    """
+    width = h.source.cells[0]
+    buckets: dict[int, list[int]] = {}
+    for x, (u, vs) in enumerate(zip(h.level[n], va[n])):
+        buckets.setdefault(u * width + vs[j], []).append(x)
+    return buckets
+
+
 def covering_check(h: SimplicialMap) -> CheckReport:
     """Unique vertex-anchored lifts in every degree.
 
@@ -52,17 +67,16 @@ def covering_check(h: SimplicialMap) -> CheckReport:
     anchors: dict[int, list[int]] = {}
     for a in range(A.cells[0]):
         anchors.setdefault(h.level[0][a], []).append(a)
+    width = A.cells[0]
     witness = None
     squares = missing = ambiguous = 0
     for n in range(N + 1):
         for j in range(n + 1):
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for x in range(A.cells[n]):
-                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
+            buckets = _lift_buckets(h, va, n, j)
             for u in range(B.cells[n]):
                 for a in anchors.get(vb[n][u][j], ()):
                     squares += 1
-                    lifts = buckets.get((u, a), ())
+                    lifts = buckets.get(u * width + a, ())
                     if not lifts:
                         missing += 1
                         if witness is None:
@@ -168,19 +182,18 @@ def separable_via_lifting(h: SimplicialMap) -> CheckReport:
     squares = ambiguous = 0
     for n in range(N + 1):
         for j in range(n + 1):
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for x in range(A.cells[n]):
-                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
+            buckets = _lift_buckets(h, va, n, j)
             squares += len(buckets)
+            # a cell lies in one group, so the first cells of groups differ
             best = None
-            for (u, a), xs in buckets.items():
+            for xs in buckets.values():
                 if len(xs) > 1:
                     ambiguous += 1
-                    pair = (xs[0], xs[1], u, a)
-                    if best is None or pair < best:
-                        best = pair
+                    if best is None or xs[0] < best[0]:
+                        best = xs
             if witness is None and best is not None:
-                witness = AmbiguousLift(n, j, best[2], best[3], best[0], best[1])
+                x = best[0]
+                witness = AmbiguousLift(n, j, h.level[n][x], va[n][x][j], x, best[1])
     stats = {"squares": squares, "ambiguous": ambiguous}
     return CheckReport("separable-lifting", witness is None, witness, stats)
 

@@ -10,10 +10,8 @@ must draw a valid map, and a campaign raises RuntimeError when one does not.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .checks import (
     CLAIMS,
@@ -40,6 +38,11 @@ from .maps import (
 from .report import CheckReport
 from .standard import StandardObjectSpec, build_standard, circle_spec, simplex_spec
 from . import io
+
+# numpy and the process pool are imported where they are used, so importing
+# the package, as every CLI call does, loads neither
+if TYPE_CHECKING:
+    import numpy as np
 
 _FAMILY_NAMES = ("gluing", "cyclic-cover", "fold", "nerve-product", "corrupted")
 
@@ -85,6 +88,8 @@ class GenConfig:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    import numpy as np
+
     key = [seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF]
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -296,6 +301,8 @@ def gen_sset(cfg: GenConfig, trial: int = 0) -> TruncatedSSet:
 
 def gen_morphism(cfg: GenConfig, trial: int = 0) -> tuple[str, SimplicialMap]:
     """One generated (family, map) instance for the given trial index."""
+    import numpy as np
+
     cfg.check()
     rng = trial_rng(cfg.seed, trial)
     names = sorted(n for n, w in cfg.fixture_mix.items() if w > 0)
@@ -533,6 +540,8 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
             records.append(_score(name, "curated", h))
     cfg_doc = cfg.to_doc()
     if jobs > 1 and cfg.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records.extend(
                 pool.map(_trial_record, [cfg_doc] * cfg.trials, range(cfg.trials), chunksize=8)

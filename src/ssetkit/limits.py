@@ -54,8 +54,9 @@ class FiberProduct:
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     """Fiber product of f and g over their shared target.
 
-    f and g must be simplicial maps (validated); the tables are filled by
-    offset + rank arithmetic, which relies on it.
+    f and g must be simplicial maps (they must pass validate_map); the
+    tables are filled by offset + rank arithmetic, which relies on it.
+    Nothing checks this at run time.
     """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
@@ -128,7 +129,13 @@ class DiagonalData:
 
 
 def diagonal(h: SimplicialMap) -> DiagonalData:
-    """The relative diagonal A -> A x_B A of h: A -> B."""
+    """The relative diagonal A -> A x_B A of h: A -> B.
+
+    h must be a simplicial map (it must pass validate_map): the diagonal is
+    read off pullback(h, h), whose tables rely on it.  Nothing checks this at
+    run time; given a map that fails naturality, the fiber product need not
+    be a simplicial set and no error is raised.
+    """
     fp = pullback(h, h)
     level = [
         [off + rk for off, rk in zip(fp.offset[n], fp.rank[n])]

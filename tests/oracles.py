@@ -21,11 +21,13 @@ from ssetkit.core import TruncatedSSet
 from ssetkit.limits import pullback
 from ssetkit.maps import SimplicialMap
 from ssetkit.report import (
+    AmbiguousLift,
     CheckReport,
     ComparisonClash,
     ComparisonMiss,
     ComponentLeak,
     MissingHornFiller,
+    MissingLift,
 )
 
 
@@ -625,3 +627,66 @@ def reference_kan_check(h: SimplicialMap, bound: int | None = None) -> CheckRepo
                             witness = MissingHornFiller(n, k, u, tuple(zip(slots, fam)))
     stats = {"horns": horns, "missing": missing}
     return CheckReport("kan", witness is None, witness, stats)
+
+
+# The library now builds the lift buckets of covering_check and
+# separable_via_lifting in one helper, keyed by the int u * |A_0| + a; these
+# keep the earlier tuple-keyed loops, so the tests can require identical
+# reports.
+
+
+def reference_covering_check(h: SimplicialMap) -> CheckReport:
+    """Unique vertex-anchored lifts, bucketed by (base cell, vertex) tuples."""
+    A, B = h.source, h.target
+    N = A.truncation
+    va, vb = reference_vertex_table(A), reference_vertex_table(B)
+    anchors: dict[int, list[int]] = {}
+    for a in range(A.cells[0]):
+        anchors.setdefault(h.level[0][a], []).append(a)
+    witness = None
+    squares = missing = ambiguous = 0
+    for n in range(N + 1):
+        for j in range(n + 1):
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for x in range(A.cells[n]):
+                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
+            for u in range(B.cells[n]):
+                for a in anchors.get(vb[n][u][j], ()):
+                    squares += 1
+                    lifts = buckets.get((u, a), ())
+                    if not lifts:
+                        missing += 1
+                        if witness is None:
+                            witness = MissingLift(n, j, u, a)
+                    elif len(lifts) > 1:
+                        ambiguous += 1
+                        if witness is None:
+                            witness = AmbiguousLift(n, j, u, a, lifts[0], lifts[1])
+    stats = {"squares": squares, "missing": missing, "ambiguous": ambiguous}
+    return CheckReport("covering", witness is None, witness, stats)
+
+
+def reference_separable_via_lifting(h: SimplicialMap) -> CheckReport:
+    """Unique vertex-anchored lifts; the witness minimizes (first, second, u, a)."""
+    A = h.source
+    N = A.truncation
+    va = reference_vertex_table(A)
+    witness = None
+    squares = ambiguous = 0
+    for n in range(N + 1):
+        for j in range(n + 1):
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for x in range(A.cells[n]):
+                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
+            squares += len(buckets)
+            best = None
+            for (u, a), xs in buckets.items():
+                if len(xs) > 1:
+                    ambiguous += 1
+                    pair = (xs[0], xs[1], u, a)
+                    if best is None or pair < best:
+                        best = pair
+            if witness is None and best is not None:
+                witness = AmbiguousLift(n, j, best[2], best[3], best[0], best[1])
+    stats = {"squares": squares, "ambiguous": ambiguous}
+    return CheckReport("separable-lifting", witness is None, witness, stats)

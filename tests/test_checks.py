@@ -274,3 +274,15 @@ def test_kan_check_matches_reference(differential_maps):
             assert kan_check(h, bound).to_doc() == want.to_doc(), (name, bound)
             negative += not want.verdict
     assert negative >= 30
+
+
+def test_lift_checks_match_reference(differential_maps):
+    negative = 0
+    for name, h in differential_maps:
+        want = orc.reference_covering_check(h)
+        assert covering_check(h).to_doc() == want.to_doc(), name
+        negative += not want.verdict
+        want = orc.reference_separable_via_lifting(h)
+        assert separable_via_lifting(h).to_doc() == want.to_doc(), name
+        negative += not want.verdict
+    assert negative >= 30

@@ -15,7 +15,7 @@ import ssetkit as sk
 from ssetkit import io
 from ssetkit.cli import main
 from ssetkit.core import validate
-from ssetkit.maps import point_inclusion, terminal_map
+from ssetkit.maps import point_inclusion, terminal_map, validate_map
 
 
 def test_object_round_trip_is_byte_identical(zoo):
@@ -219,6 +219,16 @@ def test_cli_check_refuses_invalid_instances(tmp_path, zoo, capsys):
     path = _write_map(tmp_path, bad, "invalid.json")
     assert main(["check", "covering", path]) == 2
     assert "invalid source" in capsys.readouterr().err
+    # pullback and diagonal trust that a map is simplicial; the CLI checks first
+    h = sk.cyclic_cover_projection(3, 2)
+    level = [list(row) for row in h.level]
+    level[1][0] = 1 - level[1][0]  # the other edge of the base circle
+    bad = sk.SimplicialMap(h.source, h.target, level)
+    assert validate_map(bad).failure.kind == "naturality"
+    path = _write_map(tmp_path, bad, "unnatural.json")
+    assert main(["check", "separable-direct", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_verify_single_map(tmp_path, named_maps, capsys):
@@ -294,3 +304,47 @@ def test_cli_entry_point_runs():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["cells"] == [2, 3, 4]
+
+
+_SRC = str(Path(sk.__file__).resolve().parents[1])
+
+
+def _fresh(args):
+    """Run the interpreter on args in a new process with only src on the path."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_cli_map_commands_import_no_numpy_or_pool(tmp_path, named_maps):
+    path = _write_map(tmp_path, named_maps["curated:cyclic-double-cover"])
+    script = f"""
+import contextlib, io, sys
+from ssetkit.cli import main
+path = {path!r}
+commands = [["check", "covering"], ["check", "kan"], ["validate"],
+            ["verify", "theorem1"], ["verify", "chain"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(cmd + [path]) for cmd in commands]
+assert codes == [0] * len(commands), codes
+heavy = ("numpy", "multiprocessing", "concurrent.futures")
+print(" ".join(m for m in heavy if m in sys.modules))
+"""
+    out = _fresh(["-c", script])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+def test_cli_gen_map_matches_in_process():
+    for seed, trial in ((0, 0), (3, 7), (42, 31)):
+        out = _fresh(["-m", "ssetkit.cli", "gen", "map", "--seed", str(seed), "--trial", str(trial)])
+        assert out.returncode == 0, out.stderr
+        _, h = sk.gen_morphism(sk.GenConfig(seed=seed), trial)
+        assert out.stdout == io.dumps_canonical(io.map_to_doc(h)), (seed, trial)
+
+
+def test_cli_campaign_with_a_process_pool():
+    out = _fresh(["-m", "ssetkit.cli", "verify", "chain", "--trials", "20", "--jobs", "2"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True
