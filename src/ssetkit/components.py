@@ -8,6 +8,7 @@ is well defined because an edge path connects any two vertices of a simplex.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import TruncatedSSet, discrete_sset
@@ -57,19 +58,31 @@ def pi0(X: TruncatedSSet) -> ComponentPartition:
     return X.derived("pi0", _pi0)
 
 
-def _pi0(X: TruncatedSSet) -> ComponentPartition:
-    uf = _UnionFind(X.cells[0])
-    if X.truncation >= 1:
-        for e in range(X.cells[1]):
-            uf.union(X.face[1][0][e], X.face[1][1][e])
-    vertex_class = [-1] * X.cells[0]
+def _vertex_classes(
+    vertices: int, heads: Sequence[int], tails: Sequence[int]
+) -> tuple[int, list[int]]:
+    """Components of the graph on range(vertices) with edges (heads[e], tails[e]).
+
+    Returns the number of components and the component of each vertex;
+    components are numbered by least vertex index.
+    """
+    uf = _UnionFind(vertices)
+    for a, b in zip(heads, tails):
+        uf.union(a, b)
+    vertex_class = [-1] * vertices
     count = 0
-    for v in range(X.cells[0]):
+    for v in range(vertices):
         r = uf.find(v)
         if vertex_class[r] == -1:
             vertex_class[r] = count
             count += 1
         vertex_class[v] = vertex_class[r]
+    return count, vertex_class
+
+
+def _pi0(X: TruncatedSSet) -> ComponentPartition:
+    edges = X.face[1] if X.truncation >= 1 else ([], [])
+    count, vertex_class = _vertex_classes(X.cells[0], edges[0], edges[1])
     # Degree by degree: if every (n-1)-simplex has one class, x has one class
     # exactly when its faces d_n x (vertices 0..n-1) and d_0 x (vertex n)
     # agree, so this fails at the first simplex whose vertices disagree.

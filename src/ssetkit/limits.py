@@ -1,4 +1,4 @@
-"""Materialized finite limits: fiber products, products, diagonals.
+"""Finite limits: fiber products, products, diagonals.
 
 A fiber product is stored as an honest object whose n-simplices are the
 pairs (x, y) with f(x) = g(y), indexed in lexicographic order of (x, y); the
@@ -8,20 +8,70 @@ witnesses and serialized instances are reproducible.
 Cells are found by arithmetic, not by search: the pairs are x-major, so the
 index of (x, y) at degree n is offset[n][x] (the number of pairs before x)
 plus rank[n][y] (the position of y in its fiber of g).  The face and
-degeneracy tables of the fiber product are filled that way, which is valid
-because f and g are simplicial: d_i x and d_i y again lie over one base
-cell.  The pair tuples and the tuple-keyed index dicts are built only when
-read.
+degeneracy tables of the fiber product are filled that way when they are
+first read, which is valid because f and g are simplicial: d_i x and d_i y
+again lie over one base cell.  pi0 of the fiber product is taken from the
+pairs by the same arithmetic and builds no tables, so a caller that reads
+only cell counts and components (the separability checks on a diagonal)
+never builds them.  The pair tuples and the tuple-keyed index dicts are
+built only when read.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from .components import ComponentPartition, _vertex_classes
 from .core import TruncatedSSet
 from .maps import SimplicialMap, terminal_map
+
+
+class _FiberProductObject(TruncatedSSet):
+    """The object of a fiber product, its tables built when first read.
+
+    Until face or degeneracy is read, only truncation and cells are stored;
+    the first read of either builds both and stores them as plain
+    attributes, so later reads cost what they cost on any TruncatedSSet.
+    pi0 is computed from the pairs and builds no tables.  The object equals
+    a TruncatedSSet with the same tables, in either order, and copies and
+    pickles of it are plain TruncatedSSets that carry the tables.
+    """
+
+    def __init__(
+        self,
+        truncation: int,
+        cells: list[int],
+        tables: Callable[[], tuple[list, list]],
+        partition: Callable[[TruncatedSSet], ComponentPartition],
+    ) -> None:
+        self.truncation, self.cells = truncation, cells
+        self._derived = {}
+        self._tables, self._partition = tables, partition
+
+    def __getattr__(self, name: str):
+        # reached only while face and degeneracy are not yet stored
+        if name not in ("face", "degeneracy"):
+            raise AttributeError(name)
+        self.face, self.degeneracy = self._tables()
+        return self.__dict__[name]
+
+    def derived(self, name: str, build: Callable):
+        # components.pi0 asks for "pi0": take it from the pairs instead
+        return super().derived(name, self._partition if name == "pi0" else build)
+
+    def __eq__(self, other: object) -> bool:
+        # the dataclass __eq__ requires the exact class on both sides
+        if not isinstance(other, TruncatedSSet):
+            return NotImplemented
+        return (self.truncation, self.cells) == (other.truncation, other.cells) and (
+            self.face, self.degeneracy
+        ) == (other.face, other.degeneracy)
+
+    def __reduce_ex__(self, protocol):
+        # copy.copy, copy.deepcopy and pickle: a plain object with the tables
+        return TruncatedSSet, (self.truncation, self.cells, self.face, self.degeneracy)
 
 
 @dataclass
@@ -29,8 +79,10 @@ class FiberProduct:
     """The fiber product of along = (f, g) with its two projections.
 
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y].
-    pairs[n][p] is the pair (x, y) of cell p, read off the projections, and
-    index[n][(x, y)] is p; both are built on first read.
+    object builds its face and degeneracy tables when they are first read,
+    and its pi0 comes from offset and rank without them.  pairs[n][p] is the
+    pair (x, y) of cell p, read off the projections, and index[n][(x, y)]
+    is p; both are built on first read.
     """
 
     object: TruncatedSSet
@@ -54,9 +106,11 @@ class FiberProduct:
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     """Fiber product of f and g over their shared target.
 
-    f and g must be simplicial maps (they must pass validate_map); the
-    tables are filled by offset + rank arithmetic, which relies on it.
-    Nothing checks this at run time.
+    f and g must be simplicial maps (they must pass validate_map): the
+    tables, built on first read, are filled by offset + rank arithmetic,
+    and pi0 of the object is read off the pairs by the same arithmetic,
+    without the check that each simplex lies in one component.  Both rely
+    on it, and nothing checks it at run time.
     """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
@@ -88,27 +142,47 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         over_x.append(over_n)
         offset.append(offset_n)
         rank.append(rank_n)
-    # Table entries are the shared ints of one range per degree, not a fresh
-    # int per entry: the tables are most of a fiber product's memory.
-    ids = [list(range(len(right_n))) for right_n in right]
+    cells = [len(right_n) for right_n in right]
 
-    def table(n: int, m: int, Xt: list[int], Yt: list[int]) -> list[int]:
-        # the degree-m cell of (Xt[x], Yt[y]) for every degree-n pair (x, y)
-        at_m, off, rk = ids[m], offset[m], rank[m]
+    def table(n: int, m: int, Xt: list[int], Yt: list[int], at_m: Sequence) -> list:
+        # at_m[c], c the degree-m cell of (Xt[x], Yt[y]), for every degree-n pair (x, y)
+        off, rk = offset[m], rank[m]
         ox = [off[v] for v in Xt]
         ry = [rk[v] for v in Yt]
         return [at_m[o + ry[y]] for o, ys in zip(ox, over_x[n]) for y in ys]
 
-    face: list[list[list[int]]] = [[]]
-    for n in range(1, N + 1):
-        face.append(
-            [table(n, n - 1, X.face[n][i], Y.face[n][i]) for i in range(n + 1)]
-        )
-    degeneracy = [
-        [table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i]) for i in range(n + 1)]
-        for n in range(N)
-    ]
-    P = TruncatedSSet(N, [len(right_n) for right_n in right], face, degeneracy)
+    def tables() -> tuple[list, list]:
+        # Table entries are the shared ints of one range per degree, not a
+        # fresh int per entry: the tables are most of a fiber product's memory.
+        ids = [list(range(c)) for c in cells]
+        face: list[list[list[int]]] = [[]]
+        for n in range(1, N + 1):
+            face.append(
+                [table(n, n - 1, X.face[n][i], Y.face[n][i], ids[n - 1]) for i in range(n + 1)]
+            )
+        degeneracy = [
+            [
+                table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i], ids[n + 1])
+                for i in range(n + 1)
+            ]
+            for n in range(N)
+        ]
+        return face, degeneracy
+
+    def partition(_: TruncatedSSet) -> ComponentPartition:
+        # union the vertex pairs d_0 p and d_1 p of each edge pair p, then
+        # give each n-cell the class of its d_n face, as components._pi0 does
+        ends: Sequence = ((), ())
+        if N:
+            vertices = range(cells[0])
+            ends = [table(1, 0, X.face[1][i], Y.face[1][i], vertices) for i in (0, 1)]
+        count, vertex_class = _vertex_classes(cells[0], *ends)
+        class_of = [list(vertex_class)]
+        for n in range(1, N + 1):
+            class_of.append(table(n, n - 1, X.face[n][n], Y.face[n][n], class_of[-1]))
+        return ComponentPartition(count, vertex_class, class_of)
+
+    P = _FiberProductObject(N, cells, tables, partition)
     pr1, pr2 = SimplicialMap(P, X, left), SimplicialMap(P, Y, right)
     return FiberProduct(P, pr1, pr2, (f, g), offset, rank)
 

@@ -20,7 +20,7 @@ from ssetkit.checks import (
 from ssetkit.components import injection_cartesian_check, pi0, trivial_covering_check
 from ssetkit.core import validate
 from ssetkit.harness import evaluate_instance
-from ssetkit.limits import pullback
+from ssetkit.limits import diagonal, pullback
 from ssetkit.maps import (
     classify,
     identity_map,
@@ -239,3 +239,30 @@ def test_acceptance_7_witness_soundness(campaign500, window, named_maps):
         f"{checked} directly recomputed witnesses plus every campaign witness"
         " revalidate from the raw tables",
     ), camp.witness_failures
+
+
+def test_acceptance_8_kan_diagonal_is_separability(named_maps):
+    # the paper's definition read directly: h is separable when its
+    # diagonal A -> A x_B A is a (Kan) fibration; shares no scan with
+    # separable_direct's component containment
+    cfg = sk.GenConfig(seed=5, trials=40)
+    instances = list(named_maps.items())
+    for t in range(cfg.trials):
+        family, h = sk.gen_morphism(cfg, t)
+        if _instance_valid(h):
+            instances.append((f"trial:{t}:{family}", h))
+    agree = replayed = negatives = 0
+    for name, h in instances:
+        dd = diagonal(h)
+        rep = kan_check(dd.delta)
+        agree += rep.verdict == separable_direct(h, dd).verdict
+        if not rep.verdict:
+            negatives += 1
+            replayed += sk.revalidate_witness(dd.delta, rep)
+    ok = agree == len(instances) and replayed == negatives > 0
+    assert _line(
+        8,
+        ok,
+        f"kan_check on the diagonal agrees with separable_direct on all"
+        f" {len(instances)} maps; {negatives} horn witnesses replay",
+    ), (agree, len(instances), replayed, negatives)

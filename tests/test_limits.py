@@ -1,12 +1,18 @@
 """Fiber products, products, diagonals, and the universal property."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 import oracles as orc
 import ssetkit as sk
-from ssetkit.core import validate
+from ssetkit.checks import revalidate_witness
+from ssetkit.components import pi0
+from ssetkit.core import TruncatedSSet, validate
+from ssetkit.groupoids import cyclic_group_groupoid, nerve
+from ssetkit.harness import _witness_audit, evaluate_instance
 from ssetkit.limits import diagonal, product, pullback
 from ssetkit.maps import (
     compose,
@@ -15,7 +21,13 @@ from ssetkit.maps import (
     terminal_map,
     validate_map,
 )
-from ssetkit.standard import build_standard, circle_spec, cyclic_cover_spec, simplex_spec
+from ssetkit.standard import (
+    build_standard,
+    circle_spec,
+    cyclic_cover_spec,
+    parse_spec,
+    simplex_spec,
+)
 
 
 def _cospans():
@@ -176,3 +188,70 @@ def test_pullback_tables_share_cell_ints():
             for v in row:
                 assert first.setdefault(v, v) is v, (m, v)
         assert any(v > 256 for v in first), m
+
+
+def _tables_built(P) -> bool:
+    # a fiber product's object stores face and degeneracy once they are read
+    return "face" in vars(P) or "degeneracy" in vars(P)
+
+
+def _reference_cospans(zoo, differential_maps):
+    """(name, f, g): every corpus map against itself, and every zoo product."""
+    cospans = [(name, m, m) for name, m in differential_maps]
+    return cospans + [
+        (f"product:{a}x{b}", terminal_map(X), terminal_map(Y))
+        for (a, X), (b, Y) in itertools.product(zoo.items(), repeat=2)
+    ]
+
+
+def test_scoring_builds_no_fiber_product_tables(differential_maps):
+    circle = build_standard(circle_spec(), 3)
+    large = [
+        ("cyclic-cover-16", sk.cyclic_cover_projection(16, 3)),
+        ("terminal:cyclic-cover:8", terminal_map(build_standard(parse_spec("cyclic-cover:8"), 3))),
+        ("circle-x-nerve-z3", product(circle, nerve(cyclic_group_groupoid(3), 3)).pr1),
+    ]
+    for name, h in list(differential_maps) + large:
+        dd = diagonal(h)
+        v = evaluate_instance(h, dd)
+        assert _witness_audit(h, v, dd) == [], name
+        assert revalidate_witness(h, v.direct), name
+        assert not _tables_built(dd.fiber_product.object), name
+
+
+def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
+    for name, f, g in _reference_cospans(zoo, differential_maps):
+        P = orc.reference_pullback(f, g)[0]
+        first, second = pullback(f, g).object, pullback(f, g).object
+        assert isinstance(first, TruncatedSSet), name
+        # == before the first table read, in both orders
+        assert not _tables_built(first) and first == P, name
+        assert not _tables_built(second) and P == second, name
+        # and after it
+        assert _tables_built(first) and _tables_built(second), name
+        assert first == P and P == first and second == P and P == second, name
+        assert first == second, name
+        if P.truncation and P.cells[1]:
+            other = copy.deepcopy(P)
+            other.face[1][0][0] = other.face[1][1][0] = other.cells[0]
+            assert first != other and other != first, name
+        for read in (False, True):
+            obj = pullback(f, g).object
+            if read:
+                obj.degeneracy
+            copies = [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+            for c in copies:
+                assert type(c) is TruncatedSSet and c == P and P == c, (name, read)
+                assert vars(c).keys() == vars(P).keys(), (name, read)
+        assert validate(pullback(f, g).object).ok, name
+
+
+def test_pi0_of_fiber_product_from_pairs(zoo, differential_maps):
+    for name, f, g in _reference_cospans(zoo, differential_maps):
+        P = orc.reference_pullback(f, g)[0]
+        obj = pullback(f, g).object
+        part, want = pi0(obj), orc.reference_pi0(P)
+        assert not _tables_built(obj), name
+        assert part.count == want.count, name
+        assert part.vertex_class == want.vertex_class, name
+        assert part.class_of == want.class_of, name
