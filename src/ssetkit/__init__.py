@@ -4,7 +4,6 @@ from .core import (
     TruncatedSSet,
     ValidationFailure,
     ValidationReport,
-    degeneracy_closure,
     discrete_sset,
     disjoint_union,
     empty_sset,
@@ -29,10 +28,8 @@ from .maps import (
     compose,
     copair,
     cyclic_cover_projection,
-    extend_map,
     fold_map,
     identity_map,
-    inverse,
     point_inclusion,
     terminal_map,
     validate_map,
@@ -40,8 +37,6 @@ from .maps import (
 from .limits import DiagonalData, FiberProduct, diagonal, product, pullback
 from .components import (
     ComponentPartition,
-    component_object,
-    component_unit,
     injection_cartesian_check,
     pi0,
     pi0_map,
@@ -70,13 +65,10 @@ from .checks import (
 from .groupoids import (
     FiniteGroupoid,
     GroupoidPresentation,
-    check_groupoid,
     codiscrete_groupoid,
     cyclic_group_groupoid,
-    discrete_groupoid,
     nerve,
     pi1_presentation,
-    presentation_map_is_syntactic,
 )
 from .harness import (
     CampaignReport,

@@ -13,7 +13,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import vertex_table
+from .core import TruncatedSSet, vertex_table
 from .components import injection_cartesian_check, pi0, pi0_map, trivial_covering_check
 from .limits import DiagonalData, diagonal
 from .maps import SimplicialMap
@@ -407,13 +407,22 @@ def revalidate_witness(h: SimplicialMap, report: CheckReport) -> bool:
     raise ValueError(f"unknown check {report.check!r}")
 
 
+def _is_cell(X: TruncatedSSet, n: int, *xs: int) -> bool:
+    """Is n a stored degree of X and every x an n-cell of X?
+
+    Replay checks indices with this before reading a table, so that a
+    negative index does not wrap around and a large one does not raise.
+    """
+    return 0 <= n <= X.truncation and all(0 <= x < X.cells[n] for x in xs)
+
+
 def _recheck_leak(m: SimplicialMap, w) -> bool:
     if not isinstance(w, ComponentLeak):
         return False
     B = m.target
-    pb = pi0(B)
-    if not (0 <= w.degree <= B.truncation and 0 <= w.cell < B.cells[w.degree]):
+    if not _is_cell(B, w.degree, w.cell):
         return False
+    pb = pi0(B)
     if pb.class_of[w.degree][w.cell] != w.component:
         return False
     if w.cell in set(m.level[w.degree]):
@@ -430,7 +439,7 @@ def _recheck_comparison(h: SimplicialMap, w) -> bool:
     pa, pb = pi0(A), pi0(h.target)
     if isinstance(w, ComparisonClash):
         n = w.degree
-        if w.first == w.second:
+        if w.first == w.second or not _is_cell(A, n, w.first, w.second):
             return False
         return (
             h.level[n][w.first] == h.level[n][w.second]
@@ -438,10 +447,9 @@ def _recheck_comparison(h: SimplicialMap, w) -> bool:
         )
     if isinstance(w, ComparisonMiss):
         n, b, c = w.degree, w.target_cell, w.component
-        p0 = pi0_map(h, pa, pb)
-        if not (0 <= c < pa.count and 0 <= b < h.target.cells[n]):
+        if not (0 <= c < pa.count and _is_cell(h.target, n, b)):
             return False
-        if pb.class_of[n][b] != p0[c]:
+        if pb.class_of[n][b] != pi0_map(h, pa, pb)[c]:
             return False  # not a pullback pair at all
         return all(
             h.level[n][x] != b or pa.class_of[n][x] != c for x in range(A.cells[n])
@@ -453,6 +461,8 @@ def _recheck_covering(h: SimplicialMap, w) -> bool:
     A, B = h.source, h.target
     if isinstance(w, (MissingLift, AmbiguousLift)):
         n, j, u, a = w.degree, w.vertex, w.base, w.anchor
+        if not (_is_cell(B, n, u) and 0 <= j <= n and _is_cell(A, 0, a)):
+            return False
         if h.level[0][a] != B.vertex(n, u, j):
             return False
         lifts = [
@@ -478,6 +488,8 @@ def _recheck_lifting(h: SimplicialMap, w) -> bool:
     x1, x2 = w.first, w.second
     return (
         x1 != x2
+        and _is_cell(A, n, x1, x2)
+        and 0 <= j <= n
         and h.level[n][x1] == w.base == h.level[n][x2]
         and A.vertex(n, x1, j) == w.anchor == A.vertex(n, x2, j)
     )
@@ -488,9 +500,13 @@ def _recheck_horn(h: SimplicialMap, w) -> bool:
         return False
     A, B = h.source, h.target
     n, k, u = w.degree, w.horn, w.base
-    faces = dict(w.faces)
+    if not (n >= 1 and _is_cell(B, n, u) and 0 <= k <= n):
+        return False
     slots = [i for i in range(n + 1) if i != k]
-    if sorted(faces) != slots:
+    if [i for i, _ in w.faces] != slots:
+        return False
+    faces = dict(w.faces)
+    if not _is_cell(A, n - 1, *faces.values()):
         return False
     for i in slots:
         if h.level[n - 1][faces[i]] != B.face[n][i][u]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import TruncatedSSet, discrete_sset
+from .core import TruncatedSSet
 from .maps import SimplicialMap
 from .report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
 
@@ -96,19 +96,6 @@ def _pi0(X: TruncatedSSet) -> ComponentPartition:
             raise ValueError(f"component class not constant on simplex {x} at degree {n}")
         class_of.append(row)
     return ComponentPartition(count, vertex_class, class_of)
-
-
-def component_object(part: ComponentPartition, truncation: int) -> TruncatedSSet:
-    """Discrete object on the component set."""
-    return discrete_sset(part.count, truncation)
-
-
-def component_unit(X: TruncatedSSet, part: ComponentPartition | None = None) -> SimplicialMap:
-    """Unit X -> discrete(components), sending a simplex to its class."""
-    part = part or pi0(X)
-    return SimplicialMap(
-        X, component_object(part, X.truncation), [list(r) for r in part.class_of]
-    )
 
 
 def pi0_map(

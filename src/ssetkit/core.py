@@ -86,11 +86,6 @@ class TruncatedSSet:
             value = self._derived[name] = build(self)
             return value
 
-    def n_cells(self, n: int) -> int:
-        if 0 <= n <= self.truncation:
-            return self.cells[n]
-        return 0
-
     def d(self, n: int, i: int, x: int) -> int:
         """Face d_i of the n-simplex x."""
         return self.face[n][i][x]
@@ -290,91 +285,6 @@ def _vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
             [prev[last[x]] + (prev[first[x]][n - 1],) for x in range(X.cells[n])]
         )
     return table
-
-
-def apply_epi(X: TruncatedSSet, phi: tuple[int, ...], deg: int, y: int) -> int:
-    """Evaluate X(phi)(y) for a monotone surjection phi: [p] ->> [deg].
-
-    Resolves phi into elementary degeneracies against the stored tables; the
-    result degree p must not exceed the truncation.
-    """
-    p = len(phi) - 1
-    if p == deg:
-        return y
-    t = max(t for t in range(p) if phi[t] == phi[t + 1])
-    z = apply_epi(X, phi[: t + 1] + phi[t + 2 :], deg, y)
-    return X.degeneracy[p - 1][t][z]
-
-
-def apply_monotone(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
-    """Evaluate X(alpha)(x) for any monotone alpha: [p] -> [deg], x in X_deg.
-
-    Factors alpha as a surjection after an injection and replays the
-    elementary operators against the stored tables.
-    """
-    image = sorted(set(alpha))
-    z, cur = x, deg
-    for v in range(deg, -1, -1):
-        if v not in image:
-            z = X.face[cur][v][z]
-            cur -= 1
-    rank = {v: r for r, v in enumerate(image)}
-    return apply_epi(X, tuple(rank[a] for a in alpha), cur, z)
-
-
-def closure_step(X: TruncatedSSet) -> tuple[TruncatedSSet, list[tuple[int, int]]]:
-    """Extend by one degree with formal degeneracies only.
-
-    Returns the extended object and, per new top cell, a presentation
-    (t, parent) with the cell equal to s_t(parent).
-    """
-    N = X.truncation
-    M = N + 1
-    # Canonical keys (m, y, phi): y nondegenerate of degree m, phi: [M] ->> [m].
-    keys: set[tuple[int, int, tuple[int, ...]]] = set()
-    new_degeneracy_row = [[0] * X.cells[N] for _ in range(N + 1)]
-    key_of: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-    for x in range(X.cells[N]):
-        phi, m, y = X.ez(N, x)
-        for i in range(N + 1):
-            # s_i(x) = X(phi o sigma_i)(y)
-            lifted = phi[: i + 1] + phi[i:]
-            key = (m, y, lifted)
-            keys.add(key)
-            key_of[(i, x)] = key
-    ordered = sorted(keys)
-    index = {k: c for c, k in enumerate(ordered)}
-    for (i, x), key in key_of.items():
-        new_degeneracy_row[i][x] = index[key]
-
-    parents: list[tuple[int, int]] = []
-    new_face_row = [[0] * len(ordered) for _ in range(M + 1)]
-    for c, (m, y, phi) in enumerate(ordered):
-        t = max(t for t in range(M) if phi[t] == phi[t + 1])
-        parent = apply_epi(X, phi[: t + 1] + phi[t + 2 :], m, y)
-        parents.append((t, parent))
-        for i in range(M + 1):
-            alpha = phi[:i] + phi[i + 1 :]
-            new_face_row[i][c] = apply_monotone(X, alpha, m, y)
-
-    ext = TruncatedSSet(
-        truncation=M,
-        cells=X.cells + [len(ordered)],
-        face=[[r[:] for r in rows] for rows in X.face] + [new_face_row],
-        degeneracy=[[r[:] for r in rows] for rows in X.degeneracy]
-        + [new_degeneracy_row],
-    )
-    return ext, parents
-
-
-def degeneracy_closure(X: TruncatedSSet, truncation: int) -> TruncatedSSet:
-    """Raise the truncation, adding only degenerate cells."""
-    if truncation < X.truncation:
-        raise ValueError("cannot lower a truncation by closure")
-    out = X
-    while out.truncation < truncation:
-        out, _ = closure_step(out)
-    return out
 
 
 def disjoint_union(X: TruncatedSSet, Y: TruncatedSSet) -> TruncatedSSet:

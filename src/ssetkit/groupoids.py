@@ -31,46 +31,6 @@ class FiniteGroupoid:
         return len(self.source)
 
 
-def check_groupoid(G: FiniteGroupoid) -> None:
-    """Raise ValueError on the first violated groupoid law."""
-    m = G.n_arrows
-    for o in range(G.n_objects):
-        e = G.identity[o]
-        if G.source[e] != o or G.target[e] != o:
-            raise ValueError(f"identity of object {o} has wrong endpoints")
-    for g in range(m):
-        for f in range(m):
-            defined = (g, f) in G.compose
-            if defined != (G.target[f] == G.source[g]):
-                raise ValueError(f"composability mismatch for ({g}, {f})")
-            if defined:
-                c = G.compose[(g, f)]
-                if G.source[c] != G.source[f] or G.target[c] != G.target[g]:
-                    raise ValueError(f"composite of ({g}, {f}) has wrong endpoints")
-    for f in range(m):
-        if G.compose[(f, G.identity[G.source[f]])] != f:
-            raise ValueError(f"right identity fails for {f}")
-        if G.compose[(G.identity[G.target[f]], f)] != f:
-            raise ValueError(f"left identity fails for {f}")
-        inv = G.inverse[f]
-        if G.source[inv] != G.target[f] or G.target[inv] != G.source[f]:
-            raise ValueError(f"inverse of {f} has wrong endpoints")
-        if G.compose[(inv, f)] != G.identity[G.source[f]]:
-            raise ValueError(f"inverse law fails for {f}")
-        if G.compose[(f, inv)] != G.identity[G.target[f]]:
-            raise ValueError(f"inverse law fails for {f}")
-    for h in range(m):
-        for g in range(m):
-            if G.target[g] != G.source[h]:
-                continue
-            hg = G.compose[(h, g)]
-            for f in range(m):
-                if G.target[f] != G.source[g]:
-                    continue
-                if G.compose[(hg, f)] != G.compose[(h, G.compose[(g, f)])]:
-                    raise ValueError(f"associativity fails at ({h}, {g}, {f})")
-
-
 def cyclic_group_groupoid(k: int) -> FiniteGroupoid:
     """One object, arrows the residues mod k under addition."""
     if k < 1:
@@ -98,12 +58,6 @@ def codiscrete_groupoid(m: int) -> FiniteGroupoid:
         [idx[(o, o)] for o in range(m)],
         [idx[(t, s)] for s, t in arrows],
     )
-
-
-def discrete_groupoid(m: int) -> FiniteGroupoid:
-    """m objects, identities only."""
-    comp = {(o, o): o for o in range(m)}
-    return FiniteGroupoid(m, list(range(m)), list(range(m)), comp, list(range(m)), list(range(m)))
 
 
 def _identity_free_strings(G: FiniteGroupoid, length: int) -> list[tuple[int, ...]]:
@@ -226,24 +180,3 @@ def pi1_presentation(X: TruncatedSSet) -> GroupoidPresentation:
         for t in range(X.cells[2])
     ]
     return GroupoidPresentation(X.cells[0], gen_src, gen_tgt, identities, triangles)
-
-
-def presentation_map_is_syntactic(f) -> bool:
-    """Does f send generators to generators and relations to verbatim relations?
-
-    Generators map along level[1] and objects along level[0]; naturality makes
-    the generator endpoints match.  Identity relations land on identity
-    relations because f(s_0 v) = s_0(f v); triangles land on the image
-    triangle.  This re-checks both memberships syntactically.
-    """
-    src, tgt = pi1_presentation(f.source), pi1_presentation(f.target)
-    id_set = set(tgt.identity_relations)
-    tri_set = {(r[1], r[2], r[3]) for r in tgt.triangle_relations}
-    for v, g in src.identity_relations:
-        if (f.level[0][v], f.level[1][g]) not in id_set:
-            return False
-    for _, left, second, first in src.triangle_relations:
-        image = (f.level[1][left], f.level[1][second], f.level[1][first])
-        if image not in tri_set:
-            return False
-    return True

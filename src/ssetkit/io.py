@@ -130,10 +130,7 @@ def load_json(path: str | Path):
     """
     try:
         return json.loads(Path(path).read_text())
-    # RecursionError: nested too deeply
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: undecodable bytes, malformed JSON, an integer too long to
+    # convert; RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise InterchangeError(f"{path}: {exc}") from exc
-
-
-def save_json(path: str | Path, doc) -> None:
-    Path(path).write_text(dumps_canonical(doc))

@@ -76,7 +76,7 @@ class _FiberProductObject(TruncatedSSet):
 
 @dataclass
 class FiberProduct:
-    """The fiber product of along = (f, g) with its two projections.
+    """The fiber product of f and g with its two projections.
 
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y].
     object builds its face and degeneracy tables when they are first read,
@@ -88,7 +88,6 @@ class FiberProduct:
     object: TruncatedSSet
     pr1: SimplicialMap
     pr2: SimplicialMap
-    along: tuple[SimplicialMap, SimplicialMap]
     # offset[n][x] is the number of pairs (x', y) with x' < x
     offset: list[list[int]]
     # rank[n][y] is the number of y' < y with g(y') = g(y)
@@ -184,7 +183,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
 
     P = _FiberProductObject(N, cells, tables, partition)
     pr1, pr2 = SimplicialMap(P, X, left), SimplicialMap(P, Y, right)
-    return FiberProduct(P, pr1, pr2, (f, g), offset, rank)
+    return FiberProduct(P, pr1, pr2, offset, rank)
 
 
 def product(X: TruncatedSSet, Y: TruncatedSSet) -> FiberProduct:

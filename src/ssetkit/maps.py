@@ -8,7 +8,6 @@ from .core import (
     TruncatedSSet,
     ValidationFailure,
     ValidationReport,
-    closure_step,
     discrete_sset,
     disjoint_union,
     validate,
@@ -33,10 +32,6 @@ class SimplicialMap:
 class MapClass:
     injective: bool
     surjective: bool
-
-    @property
-    def isomorphism(self) -> bool:
-        return self.injective and self.surjective
 
 
 def identity_map(X: TruncatedSSet) -> SimplicialMap:
@@ -125,19 +120,6 @@ def classify(f: SimplicialMap) -> MapClass:
     return MapClass(inj, surj)
 
 
-def inverse(f: SimplicialMap) -> SimplicialMap:
-    """Two-sided inverse of an isomorphism."""
-    if not classify(f).isomorphism:
-        raise ValueError("map is not an isomorphism")
-    level = []
-    for n in range(f.source.truncation + 1):
-        inv = [0] * f.target.cells[n]
-        for x, v in enumerate(f.level[n]):
-            inv[v] = x
-        level.append(inv)
-    return SimplicialMap(f.target, f.source, level)
-
-
 def copair(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """Map out of the disjoint union of the two sources, into a shared target."""
     if f.target != g.target:
@@ -171,26 +153,6 @@ def point_inclusion(X: TruncatedSSet, v: int) -> SimplicialMap:
         cur = X.degeneracy[n][0][cur]
         level.append([cur])
     return SimplicialMap(P, X, level)
-
-
-def extend_map(f: SimplicialMap, truncation: int) -> SimplicialMap:
-    """Raise the truncation of a map by degeneracy closure on both ends.
-
-    Each new source cell is s_t(parent) for a canonical presentation, so its
-    image is forced by naturality.
-    """
-    if truncation < f.source.truncation:
-        raise ValueError("cannot lower a truncation by closure")
-    src, tgt = f.source, f.target
-    level = [list(r) for r in f.level]
-    while src.truncation < truncation:
-        prev = src.truncation
-        tgt, _ = closure_step(tgt)
-        src, parents = closure_step(src)
-        level.append(
-            [tgt.degeneracy[prev][t][level[prev][parent]] for (t, parent) in parents]
-        )
-    return SimplicialMap(src, tgt, level)
 
 
 def cyclic_cover_projection(k: int, truncation: int) -> SimplicialMap:

@@ -8,11 +8,28 @@ lexicographically least violation in the documented scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+class _Witness:
+    """Base of the witness kinds; ``kind`` names the kind in documents."""
+
+    kind: str
+
+    def to_doc(self) -> dict:
+        """kind, then every field in declaration order, tuples as lists."""
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            doc[f.name] = _plain(getattr(self, f.name))
+        return doc
 
 
 @dataclass(frozen=True)
-class AmbiguousLift:
+class AmbiguousLift(_Witness):
     """Two distinct lifts of ``base`` sharing the anchored vertex.
 
     degree n, vertex position j, base cell u in the target, anchor vertex a
@@ -28,20 +45,9 @@ class AmbiguousLift:
 
     kind = "ambiguous_lift"
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "vertex": self.vertex,
-            "base": self.base,
-            "anchor": self.anchor,
-            "first": self.first,
-            "second": self.second,
-        }
-
 
 @dataclass(frozen=True)
-class MissingLift:
+class MissingLift(_Witness):
     """No lift of ``base`` through the anchored vertex exists."""
 
     degree: int
@@ -51,18 +57,9 @@ class MissingLift:
 
     kind = "missing_lift"
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "vertex": self.vertex,
-            "base": self.base,
-            "anchor": self.anchor,
-        }
-
 
 @dataclass(frozen=True)
-class MissingHornFiller:
+class MissingHornFiller(_Witness):
     """A compatible horn over ``base`` with no filler.
 
     faces lists (i, y_i) for every slot i != horn, in ascending i.
@@ -75,18 +72,9 @@ class MissingHornFiller:
 
     kind = "missing_horn_filler"
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "horn": self.horn,
-            "base": self.base,
-            "faces": [list(p) for p in self.faces],
-        }
-
 
 @dataclass(frozen=True)
-class ComponentLeak:
+class ComponentLeak(_Witness):
     """A target component that meets the image but is not contained in it.
 
     cell is a simplex of the stated degree lying in the component but outside
@@ -99,17 +87,9 @@ class ComponentLeak:
 
     kind = "component_leak"
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "component": self.component,
-            "degree": self.degree,
-            "cell": self.cell,
-        }
-
 
 @dataclass(frozen=True)
-class ComparisonMiss:
+class ComparisonMiss(_Witness):
     """A pair (target cell, source component) missed by the comparison map."""
 
     degree: int
@@ -118,17 +98,9 @@ class ComparisonMiss:
 
     kind = "comparison_miss"
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "target_cell": self.target_cell,
-            "component": self.component,
-        }
-
 
 @dataclass(frozen=True)
-class ComparisonClash:
+class ComparisonClash(_Witness):
     """Two source cells identified by the comparison map."""
 
     degree: int
@@ -136,14 +108,6 @@ class ComparisonClash:
     second: int
 
     kind = "comparison_clash"
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "first": self.first,
-            "second": self.second,
-        }
 
 
 Witness = (

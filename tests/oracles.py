@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import itertools
 
-from ssetkit.components import (
-    ComponentPartition,
-    _UnionFind,
-    component_object,
-    component_unit,
-    pi0_map,
-)
-from ssetkit.core import TruncatedSSet
+from ssetkit.components import ComponentPartition, _UnionFind, pi0, pi0_map
+from ssetkit.core import TruncatedSSet, discrete_sset
+from ssetkit.groupoids import FiniteGroupoid
 from ssetkit.limits import pullback
 from ssetkit.maps import SimplicialMap
 from ssetkit.report import (
@@ -57,7 +52,7 @@ def apply_op(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
     """Replay X(alpha)(x) one elementary operator at a time.
 
     Strips the smallest missing value first and the leftmost plateau first,
-    the opposite greedy order to the library's factorization, so agreement
+    the opposite greedy order to apply_monotone's factorization, so agreement
     between the two is a real consistency check.
     """
     alpha = tuple(alpha)
@@ -690,3 +685,173 @@ def reference_separable_via_lifting(h: SimplicialMap) -> CheckReport:
                 witness = AmbiguousLift(n, j, best[2], best[3], best[0], best[1])
     stats = {"squares": squares, "ambiguous": ambiguous}
     return CheckReport("separable-lifting", witness is None, witness, stats)
+
+
+# Tools the tests use that the library itself does not need: the action of
+# monotone maps on an object, the degeneracy closure that raises the
+# truncation of an object or a map, a groupoid-law checker, the discrete
+# groupoid, and the component object and unit of an object.
+
+
+def apply_epi(X: TruncatedSSet, phi: tuple[int, ...], deg: int, y: int) -> int:
+    """Evaluate X(phi)(y) for a monotone surjection phi: [p] ->> [deg].
+
+    Resolves phi into elementary degeneracies against the stored tables; the
+    result degree p must not exceed the truncation.
+    """
+    p = len(phi) - 1
+    if p == deg:
+        return y
+    t = max(t for t in range(p) if phi[t] == phi[t + 1])
+    z = apply_epi(X, phi[: t + 1] + phi[t + 2 :], deg, y)
+    return X.degeneracy[p - 1][t][z]
+
+
+def apply_monotone(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
+    """Evaluate X(alpha)(x) for any monotone alpha: [p] -> [deg], x in X_deg.
+
+    Factors alpha as a surjection after an injection and replays the
+    elementary operators against the stored tables.
+    """
+    image = sorted(set(alpha))
+    z, cur = x, deg
+    for v in range(deg, -1, -1):
+        if v not in image:
+            z = X.face[cur][v][z]
+            cur -= 1
+    rank = {v: r for r, v in enumerate(image)}
+    return apply_epi(X, tuple(rank[a] for a in alpha), cur, z)
+
+
+def closure_step(X: TruncatedSSet) -> tuple[TruncatedSSet, list[tuple[int, int]]]:
+    """Extend by one degree with formal degeneracies only.
+
+    Returns the extended object and, per new top cell, a presentation
+    (t, parent) with the cell equal to s_t(parent).
+    """
+    N = X.truncation
+    M = N + 1
+    # Canonical keys (m, y, phi): y nondegenerate of degree m, phi: [M] ->> [m].
+    keys: set[tuple[int, int, tuple[int, ...]]] = set()
+    new_degeneracy_row = [[0] * X.cells[N] for _ in range(N + 1)]
+    key_of: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+    for x in range(X.cells[N]):
+        phi, m, y = X.ez(N, x)
+        for i in range(N + 1):
+            # s_i(x) = X(phi o sigma_i)(y)
+            lifted = phi[: i + 1] + phi[i:]
+            key = (m, y, lifted)
+            keys.add(key)
+            key_of[(i, x)] = key
+    ordered = sorted(keys)
+    index = {k: c for c, k in enumerate(ordered)}
+    for (i, x), key in key_of.items():
+        new_degeneracy_row[i][x] = index[key]
+
+    parents: list[tuple[int, int]] = []
+    new_face_row = [[0] * len(ordered) for _ in range(M + 1)]
+    for c, (m, y, phi) in enumerate(ordered):
+        t = max(t for t in range(M) if phi[t] == phi[t + 1])
+        parent = apply_epi(X, phi[: t + 1] + phi[t + 2 :], m, y)
+        parents.append((t, parent))
+        for i in range(M + 1):
+            alpha = phi[:i] + phi[i + 1 :]
+            new_face_row[i][c] = apply_monotone(X, alpha, m, y)
+
+    ext = TruncatedSSet(
+        truncation=M,
+        cells=X.cells + [len(ordered)],
+        face=[[r[:] for r in rows] for rows in X.face] + [new_face_row],
+        degeneracy=[[r[:] for r in rows] for rows in X.degeneracy]
+        + [new_degeneracy_row],
+    )
+    return ext, parents
+
+
+def degeneracy_closure(X: TruncatedSSet, truncation: int) -> TruncatedSSet:
+    """Raise the truncation, adding only degenerate cells."""
+    if truncation < X.truncation:
+        raise ValueError("cannot lower a truncation by closure")
+    out = X
+    while out.truncation < truncation:
+        out, _ = closure_step(out)
+    return out
+
+
+def extend_map(f: SimplicialMap, truncation: int) -> SimplicialMap:
+    """Raise the truncation of a map by degeneracy closure on both ends.
+
+    Each new source cell is s_t(parent) for a canonical presentation, so its
+    image is forced by naturality.
+    """
+    if truncation < f.source.truncation:
+        raise ValueError("cannot lower a truncation by closure")
+    src, tgt = f.source, f.target
+    level = [list(r) for r in f.level]
+    while src.truncation < truncation:
+        prev = src.truncation
+        tgt, _ = closure_step(tgt)
+        src, parents = closure_step(src)
+        level.append(
+            [tgt.degeneracy[prev][t][level[prev][parent]] for (t, parent) in parents]
+        )
+    return SimplicialMap(src, tgt, level)
+
+
+def check_groupoid(G: FiniteGroupoid) -> None:
+    """Raise ValueError on the first violated groupoid law."""
+    m = G.n_arrows
+    for o in range(G.n_objects):
+        e = G.identity[o]
+        if G.source[e] != o or G.target[e] != o:
+            raise ValueError(f"identity of object {o} has wrong endpoints")
+    for g in range(m):
+        for f in range(m):
+            defined = (g, f) in G.compose
+            if defined != (G.target[f] == G.source[g]):
+                raise ValueError(f"composability mismatch for ({g}, {f})")
+            if defined:
+                c = G.compose[(g, f)]
+                if G.source[c] != G.source[f] or G.target[c] != G.target[g]:
+                    raise ValueError(f"composite of ({g}, {f}) has wrong endpoints")
+    for f in range(m):
+        if G.compose[(f, G.identity[G.source[f]])] != f:
+            raise ValueError(f"right identity fails for {f}")
+        if G.compose[(G.identity[G.target[f]], f)] != f:
+            raise ValueError(f"left identity fails for {f}")
+        inv = G.inverse[f]
+        if G.source[inv] != G.target[f] or G.target[inv] != G.source[f]:
+            raise ValueError(f"inverse of {f} has wrong endpoints")
+        if G.compose[(inv, f)] != G.identity[G.source[f]]:
+            raise ValueError(f"inverse law fails for {f}")
+        if G.compose[(f, inv)] != G.identity[G.target[f]]:
+            raise ValueError(f"inverse law fails for {f}")
+    for h in range(m):
+        for g in range(m):
+            if G.target[g] != G.source[h]:
+                continue
+            hg = G.compose[(h, g)]
+            for f in range(m):
+                if G.target[f] != G.source[g]:
+                    continue
+                if G.compose[(hg, f)] != G.compose[(h, G.compose[(g, f)])]:
+                    raise ValueError(f"associativity fails at ({h}, {g}, {f})")
+
+
+def discrete_groupoid(m: int) -> FiniteGroupoid:
+    """m objects, identities only."""
+    comp = {(o, o): o for o in range(m)}
+    return FiniteGroupoid(m, list(range(m)), list(range(m)), comp, list(range(m)), list(range(m)))
+
+
+def component_object(part: ComponentPartition, truncation: int) -> TruncatedSSet:
+    """Discrete object on the component set."""
+    return discrete_sset(part.count, truncation)
+
+
+def component_unit(X: TruncatedSSet, part: ComponentPartition | None = None) -> SimplicialMap:
+    """Unit X -> discrete(components), sending a simplex to its class."""
+    part = part or pi0(X)
+    return SimplicialMap(
+        X, component_object(part, X.truncation), [list(r) for r in part.class_of]
+    )

@@ -1,6 +1,7 @@
 """Morphism classifiers, their witnesses, and the verdict equivalences."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +18,22 @@ from ssetkit.checks import (
 )
 from ssetkit.core import validate
 from ssetkit.harness import GenConfig, gen_morphism
+from ssetkit.io import dumps_canonical
 from ssetkit.limits import diagonal
-from ssetkit.maps import extend_map, identity_map, terminal_map, validate_map
+from ssetkit.maps import identity_map, terminal_map, validate_map
 from ssetkit.components import injection_cartesian_check
-from ssetkit.report import AmbiguousLift, MissingHornFiller, MissingLift
+from ssetkit.report import (
+    AmbiguousLift,
+    CheckReport,
+    ComparisonClash,
+    ComparisonMiss,
+    ComponentLeak,
+    MissingHornFiller,
+    MissingLift,
+)
 from ssetkit.standard import build_standard, parse_spec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _valid_generated(seed, count, upto=150):
@@ -153,6 +165,57 @@ def test_tampered_witnesses_fail_revalidation(named_maps):
     )
 
 
+def test_out_of_range_witnesses_do_not_replay(named_maps):
+    # indices outside the tables must not wrap around or raise: a witness
+    # naming a degree, vertex position, horn, cell or component that does
+    # not exist is made up, and replays False
+    cover = sk.cyclic_cover_projection(2, 3)  # a covering and a Kan map
+    A = cover.source
+    probes = {
+        "covering": [
+            MissingLift(1, 0, 0, -1),
+            MissingLift(1, 0, -1, 0),
+            MissingLift(1, 0, 0, A.cells[0]),
+            MissingLift(1, 2, 0, 0),
+            MissingLift(-3, 0, 0, 0),
+            MissingLift(9, 0, 0, 0),
+            AmbiguousLift(9, 0, 0, 0, 0, 1),
+        ],
+        "kan": [
+            MissingHornFiller(1, 0, 0, ((1, -1),)),
+            MissingHornFiller(1, 0, -1, ((1, 0),)),
+            MissingHornFiller(1, 0, 0, ((1, A.cells[0]),)),
+            MissingHornFiller(1, 2, 0, ((0, 0), (1, 0))),
+            MissingHornFiller(0, 0, 0, ()),
+            MissingHornFiller(9, 0, 0, ((1, 0),)),
+            MissingHornFiller(2, 0, 0, ((2, 0), (1, 0))),
+        ],
+        "separable-lifting": [AmbiguousLift(1, 0, 0, 0, -1, 1), AmbiguousLift(1, 3, 0, 0, 0, 1)],
+        "trivial-covering": [
+            ComparisonClash(9, 0, 1),
+            ComparisonClash(-1, 0, 1),
+            ComparisonMiss(9, 0, 0),
+            ComparisonMiss(0, -1, 0),
+        ],
+        "injection-cartesian": [ComponentLeak(0, -1, 0), ComponentLeak(0, 0, -1)],
+    }
+    for check, witnesses in probes.items():
+        for w in witnesses:
+            assert revalidate_witness(cover, CheckReport(check, False, w, {})) is False, w
+    # genuine witnesses replay, and shifting an index by minus the cell count
+    # (the same cell, read from the end) does not
+    collapse = named_maps["curated:interval-to-point"]
+    for h, report in (
+        (collapse, separable_via_lifting(collapse)),
+        (collapse, covering_check(collapse)),
+        (cover, sk.trivial_covering_check(cover)),
+    ):
+        assert revalidate_witness(h, report), report.check
+        w = report.witness
+        shifted = dataclasses.replace(w, second=w.second - h.source.cells[w.degree])
+        assert not revalidate_witness(h, dataclasses.replace(report, witness=shifted)), w
+
+
 def test_separability_agreement_reports(named_maps):
     for name, h in named_maps.items():
         agreement = separability_agreement(h)
@@ -209,7 +272,7 @@ def test_verdicts_invariant_under_degeneracy_closure(named_maps):
     cases = list(named_maps.items()) + _valid_generated(seed=47, count=40)
     for name, h in cases:
         old = h.source.truncation
-        ext = extend_map(h, old + 1)
+        ext = orc.extend_map(h, old + 1)
         assert separable_direct(ext).verdict == separable_direct(h).verdict, name
         assert (
             separable_via_lifting(ext).verdict == separable_via_lifting(h).verdict
@@ -232,7 +295,7 @@ def test_kan_verdict_is_about_the_stored_range(named_maps):
     # would be a nondegenerate shuffle cell the closure does not contain
     h = dict(sk.curated_instances(2))["curated:circle-nerve-projection"]
     assert kan_check(h).verdict
-    ext = extend_map(h, 3)
+    ext = orc.extend_map(h, 3)
     report = kan_check(ext)
     assert not report.verdict
     assert report.witness.degree == 3
@@ -251,6 +314,44 @@ def test_check_report_docs(named_maps):
     assert doc["stats"]["missing"] >= 1
     assert bool(report) is False
     assert bool(covering_check(named_maps["curated:fold-interval"])) is True
+
+
+def test_witness_document_goldens(named_maps, zoo):
+    # one report per witness kind: the canonical document matches its
+    # golden file, and the witness keys come as kind, then the fields
+    collapse = named_maps["curated:interval-to-point"]
+    end = sk.point_inclusion(collapse.source, 0)
+    cases = {
+        "ambiguous-lift": (
+            separable_via_lifting(collapse),
+            ["kind", "degree", "vertex", "base", "anchor", "first", "second"],
+        ),
+        "missing-lift": (
+            covering_check(named_maps["vertex-into-interval"]),
+            ["kind", "degree", "vertex", "base", "anchor"],
+        ),
+        "missing-horn": (kan_check(collapse), ["kind", "degree", "horn", "base", "faces"]),
+        "component-leak": (
+            injection_cartesian_check(sk.point_inclusion(zoo["interval"], 0)),
+            ["kind", "component", "degree", "cell"],
+        ),
+        "comparison-miss": (
+            sk.trivial_covering_check(sk.copair(end, end)),
+            ["kind", "degree", "target_cell", "component"],
+        ),
+        "comparison-clash": (
+            sk.trivial_covering_check(named_maps["curated:cyclic-double-cover"]),
+            ["kind", "degree", "first", "second"],
+        ),
+    }
+    kinds = set()
+    for name, (report, keys) in cases.items():
+        doc = report.to_doc()
+        assert dumps_canonical(doc) == (GOLDEN / f"report-{name}.json").read_text(), name
+        assert list(doc) == ["check", "verdict", "stats", "witness"], name
+        assert list(doc["witness"]) == keys, name
+        kinds.add(doc["witness"]["kind"])
+    assert len(kinds) == 6
 
 
 def test_empty_source_is_separable_everywhere(zoo):

