@@ -28,13 +28,11 @@ from .report import (
 )
 
 
-def _fibers(h: SimplicialMap) -> list[dict[int, list[int]]]:
-    out = []
-    for n in range(h.source.truncation + 1):
-        at_n: dict[int, list[int]] = {}
-        for x in range(h.source.cells[n]):
-            at_n.setdefault(h.level[n][x], []).append(x)
-        out.append(at_n)
+def _fibers(h: SimplicialMap, n: int) -> dict[int, list[int]]:
+    """The degree-n cells of h's source, grouped by image, each group ascending."""
+    out: dict[int, list[int]] = {}
+    for x, u in enumerate(h.level[n]):
+        out.setdefault(u, []).append(x)
     return out
 
 
@@ -64,9 +62,7 @@ def covering_check(h: SimplicialMap) -> CheckReport:
     A, B = h.source, h.target
     N = A.truncation
     va, vb = vertex_table(A), vertex_table(B)
-    anchors: dict[int, list[int]] = {}
-    for a in range(A.cells[0]):
-        anchors.setdefault(h.level[0][a], []).append(a)
+    anchors = _fibers(h, 0)
     width = A.cells[0]
     witness = None
     squares = missing = ambiguous = 0
@@ -132,7 +128,7 @@ def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
     A, B = h.source, h.target
     N = A.truncation
     bound = N if bound is None else min(bound, N)
-    fibers = _fibers(h)
+    fibers = [_fibers(h, n) for n in range(bound + 1)]
     witness = None
     horns = missing = 0
     for n in range(1, bound + 1):
@@ -449,7 +445,7 @@ def _recheck_comparison(h: SimplicialMap, w) -> bool:
         n, b, c = w.degree, w.target_cell, w.component
         if not (0 <= c < pa.count and _is_cell(h.target, n, b)):
             return False
-        if pb.class_of[n][b] != pi0_map(h, pa, pb)[c]:
+        if pb.class_of[n][b] != pi0_map(h)[c]:
             return False  # not a pullback pair at all
         return all(
             h.level[n][x] != b or pa.class_of[n][x] != c for x in range(A.cells[n])

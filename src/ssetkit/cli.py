@@ -25,7 +25,14 @@ from .checks import (
 from .components import pi0, trivial_covering_check
 from .core import validate
 from .groupoids import pi1_presentation
-from .harness import GenConfig, evaluate_instance, gen_morphism, gen_sset, run_campaign
+from .harness import (
+    GenConfig,
+    _claim_fields,
+    evaluate_instance,
+    gen_morphism,
+    gen_sset,
+    run_campaign,
+)
 from .maps import validate_parts
 from .standard import build_standard, parse_spec, union_spec
 
@@ -81,11 +88,7 @@ def _cmd_validate(args) -> int:
     if kind == "object":
         out["has_buffer"] = rep.has_buffer
     if rep.failure is not None:
-        out["witness"] = {
-            "kind": rep.failure.kind,
-            "degree": rep.failure.degree,
-            **rep.failure.detail,
-        }
+        out["witness"] = rep.failure.to_doc()
     _emit(args, out)
     return 0 if rep.ok else 1
 
@@ -127,12 +130,13 @@ def _cmd_check(args) -> int:
     return 0 if rep.verdict else 1
 
 
-def _campaign_config(args) -> GenConfig:
+def _gen_config(args, trials: int = 0) -> GenConfig:
+    """The generator settings of a command line; only a campaign runs trials."""
     return GenConfig(
         seed=args.seed,
         max_nondegenerate_dim=args.max_dim,
         max_cells_per_degree=args.max_cells,
-        trials=args.trials,
+        trials=trials,
     )
 
 
@@ -155,7 +159,7 @@ def _cmd_verify(args) -> int:
         else:
             _emit(args, rep.to_doc())
         return 0 if ok else 1
-    campaign = run_campaign(_campaign_config(args), jobs=args.jobs)
+    campaign = run_campaign(_gen_config(args, trials=args.trials), jobs=args.jobs)
     doc = campaign.to_doc()
     doc["ok"] = campaign.holds(args.kind)
     _emit(args, doc, _campaign_text(doc))
@@ -163,34 +167,32 @@ def _cmd_verify(args) -> int:
 
 
 def _campaign_text(doc: dict) -> str:
-    lines = [
-        f"scored: {doc['scored']} (skipped {doc['skipped']}, curated {doc['curated']})",
-        f"separability agreements: {doc['separability_agreements']}"
-        f" (disagreements {len(doc['separability_disagreements'])})",
-        f"kan instances: {doc['kan_instances']}, covering agreements:"
-        f" {doc['covering_agreements']} (disagreements {len(doc['covering_disagreements'])})",
-        f"implication violations: {len(doc['implication_violations'])}",
-        f"injection violations: {len(doc['injection_violations'])}",
-        f"witness failures: {len(doc['witness_failures'])}",
-        f"adequacy: {doc['adequacy']}",
-        f"ok: {doc['ok']}",
-    ]
+    """The text of a campaign document: scored, each claim field, adequacy, ok."""
+    lines = [f"scored: {doc['scored']} (skipped {doc['skipped']}, curated {doc['curated']})"]
+    for key in _claim_fields([]):  # the claim fields, in document order
+        value = doc[key]
+        count = len(value) if isinstance(value, list) else value
+        lines.append(f"{key.replace('_', ' ')}: {count}")
+    lines += [f"adequacy: {doc['adequacy']}", f"ok: {doc['ok']}"]
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gen(args) -> int:
-    cfg = _campaign_config(args)
-    if args.what == "object":
-        doc = io.object_to_doc(gen_sset(cfg, trial=args.trial))
-    else:
-        _, h = gen_morphism(cfg, trial=args.trial)
-        doc = io.map_to_doc(h)
+def _write(args, doc) -> int:
+    """Write doc as canonical JSON to -o, or to stdout."""
     payload = io.dumps_canonical(doc)
     if args.output:
         Path(args.output).write_text(payload)
     else:
         sys.stdout.write(payload)
     return 0
+
+
+def _cmd_gen(args) -> int:
+    cfg = _gen_config(args)
+    if args.what == "object":
+        return _write(args, io.object_to_doc(gen_sset(cfg, trial=args.trial)))
+    _, h = gen_morphism(cfg, trial=args.trial)
+    return _write(args, io.map_to_doc(h))
 
 
 def _cmd_standard(args) -> int:
@@ -199,13 +201,7 @@ def _cmd_standard(args) -> int:
     truncation = args.truncation
     if truncation is None:
         truncation = spec.nondegenerate_dim() + 1
-    doc = io.object_to_doc(build_standard(spec, truncation))
-    payload = io.dumps_canonical(doc)
-    if args.output:
-        Path(args.output).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return _write(args, io.object_to_doc(build_standard(spec, truncation)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("object", "map"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100, help=argparse.SUPPRESS)
     p.add_argument("--max-dim", type=int, default=2)
     p.add_argument("--max-cells", type=int, default=6)
     p.add_argument("-o", "--output", default=None)

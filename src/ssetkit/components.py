@@ -35,6 +35,23 @@ class _UnionFind:
         self.parent[max(ra, rb)] = min(ra, rb)
         return True
 
+    def classes(self) -> tuple[int, list[int]]:
+        """The number of classes and the class of each element.
+
+        Classes are numbered by least member.  union keeps the lesser root,
+        so each root is its class's least member and is numbered first.
+        """
+        label = [-1] * len(self.parent)
+        count = 0
+        for x in range(len(label)):
+            r = self.find(x)
+            if r == x:
+                label[x] = count
+                count += 1
+            else:
+                label[x] = label[r]
+        return count, label
+
 
 @dataclass
 class ComponentPartition:
@@ -69,15 +86,7 @@ def _vertex_classes(
     uf = _UnionFind(vertices)
     for a, b in zip(heads, tails):
         uf.union(a, b)
-    vertex_class = [-1] * vertices
-    count = 0
-    for v in range(vertices):
-        r = uf.find(v)
-        if vertex_class[r] == -1:
-            vertex_class[r] = count
-            count += 1
-        vertex_class[v] = vertex_class[r]
-    return count, vertex_class
+    return uf.classes()
 
 
 def _pi0(X: TruncatedSSet) -> ComponentPartition:
@@ -98,14 +107,9 @@ def _pi0(X: TruncatedSSet) -> ComponentPartition:
     return ComponentPartition(count, vertex_class, class_of)
 
 
-def pi0_map(
-    f: SimplicialMap,
-    part_src: ComponentPartition | None = None,
-    part_tgt: ComponentPartition | None = None,
-) -> list[int]:
+def pi0_map(f: SimplicialMap) -> list[int]:
     """Induced function on components."""
-    part_src = part_src or pi0(f.source)
-    part_tgt = part_tgt or pi0(f.target)
+    part_src, part_tgt = pi0(f.source), pi0(f.target)
     out = [-1] * part_src.count
     for v in range(f.source.cells[0]):
         c = part_src.vertex_class[v]
@@ -129,9 +133,8 @@ def trivial_covering_check(h: SimplicialMap) -> CheckReport:
     A, B = h.source, h.target
     N = A.truncation
     pa, pb = pi0(A), pi0(B)
-    p0 = pi0_map(h, pa, pb) if pa.count else []
     over: dict[int, list[int]] = {}  # component of B -> the classes of A over it
-    for c, d in enumerate(p0):
+    for c, d in enumerate(pi0_map(h)):
         over.setdefault(d, []).append(c)
     witness = None
     misses = clashes = pairs = 0

@@ -32,15 +32,21 @@ class ValidationFailure:
         bits = ", ".join(f"{k}={v}" for k, v in self.detail.items())
         return f"{self.kind} failure at degree {self.degree}: {bits}"
 
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "degree": self.degree, **self.detail}
+
 
 @dataclass
 class ValidationReport:
-    ok: bool
     failure: ValidationFailure | None = None
     # True when the top degree carries no nondegenerate cells (or the object
     # is empty).  Constructions such as nerves may legitimately lack a buffer
     # degree, so this is reported rather than treated as a failure.
     has_buffer: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -210,13 +216,24 @@ def validate(X: TruncatedSSet) -> ValidationReport:
 
     Stops at the first violated identity instance and reports its law,
     indices and simplex.  A missing buffer degree (nondegenerate cells at the
-    truncation) is reported via ``has_buffer``, not as a failure.
+    truncation) is reported via ``has_buffer``, not as a failure; after a
+    shape failure it is False.
     """
     bad = _shape_failure(X)
     if bad is not None:
-        return ValidationReport(ok=False, failure=bad, has_buffer=False)
+        return ValidationReport(failure=bad, has_buffer=False)
+    bad = _identity_failure(X)
+    # after an identity failure has_buffer keeps its default, True
+    has_buffer = bad is not None or X.nondegenerate_dim < X.truncation
+    return ValidationReport(failure=bad, has_buffer=has_buffer)
+
+
+def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
     N = X.truncation
     fc, dg = X.face, X.degeneracy
+
+    def failure(n: int, law: str, i: int, j: int, x: int) -> ValidationFailure:
+        return ValidationFailure("identity", n, {"law": law, "i": i, "j": j, "simplex": x})
 
     # d_i d_j = d_{j-1} d_i for i < j
     for n in range(2, N + 1):
@@ -224,24 +241,14 @@ def validate(X: TruncatedSSet) -> ValidationReport:
             for i in range(j):
                 for x in range(X.cells[n]):
                     if fc[n - 1][i][fc[n][j][x]] != fc[n - 1][j - 1][fc[n][i][x]]:
-                        return ValidationReport(
-                            ok=False,
-                            failure=ValidationFailure(
-                                "identity", n, {"law": "dd", "i": i, "j": j, "simplex": x}
-                            ),
-                        )
+                        return failure(n, "dd", i, j, x)
     # s_i s_j = s_{j+1} s_i for i <= j
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
                 for x in range(X.cells[n]):
                     if dg[n + 1][i][dg[n][j][x]] != dg[n + 1][j + 1][dg[n][i][x]]:
-                        return ValidationReport(
-                            ok=False,
-                            failure=ValidationFailure(
-                                "identity", n, {"law": "ss", "i": i, "j": j, "simplex": x}
-                            ),
-                        )
+                        return failure(n, "ss", i, j, x)
     # d_i s_j, split into the three ranges
     for n in range(N):
         for j in range(n + 1):
@@ -256,14 +263,8 @@ def validate(X: TruncatedSSet) -> ValidationReport:
                     else:
                         want = dg[n - 1][j][fc[n][i - 1][x]]
                     if got != want:
-                        return ValidationReport(
-                            ok=False,
-                            failure=ValidationFailure(
-                                "identity", n, {"law": "ds", "i": i, "j": j, "simplex": x}
-                            ),
-                        )
-    nd = X.nondegenerate_dim
-    return ValidationReport(ok=True, has_buffer=nd < N)
+                        return failure(n, "ds", i, j, x)
+    return None
 
 
 def vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:

@@ -117,19 +117,9 @@ def quotient(
             for i in range(n + 1):
                 work.append((n + 1, X.degeneracy[n][i][a], X.degeneracy[n][i][b]))
 
-    label: list[list[int]] = []
-    members: list[list[int]] = []
-    for n in range(N + 1):
-        lab = [-1] * X.cells[n]
-        mem = []
-        for x in range(X.cells[n]):
-            r = classes[n].find(x)
-            if lab[r] == -1:
-                lab[r] = len(mem)
-                mem.append(r)
-            lab[x] = lab[r]
-        label.append(lab)
-        members.append(mem)
+    label = [uf.classes()[1] for uf in classes]
+    # each class is numbered by its least member, which is its root
+    members = [[x for x, r in enumerate(uf.parent) if r == x] for uf in classes]
     cells = [len(m) for m in members]
     face: list[list[list[int]]] = [[]]
     for n in range(1, N + 1):

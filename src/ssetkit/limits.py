@@ -13,13 +13,11 @@ first read, which is valid because f and g are simplicial: d_i x and d_i y
 again lie over one base cell.  pi0 of the fiber product is taken from the
 pairs by the same arithmetic and builds no tables, so a caller that reads
 only cell counts and components (the separability checks on a diagonal)
-never builds them.  The pair tuples and the tuple-keyed index dicts are
-built only when read.
+never builds them.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -78,11 +76,10 @@ class _FiberProductObject(TruncatedSSet):
 class FiberProduct:
     """The fiber product of f and g with its two projections.
 
-    The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y].
-    object builds its face and degeneracy tables when they are first read,
-    and its pi0 comes from offset and rank without them.  pairs[n][p] is the
-    pair (x, y) of cell p, read off the projections, and index[n][(x, y)]
-    is p; both are built on first read.
+    The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y],
+    and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  object
+    builds its face and degeneracy tables when they are first read, and its
+    pi0 comes from offset and rank without them.
     """
 
     object: TruncatedSSet
@@ -92,14 +89,6 @@ class FiberProduct:
     offset: list[list[int]]
     # rank[n][y] is the number of y' < y with g(y') = g(y)
     rank: list[list[int]]
-
-    @functools.cached_property
-    def pairs(self) -> list[list[tuple[int, int]]]:
-        return [list(zip(xs, ys)) for xs, ys in zip(self.pr1.level, self.pr2.level)]
-
-    @functools.cached_property
-    def index(self) -> list[dict[tuple[int, int], int]]:
-        return [{p: i for i, p in enumerate(at_n)} for at_n in self.pairs]
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
@@ -197,8 +186,11 @@ def product(X: TruncatedSSet, Y: TruncatedSSet) -> FiberProduct:
 class DiagonalData:
     fiber_product: FiberProduct
     delta: SimplicialMap
-    # image[n] is the sorted list of fiber-product cells of the form (x, x)
-    image: list[list[int]]
+
+    @property
+    def image(self) -> list[list[int]]:
+        """image[n]: the fiber-product cells (x, x), ascending; delta's level."""
+        return self.delta.level
 
 
 def diagonal(h: SimplicialMap) -> DiagonalData:
@@ -214,6 +206,5 @@ def diagonal(h: SimplicialMap) -> DiagonalData:
         [off + rk for off, rk in zip(fp.offset[n], fp.rank[n])]
         for n in range(h.source.truncation + 1)
     ]
-    delta = SimplicialMap(h.source, fp.object, level)
-    image = [list(row) for row in level]  # (x, x) increases with x
-    return DiagonalData(fp, delta, image)
+    # (x, x) increases with x, so each level row is already ascending
+    return DiagonalData(fp, SimplicialMap(h.source, fp.object, level))

@@ -40,50 +40,34 @@ def identity_map(X: TruncatedSSet) -> SimplicialMap:
 
 def validate_map(f: SimplicialMap) -> ValidationReport:
     """Check totality and naturality, reporting the first violation."""
+    return ValidationReport(failure=_map_failure(f))
+
+
+def _map_failure(f: SimplicialMap) -> ValidationFailure | None:
     A, B = f.source, f.target
     if A.truncation != B.truncation:
-        return ValidationReport(
-            ok=False,
-            failure=ValidationFailure("shape", -1, {"reason": "truncation mismatch"}),
-        )
+        return ValidationFailure("shape", -1, {"reason": "truncation mismatch"})
     N = A.truncation
     if len(f.level) != N + 1:
-        return ValidationReport(
-            ok=False,
-            failure=ValidationFailure("shape", -1, {"reason": "level table length"}),
-        )
+        return ValidationFailure("shape", -1, {"reason": "level table length"})
     for n in range(N + 1):
         if len(f.level[n]) != A.cells[n]:
-            return ValidationReport(
-                ok=False,
-                failure=ValidationFailure("shape", n, {"reason": "level row length"}),
-            )
+            return ValidationFailure("shape", n, {"reason": "level row length"})
         if any(not (0 <= v < B.cells[n]) for v in f.level[n]):
-            return ValidationReport(
-                ok=False,
-                failure=ValidationFailure("shape", n, {"reason": "level out of range"}),
-            )
+            return ValidationFailure("shape", n, {"reason": "level out of range"})
     for n in range(1, N + 1):
         for i in range(n + 1):
             for x in range(A.cells[n]):
                 if f.level[n - 1][A.face[n][i][x]] != B.face[n][i][f.level[n][x]]:
-                    return ValidationReport(
-                        ok=False,
-                        failure=ValidationFailure(
-                            "naturality", n, {"op": "face", "i": i, "simplex": x}
-                        ),
-                    )
+                    return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
     for n in range(N):
         for i in range(n + 1):
             for x in range(A.cells[n]):
                 if f.level[n + 1][A.degeneracy[n][i][x]] != B.degeneracy[n][i][f.level[n][x]]:
-                    return ValidationReport(
-                        ok=False,
-                        failure=ValidationFailure(
-                            "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
-                        ),
+                    return ValidationFailure(
+                        "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
                     )
-    return ValidationReport(ok=True)
+    return None
 
 
 def validate_parts(f: SimplicialMap) -> tuple[str, ValidationReport]:

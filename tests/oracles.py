@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 
-from ssetkit.components import ComponentPartition, _UnionFind, pi0, pi0_map
+from ssetkit.components import ComponentPartition, _UnionFind, pi0
 from ssetkit.core import TruncatedSSet, discrete_sset
 from ssetkit.groupoids import FiniteGroupoid
-from ssetkit.limits import pullback
+from ssetkit.limits import FiberProduct, pullback
 from ssetkit.maps import SimplicialMap
 from ssetkit.report import (
     AmbiguousLift,
@@ -442,7 +442,9 @@ def reference_trivial_covering_check(h: SimplicialMap) -> CheckReport:
     A, B = h.source, h.target
     N = A.truncation
     pa, pb = reference_pi0(A), reference_pi0(B)
-    p0 = pi0_map(h, pa, pb) if pa.count else []
+    p0 = [-1] * pa.count
+    for v, w in enumerate(h.level[0]):
+        p0[pa.vertex_class[v]] = pb.vertex_class[w]
     unit_b = component_unit(B, pb)
     hi_h = SimplicialMap(
         component_object(pa, N),
@@ -450,13 +452,14 @@ def reference_trivial_covering_check(h: SimplicialMap) -> CheckReport:
         [list(p0) for _ in range(N + 1)],
     )
     fp = pullback(unit_b, hi_h)
+    index = fiber_index(fp)
     witness = None
     misses = clashes = 0
     for n in range(N + 1):
         seen: dict[int, int] = {}
         clash_here = None
         for x in range(A.cells[n]):
-            p = fp.index[n][(h.level[n][x], pa.class_of[n][x])]
+            p = index[n][(h.level[n][x], pa.class_of[n][x])]
             if p in seen:
                 clashes += 1
                 if clash_here is None:
@@ -464,7 +467,7 @@ def reference_trivial_covering_check(h: SimplicialMap) -> CheckReport:
             else:
                 seen[p] = x
         miss_here = None
-        for p, (b, c) in enumerate(fp.pairs[n]):
+        for p, (b, c) in enumerate(fiber_pairs(fp)[n]):
             if p not in seen:
                 misses += 1
                 if miss_here is None:
@@ -516,6 +519,16 @@ def reference_injection_cartesian_check(m: SimplicialMap) -> CheckReport:
 # draws horn candidates from face-indexed fibers; these keep the earlier
 # versions (a tuple-keyed index dict per degree, sorted pairs; a full scan of
 # each slot's fiber), so the tests can require identical results.
+
+
+def fiber_pairs(fp: FiberProduct) -> list[list[tuple[int, int]]]:
+    """pairs[n][p]: the pair (x, y) of the fiber product's cell p, off the projections."""
+    return [list(zip(xs, ys)) for xs, ys in zip(fp.pr1.level, fp.pr2.level)]
+
+
+def fiber_index(fp: FiberProduct) -> list[dict[tuple[int, int], int]]:
+    """index[n][(x, y)]: the fiber product's cell of the pair (x, y)."""
+    return [{p: i for i, p in enumerate(at_n)} for at_n in fiber_pairs(fp)]
 
 
 def reference_pullback(f: SimplicialMap, g: SimplicialMap):

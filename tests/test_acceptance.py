@@ -4,6 +4,7 @@ Each test prints a single ACCEPTANCE line (visible under pytest -s) and
 then asserts.  The shared 500-trial campaign fixture lives in conftest.
 """
 
+import hashlib
 import math
 import time
 
@@ -20,6 +21,7 @@ from ssetkit.checks import (
 from ssetkit.components import injection_cartesian_check, pi0, trivial_covering_check
 from ssetkit.core import validate
 from ssetkit.harness import evaluate_instance
+from ssetkit.io import dumps_canonical
 from ssetkit.limits import diagonal, pullback
 from ssetkit.maps import (
     classify,
@@ -266,3 +268,17 @@ def test_acceptance_8_kan_diagonal_is_separability(named_maps):
         f"kan_check on the diagonal agrees with separable_direct on all"
         f" {len(instances)} maps; {negatives} horn witnesses replay",
     ), (agree, len(instances), replayed, negatives)
+
+
+# sha256 of the canonical campaign(42, 500) document, runtime left out
+CAMPAIGN500_SHA256 = "f7cf69f946ed3a3c2470fbdac2c181c3cff8b7ba277331fec86a9922070a94e5"
+
+
+def test_acceptance_9_campaign_document_is_unchanged(campaign500):
+    doc = campaign500.to_doc(include_runtime=False)
+    digest = hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
+    assert _line(
+        9,
+        digest == CAMPAIGN500_SHA256,
+        f"the campaign(42, 500) document hashes to {digest[:16]}...",
+    ), digest

@@ -8,6 +8,7 @@ import pytest
 import oracles as orc
 import ssetkit as sk
 from ssetkit.components import (
+    _UnionFind,
     injection_cartesian_check,
     pi0,
     pi0_map,
@@ -53,6 +54,14 @@ def test_pi0_of_simplices_connected():
         assert pi0(X).count == 1
 
 
+def test_union_find_numbers_classes_by_least_member():
+    uf = _UnionFind(6)
+    for a, b in ((4, 1), (5, 3), (3, 0)):
+        uf.union(a, b)
+    assert uf.classes() == (3, [0, 1, 2, 0, 1, 0])
+    assert _UnionFind(0).classes() == (0, [])
+
+
 def test_component_numbering_by_least_vertex(zoo):
     U = sk.disjoint_union(zoo["two-points"], zoo["interval"])
     part = pi0(U)
@@ -67,7 +76,7 @@ def test_component_unit_and_naturality(zoo, named_maps):
         assert validate(unit.target).ok
     for h in named_maps.values():
         pa, pb = pi0(h.source), pi0(h.target)
-        p0 = pi0_map(h, pa, pb)
+        p0 = pi0_map(h)
         for n in range(h.source.truncation + 1):
             for x in range(h.source.cells[n]):
                 assert pb.class_of[n][h.level[n][x]] == p0[pa.class_of[n][x]]

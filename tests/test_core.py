@@ -7,7 +7,7 @@ import numpy as np
 
 import oracles as orc
 import ssetkit as sk
-from ssetkit.core import validate, vertex_table
+from ssetkit.core import ValidationReport, validate, vertex_table
 from ssetkit.standard import build_standard, monotone_maps, simplex_spec
 
 
@@ -57,6 +57,22 @@ def test_validate_catches_shape_errors(zoo):
     Z = copy.deepcopy(zoo["interval"])
     Z.degeneracy[0][0][0] = -1
     assert not validate(Z).ok
+
+
+def test_report_ok_is_derived_from_its_failure(zoo):
+    X = copy.deepcopy(zoo["interval"])
+    X.degeneracy[0][0][0] ^= 1
+    report = validate(X)
+    assert not report.ok and not report and report.has_buffer
+    assert list(report.failure.to_doc()) == ["kind", "degree", "law", "i", "j", "simplex"]
+    assert not ValidationReport(failure=report.failure).ok
+    assert ValidationReport().ok
+    Y = copy.deepcopy(zoo["interval"])
+    Y.face[1][0][0] = 99
+    report = validate(Y)
+    assert not report.ok and not report.has_buffer
+    doc = report.failure.to_doc()
+    assert doc == {"kind": "shape", "degree": 1, "reason": "face out of range", "i": 0}
 
 
 def test_every_identity_law_instance(zoo):

@@ -13,8 +13,9 @@ import pytest
 
 import ssetkit as sk
 from ssetkit import io
-from ssetkit.cli import main
+from ssetkit.cli import _campaign_text, main
 from ssetkit.core import validate
+from ssetkit.harness import _claim_fields
 from ssetkit.maps import point_inclusion, terminal_map, validate_map
 
 
@@ -267,6 +268,19 @@ def test_cli_verify_campaign(capsys):
     assert text.startswith("scored:") and "ok: True" in text
 
 
+def test_campaign_text_prints_every_claim_field():
+    golden = Path(__file__).parent / "golden" / "campaign-seed5-trials40.json"
+    doc = json.loads(golden.read_text())
+    doc["missing_lift_violations"] = [{"trial": "trial:0", "family": "gluing"}]
+    doc["ok"] = False
+    lines = _campaign_text(doc).splitlines()
+    assert lines[0] == "scored: 37 (skipped 7, curated 4)"
+    assert "missing lift violations: 1" in lines
+    assert "kan instances: 25" in lines and "covering agreements: 25" in lines
+    assert len(lines) == len(_claim_fields([])) + 3
+    assert lines[-2:] == [f"adequacy: {doc['adequacy']}", "ok: False"]
+
+
 def test_cli_gen(tmp_path, capsys):
     assert main(["gen", "object", "--seed", "42", "--trial", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -296,6 +310,9 @@ def test_cli_argparse_rejects_unknown_choices():
         main(["check", "frobnicate", "x.json"])
     with pytest.raises(SystemExit):
         main([])
+    # gen draws one instance; it takes no trial count
+    with pytest.raises(SystemExit):
+        main(["gen", "map", "--trials", "5"])
 
 
 def test_cli_entry_point_runs():
@@ -323,7 +340,7 @@ def test_cli_map_commands_import_no_numpy_or_pool(tmp_path, named_maps):
     path = _write_map(tmp_path, named_maps["curated:cyclic-double-cover"])
     script = f"""
 import contextlib, io, sys
-from ssetkit.cli import main
+from ssetkit.cli import _campaign_text, main
 path = {path!r}
 commands = [["check", "covering"], ["check", "kan"], ["validate"],
             ["verify", "theorem1"], ["verify", "chain"]]

@@ -71,8 +71,8 @@ def test_fiber_product_structure(named_maps):
             for x2 in range(h.source.cells[n])
             if h.level[n][x1] == h.level[n][x2]
         ]
-        assert fp.pairs[n] == want
-        assert [fp.index[n][p] for p in want] == list(range(len(want)))
+        assert orc.fiber_pairs(fp)[n] == want
+        assert [orc.fiber_index(fp)[n][p] for p in want] == list(range(len(want)))
         # projections read off the pair coordinates
         for p, (x1, x2) in enumerate(want):
             assert fp.pr1.level[n][p] == x1
@@ -83,17 +83,18 @@ def test_fiber_product_acts_componentwise(named_maps):
     h = named_maps["curated:circle-nerve-projection"]
     fp = pullback(h, h)
     P, A = fp.object, h.source
+    pairs = orc.fiber_pairs(fp)
     for n in range(1, P.truncation + 1):
-        for p, (x1, x2) in enumerate(fp.pairs[n]):
+        for p, (x1, x2) in enumerate(pairs[n]):
             for i in range(n + 1):
-                assert fp.pairs[n - 1][P.face[n][i][p]] == (
+                assert pairs[n - 1][P.face[n][i][p]] == (
                     A.face[n][i][x1],
                     A.face[n][i][x2],
                 )
     for n in range(P.truncation):
-        for p, (x1, x2) in enumerate(fp.pairs[n]):
+        for p, (x1, x2) in enumerate(pairs[n]):
             for i in range(n + 1):
-                assert fp.pairs[n + 1][P.degeneracy[n][i][p]] == (
+                assert pairs[n + 1][P.degeneracy[n][i][p]] == (
                     A.degeneracy[n][i][x1],
                     A.degeneracy[n][i][x2],
                 )
@@ -111,7 +112,7 @@ def test_product_is_pullback_over_terminal(zoo):
     assert prod.object.cells == via_pb.object.cells == [
         a * b for a, b in zip(X.cells, Y.cells)
     ]
-    assert prod.pairs == via_pb.pairs
+    assert orc.fiber_pairs(prod) == orc.fiber_pairs(via_pb)
     assert validate(prod.object).ok
 
 
@@ -133,13 +134,15 @@ def test_diagonal(named_maps):
     for name, h in named_maps.items():
         dd = diagonal(h)
         fp = dd.fiber_product
+        index = orc.fiber_index(fp)
         assert validate_map(dd.delta).ok, name
         assert compose(fp.pr1, dd.delta).level == identity_map(h.source).level
         assert compose(fp.pr2, dd.delta).level == identity_map(h.source).level
         for n in range(h.source.truncation + 1):
-            want = {fp.index[n][(x, x)] for x in range(h.source.cells[n])}
+            want = {index[n][(x, x)] for x in range(h.source.cells[n])}
             assert set(dd.image[n]) == want
             assert len(dd.image[n]) == h.source.cells[n]
+        assert dd.image is dd.delta.level, name
 
 
 def test_diagonal_is_injective(named_maps):
@@ -168,7 +171,8 @@ def test_pullback_matches_reference(zoo, differential_maps):
     for name, f, g in cospans:
         P, pairs, index, pr1, pr2 = orc.reference_pullback(f, g)
         fp = pullback(f, g)
-        assert fp.object == P and fp.pairs == pairs and fp.index == index, name
+        assert fp.object == P, name
+        assert orc.fiber_pairs(fp) == pairs and orc.fiber_index(fp) == index, name
         assert fp.pr1 == pr1 and fp.pr2 == pr2, name
     for name, h in differential_maps:
         dd = diagonal(h)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import ssetkit as sk
 from ssetkit.checks import covering_check, kan_check, revalidate_witness, separable_direct
 from ssetkit.components import trivial_covering_check
-from ssetkit.core import TruncatedSSet, disjoint_union, validate
+from ssetkit.core import TruncatedSSet, discrete_sset, disjoint_union, validate
 from ssetkit.harness import GenConfig, evaluate_instance, gen_morphism
 from ssetkit.limits import diagonal, product, pullback
 from ssetkit.maps import (
@@ -21,6 +21,7 @@ from ssetkit.maps import (
     cyclic_cover_projection,
     fold_map,
     point_inclusion,
+    terminal_map,
     validate_map,
     validate_parts,
 )
@@ -133,6 +134,8 @@ def _assert_closed(checks, parts, whole, label) -> None:
 @given(h=small_maps, v=st.integers(0, 2**16), factor=st.sampled_from(_FACTORS))
 @example(h=cyclic_cover_projection(3, 3), v=0, factor="circle")
 @example(h=fold_map(build_standard(parse_spec("circle"), 3)), v=0, factor="simplex:1")
+# a trivial covering whose pullback has more cells in degree 1 than vertices
+@example(h=terminal_map(discrete_sset(2, 3)), v=0, factor="simplex:1")
 def test_pullback_keeps_coverings_and_separable_maps(h, v, factor):
     # the pullback of h: A -> B along k: C -> B is pr2: A x_B C -> C
     B = h.target
