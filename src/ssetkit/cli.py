@@ -167,13 +167,16 @@ def _cmd_verify(args) -> int:
 
 
 def _campaign_text(doc: dict) -> str:
-    """The text of a campaign document: scored, each claim field, adequacy, ok."""
+    """The text of a campaign document: scored, each claim field, adequacy, ok.
+
+    adequacy is a table, so it prints as indented key: value lines.
+    """
     lines = [f"scored: {doc['scored']} (skipped {doc['skipped']}, curated {doc['curated']})"]
     for key in _claim_fields([]):  # the claim fields, in document order
         value = doc[key]
         count = len(value) if isinstance(value, list) else value
         lines.append(f"{key.replace('_', ' ')}: {count}")
-    lines += [f"adequacy: {doc['adequacy']}", f"ok: {doc['ok']}"]
+    lines += ["adequacy:", _render_lines(doc["adequacy"], "  "), f"ok: {doc['ok']}"]
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,10 @@ is well defined because an edge path connects any two vertices of a simplex.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import TruncatedSSet
 from .maps import SimplicialMap
@@ -35,21 +37,37 @@ class _UnionFind:
         self.parent[max(ra, rb)] = min(ra, rb)
         return True
 
+    def union_edges(self, heads: Sequence[int], tails: Sequence[int]) -> None:
+        """union(heads[e], tails[e]) for every e, in one loop with no call per edge."""
+        p = self.parent
+        for a, b in zip(heads, tails):
+            # find both roots, halving the paths, then keep the lesser root
+            while (up := p[a]) != a:
+                p[a] = a = p[up]
+            while (up := p[b]) != b:
+                p[b] = b = p[up]
+            if a < b:
+                p[b] = a
+            elif b < a:
+                p[a] = b
+
     def classes(self) -> tuple[int, list[int]]:
         """The number of classes and the class of each element.
 
-        Classes are numbered by least member.  union keeps the lesser root,
-        so each root is its class's least member and is numbered first.
+        Classes are numbered by least member.  Every merge keeps the lesser
+        root and path halving only moves a parent lower, so parent[x] <= x
+        throughout: each root is its class's least member, and every other
+        x finds its parent already numbered when the members are taken in
+        ascending order.
         """
         label = [-1] * len(self.parent)
         count = 0
-        for x in range(len(label)):
-            r = self.find(x)
-            if r == x:
+        for x, up in enumerate(self.parent):
+            if up == x:
                 label[x] = count
                 count += 1
             else:
-                label[x] = label[r]
+                label[x] = label[up]
         return count, label
 
 
@@ -64,6 +82,11 @@ class ComponentPartition:
     count: int
     vertex_class: list[int]
     class_of: list[list[int]]
+
+    @cached_property
+    def sizes(self) -> list[Counter]:
+        """sizes[n][c]: the number of n-cells in component c, counted once."""
+        return [Counter(row) for row in self.class_of]
 
 
 def pi0(X: TruncatedSSet) -> ComponentPartition:
@@ -84,8 +107,7 @@ def _vertex_classes(
     components are numbered by least vertex index.
     """
     uf = _UnionFind(vertices)
-    for a, b in zip(heads, tails):
-        uf.union(a, b)
+    uf.union_edges(heads, tails)
     return uf.classes()
 
 
@@ -124,40 +146,43 @@ def pi0_map(f: SimplicialMap) -> list[int]:
 def trivial_covering_check(h: SimplicialMap) -> CheckReport:
     """Is the comparison A -> B x_{pi0 B} pi0 A an isomorphism?
 
-    The comparison sends x to the pair (h(x), class of x).  The n-cells of
-    the pullback are the pairs (b, c) with b an n-cell of B in the component
-    that c maps to, in lexicographic order; they are enumerated from the two
-    partitions.  Injectivity clashes are reported before surjectivity misses
-    degree by degree; within a degree the least pair wins.
+    h must be simplicial.  The comparison sends x to the pair (h(x), class
+    of x).  The n-cells of the pullback are the pairs (b, c) with b an
+    n-cell of B in the component that c maps to, in lexicographic order;
+    they are counted, not visited: each component of B contributes its
+    n-cells times the classes of A over it.  Clashes are the source cells
+    whose pair an earlier cell already took.  Every pair taken is a pullback
+    cell, so the misses are the pullback cells less the distinct pairs
+    taken.  Injectivity clashes are reported before surjectivity misses
+    degree by degree; within a degree the least pair wins.  Only the first
+    degree with a clash or miss is scanned for the witness: its source
+    cells up to the first clash, or else its cells of B up to the first one
+    that takes fewer pairs than there are classes over its component.
     """
     A, B = h.source, h.target
-    N = A.truncation
     pa, pb = pi0(A), pi0(B)
-    over: dict[int, list[int]] = {}  # component of B -> the classes of A over it
-    for c, d in enumerate(pi0_map(h)):
-        over.setdefault(d, []).append(c)
+    p0 = pi0_map(h)
+    over = Counter(p0)  # component of B -> the number of classes of A over it
     witness = None
     misses = clashes = pairs = 0
-    for n in range(N + 1):
-        seen: dict[tuple[int, int], int] = {}
-        clash_here = None
-        for x, key in enumerate(zip(h.level[n], pa.class_of[n])):
-            if key in seen:
-                clashes += 1
-                if clash_here is None:
-                    clash_here = ComparisonClash(n, seen[key], x)
-            else:
+    for n in range(A.truncation + 1):
+        taken = set(zip(h.level[n], pa.class_of[n]))
+        pairs_n = sum(size * over[d] for d, size in pb.sizes[n].items())
+        pairs += pairs_n
+        clashes += A.cells[n] - len(taken)
+        misses += pairs_n - len(taken)
+        if witness is None and A.cells[n] > len(taken):
+            seen: dict[tuple[int, int], int] = {}
+            for x, key in enumerate(zip(h.level[n], pa.class_of[n])):
+                if key in seen:
+                    witness = ComparisonClash(n, seen[key], x)
+                    break
                 seen[key] = x
-        miss_here = None
-        for b, d in enumerate(pb.class_of[n]):
-            for c in over.get(d, ()):
-                pairs += 1
-                if (b, c) not in seen:
-                    misses += 1
-                    if miss_here is None:
-                        miss_here = ComparisonMiss(n, b, c)
-        if witness is None:
-            witness = clash_here or miss_here
+        elif witness is None and pairs_n > len(taken):
+            hits = Counter(b for b, _ in taken)
+            b, d = next((b, d) for b, d in enumerate(pb.class_of[n]) if hits.get(b, 0) < over[d])
+            c = next(c for c, e in enumerate(p0) if e == d and (b, c) not in taken)
+            witness = ComparisonMiss(n, b, c)
     stats = {
         "cells_source": sum(A.cells),
         "cells_pullback": pairs,
@@ -170,33 +195,37 @@ def trivial_covering_check(h: SimplicialMap) -> CheckReport:
 def injection_cartesian_check(m: SimplicialMap) -> CheckReport:
     """For injective m, is every target component meeting the image contained in it?
 
-    Containment and meeting are checked at every stored degree.  The witness
-    is the least (component, degree, cell) with the component meeting the
-    image and the cell escaping it.
+    Containment and meeting are checked at every stored degree, by counting:
+    the image cells of each component and degree are counted along m's
+    levels, its cells are the class sizes of pi0 of the target, and a
+    meeting component leaks the difference.  The witness is the least
+    (component, degree, cell) with the component meeting the image and the
+    cell escaping it; only its degree is scanned, up to that cell.
     """
-    for row in m.level:
-        if len(set(row)) != len(row):
-            raise ValueError("injection_cartesian_check requires an injective map")
+    image = [set(row) for row in m.level]
+    if any(len(ys) != len(row) for ys, row in zip(image, m.level)):
+        raise ValueError("injection_cartesian_check requires an injective map")
     B = m.target
     pb = pi0(B)
-    image = [set(row) for row in m.level]
-    meets = [False] * pb.count
-    for n in range(B.truncation + 1):
-        for y in image[n]:
-            meets[pb.class_of[n][y]] = True
-    # one scan in (degree, cell) order: the first leak found in a component
-    # is its least, so the witness is the least over components
-    witness = None
+    inside = [Counter(map(cls.__getitem__, row)) for cls, row in zip(pb.class_of, m.level)]
+    meeting = set().union(*inside)
     leaks = 0
-    for n in range(B.truncation + 1):
-        for y, c in enumerate(pb.class_of[n]):
-            if meets[c] and y not in image[n]:
-                leaks += 1
-                if witness is None or c < witness.component:
-                    witness = ComponentLeak(c, n, y)
+    first = None  # the least (component, degree) with a leak
+    for n, (size, inside_n) in enumerate(zip(pb.sizes, inside)):
+        for c in meeting:
+            out = size[c] - inside_n[c]
+            if out:
+                leaks += out
+                if first is None or (c, n) < first:
+                    first = (c, n)
+    witness = None
+    if first is not None:
+        c, n = first
+        y = next(y for y, d in enumerate(pb.class_of[n]) if d == c and y not in image[n])
+        witness = ComponentLeak(c, n, y)
     stats = {
         "components": pb.count,
-        "meeting": sum(meets),
+        "meeting": len(meeting),
         "leaks": leaks,
         "cells_scanned": sum(B.cells),
     }

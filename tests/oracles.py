@@ -9,6 +9,7 @@ the oracle deliberately makes a different one, so agreement is evidence.
 from __future__ import annotations
 
 import itertools
+import random
 
 from ssetkit.components import ComponentPartition, _UnionFind, pi0
 from ssetkit.core import TruncatedSSet, discrete_sset
@@ -391,10 +392,11 @@ def raw_nerve_counts(
 
 
 # Reference copies of earlier library implementations.  The library now
-# derives pi0 degree by degree, enumerates the trivial-covering pairs without
-# building the pullback, and scans for component leaks once; these keep the
-# direct versions (vertex tuples, a materialized pullback, one scan per
-# component), uncached, so the tests can require identical reports.
+# derives pi0 degree by degree and merges its edges in one union-find loop,
+# and counts the trivial-covering misses and the component leaks from class
+# sizes, scanning only for the witness; these keep the direct versions
+# (per-edge union and find, vertex tuples, a materialized pullback, one scan
+# per component), uncached, so the tests can require identical reports.
 
 
 def reference_vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
@@ -703,7 +705,8 @@ def reference_separable_via_lifting(h: SimplicialMap) -> CheckReport:
 # Tools the tests use that the library itself does not need: the action of
 # monotone maps on an object, the degeneracy closure that raises the
 # truncation of an object or a map, a groupoid-law checker, the discrete
-# groupoid, and the component object and unit of an object.
+# groupoid, the component object and unit of an object, and a seeded
+# relabelling of a map.
 
 
 def apply_epi(X: TruncatedSSet, phi: tuple[int, ...], deg: int, y: int) -> int:
@@ -868,3 +871,48 @@ def component_unit(X: TruncatedSSet, part: ComponentPartition | None = None) -> 
     return SimplicialMap(
         X, component_object(part, X.truncation), [list(r) for r in part.class_of]
     )
+
+
+def _permute_object(X: TruncatedSSet, perms) -> TruncatedSSet:
+    """Relabel the cells of each degree n of X by x -> perms[n][x]."""
+    N = X.truncation
+    face = [[]]
+    for n in range(1, N + 1):
+        rows = []
+        for i in range(n + 1):
+            row = [0] * X.cells[n]
+            for x, y in enumerate(X.face[n][i]):
+                row[perms[n][x]] = perms[n - 1][y]
+            rows.append(row)
+        face.append(rows)
+    degeneracy = []
+    for n in range(N):
+        rows = []
+        for i in range(n + 1):
+            row = [0] * X.cells[n]
+            for x, y in enumerate(X.degeneracy[n][i]):
+                row[perms[n][x]] = perms[n + 1][y]
+            rows.append(row)
+        degeneracy.append(rows)
+    return TruncatedSSet(N, list(X.cells), face, degeneracy)
+
+
+def relabel(h: SimplicialMap, rng: random.Random) -> SimplicialMap:
+    """The same map with the cells of each degree of both ends permuted."""
+
+    def perms_for(X):
+        out = []
+        for c in X.cells:
+            p = list(range(c))
+            rng.shuffle(p)
+            out.append(p)
+        return out
+
+    pa, pb = perms_for(h.source), perms_for(h.target)
+    level = []
+    for n, row in enumerate(h.level):
+        new = [0] * len(row)
+        for x, y in enumerate(row):
+            new[pa[n][x]] = pb[n][y]
+        level.append(new)
+    return SimplicialMap(_permute_object(h.source, pa), _permute_object(h.target, pb), level)

@@ -15,11 +15,12 @@ from ssetkit.components import (
     trivial_covering_check,
 )
 from ssetkit.core import validate, vertex_table
+from ssetkit.groupoids import cyclic_group_groupoid, nerve
 from ssetkit.harness import GenConfig, gen_morphism, gen_sset
-from ssetkit.limits import diagonal
-from ssetkit.maps import classify, point_inclusion, validate_map
+from ssetkit.limits import diagonal, product
+from ssetkit.maps import classify, cyclic_cover_projection, point_inclusion, validate_map
 from ssetkit.report import ComparisonClash, ComparisonMiss, ComponentLeak
-from ssetkit.standard import build_standard, simplex_spec
+from ssetkit.standard import build_standard, parse_spec, simplex_spec
 
 
 def test_pi0_matches_bfs(zoo):
@@ -60,6 +61,27 @@ def test_union_find_numbers_classes_by_least_member():
         uf.union(a, b)
     assert uf.classes() == (3, [0, 1, 2, 0, 1, 0])
     assert _UnionFind(0).classes() == (0, [])
+
+
+def test_union_edges_matches_union_per_edge():
+    rng = random.Random(4)
+    cases = [(0, [], []), (1, [0], [0]), (5, [4, 3, 2, 1], [3, 2, 1, 0])]
+    for _ in range(60):
+        n = rng.randrange(1, 25)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        edges += edges[: rng.randrange(4)] + [(v, v) for v in rng.sample(range(n), min(n, 3))]
+        edges.sort(reverse=True)  # descending: later edges join classes under lesser roots
+        cases.append((n, [a for a, _ in edges], [b for _, b in edges]))
+    for n, heads, tails in cases:
+        each = _UnionFind(n)
+        for a, b in zip(heads, tails):
+            each.union(a, b)
+        bulk = _UnionFind(n)
+        bulk.union_edges(heads, tails)
+        assert bulk.classes() == each.classes(), (n, heads, tails)
+    chain = _UnionFind(5)
+    chain.union_edges([4, 3, 2, 1], [3, 2, 1, 0])
+    assert chain.classes() == (1, [0] * 5)
 
 
 def test_component_numbering_by_least_vertex(zoo):
@@ -220,6 +242,35 @@ def test_component_checks_match_references(differential_maps):
             with pytest.raises(ValueError):
                 injection_cartesian_check(m)
     assert injective >= 60
+
+
+def _ladder_deltas():
+    """Diagonals of ladder-sized maps, and of a seeded relabelling of each."""
+    circle = build_standard(parse_spec("circle"), 3)
+    maps = {
+        "cyclic-cover-projection:8": cyclic_cover_projection(8, 3),
+        "terminal:cyclic-cover:4": sk.terminal_map(build_standard(parse_spec("cyclic-cover:4"), 3)),
+        "circle-x-nerve:3": product(circle, nerve(cyclic_group_groupoid(3), 3)).pr1,
+    }
+    rng = random.Random(9)
+    for name, h in list(maps.items()):
+        maps[f"relabelled:{name}"] = orc.relabel(h, rng)
+    return [(name, diagonal(h).delta) for name, h in maps.items()]
+
+
+def test_component_checks_match_references_at_ladder_scale():
+    verdicts = []
+    for name, delta in _ladder_deltas():
+        assert pi0(delta.target) == orc.reference_pi0(delta.target), name
+        for check, reference in (
+            (trivial_covering_check, orc.reference_trivial_covering_check),
+            (injection_cartesian_check, orc.reference_injection_cartesian_check),
+        ):
+            got = check(delta)
+            assert got.to_doc() == reference(delta).to_doc(), (name, got.name)
+            verdicts.append(got.verdict)
+    # the non-separable maps give witnesses of both kinds
+    assert verdicts.count(False) == 8 and verdicts.count(True) == 4
 
 
 def test_pi0_matches_reference_on_tampered_objects(zoo):

@@ -5,10 +5,9 @@ coverings and separable maps are stable under pullback, coverings and
 separable maps under composition.
 """
 
-import random
-
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import relabel
 import ssetkit as sk
 from ssetkit.checks import covering_check, kan_check, revalidate_witness, separable_direct
 from ssetkit.components import trivial_covering_check
@@ -26,51 +25,6 @@ from ssetkit.maps import (
     validate_parts,
 )
 from ssetkit.standard import build_standard, parse_spec
-
-
-def _permute_object(X: TruncatedSSet, perms) -> TruncatedSSet:
-    """Relabel the cells of each degree n of X by x -> perms[n][x]."""
-    N = X.truncation
-    face = [[]]
-    for n in range(1, N + 1):
-        rows = []
-        for i in range(n + 1):
-            row = [0] * X.cells[n]
-            for x, y in enumerate(X.face[n][i]):
-                row[perms[n][x]] = perms[n - 1][y]
-            rows.append(row)
-        face.append(rows)
-    degeneracy = []
-    for n in range(N):
-        rows = []
-        for i in range(n + 1):
-            row = [0] * X.cells[n]
-            for x, y in enumerate(X.degeneracy[n][i]):
-                row[perms[n][x]] = perms[n + 1][y]
-            rows.append(row)
-        degeneracy.append(rows)
-    return TruncatedSSet(N, list(X.cells), face, degeneracy)
-
-
-def relabel(h: SimplicialMap, rng: random.Random) -> SimplicialMap:
-    """The same map with the cells of each degree of both ends permuted."""
-
-    def perms_for(X):
-        out = []
-        for c in X.cells:
-            p = list(range(c))
-            rng.shuffle(p)
-            out.append(p)
-        return out
-
-    pa, pb = perms_for(h.source), perms_for(h.target)
-    level = []
-    for n, row in enumerate(h.level):
-        new = [0] * len(row)
-        for x, y in enumerate(row):
-            new[pa[n][x]] = pb[n][y]
-        level.append(new)
-    return SimplicialMap(_permute_object(h.source, pa), _permute_object(h.target, pb), level)
 
 
 _CURATED = sk.curated_instances(3)
