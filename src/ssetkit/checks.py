@@ -423,11 +423,9 @@ def _recheck_leak(m: SimplicialMap, w) -> bool:
         return False
     if w.cell in set(m.level[w.degree]):
         return False
-    for n in range(B.truncation + 1):
-        for y in set(m.level[n]):
-            if pb.class_of[n][y] == w.component:
-                return True
-    return False
+    # m is simplicial, so an image cell's vertices are image vertices: the
+    # component meets the image exactly when it meets it in degree 0
+    return any(pb.vertex_class[y] == w.component for y in m.level[0])
 
 
 def _recheck_comparison(h: SimplicialMap, w) -> bool:

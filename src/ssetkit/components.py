@@ -9,9 +9,8 @@ is well defined because an edge path connects any two vertices of a simplex.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 
 from .core import TruncatedSSet
 from .maps import SimplicialMap
@@ -71,22 +70,75 @@ class _UnionFind:
         return count, label
 
 
+class _Rows(Sequence):
+    """A list of rows whose rows after the first are built when first read.
+
+    rows[n] is row(n) on its first read and is kept from then on.  It reads
+    like a list of lists: indexing, iteration, len, and == with a list.
+    """
+
+    def __init__(self, first: list[int], degrees: int, row: Callable[[int], list[int]]):
+        self._built = {0: first}
+        self._degrees, self._row = degrees, row
+
+    def __len__(self) -> int:
+        return self._degrees
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(self._degrees)[n]]
+        n = range(self._degrees)[n]  # negative indices count back; IndexError past the end
+        try:
+            return self._built[n]
+        except KeyError:
+            row = self._built[n] = self._row(n)
+            return row
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, _Rows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class ComponentPartition:
     """Partition of the vertices, extended degreewise to all simplices.
 
     Components are numbered by least vertex index.  class_of[n][x] is the
-    component of every vertex of x.
+    component of every vertex of x.  class_of is a list of rows, or (for a
+    fiber product) a sequence that builds each row when it is first read
+    and compares equal to the list of its rows.  sizes() counts the cells
+    of a component per degree: with count_cells, which fiber products
+    supply, only the components asked about are counted and no row is
+    read; without it, every component is counted off class_of at once.
     """
 
     count: int
     vertex_class: list[int]
-    class_of: list[list[int]]
+    class_of: Sequence[list[int]]
+    count_cells: Callable[[list[int]], dict[int, list[int]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
-    @cached_property
-    def sizes(self) -> list[Counter]:
-        """sizes[n][c]: the number of n-cells in component c, counted once."""
-        return [Counter(row) for row in self.class_of]
+    def __post_init__(self) -> None:
+        self._sizes: dict[int, list[int]] = {}
+
+    def sizes(self, components: Iterable[int]) -> dict[int, list[int]]:
+        """sizes(cs)[c][n]: the number of n-cells in component c, for each c in cs.
+
+        Each component is counted once per partition, when first asked for.
+        """
+        known, wanted = self._sizes, set(components)
+        todo = sorted(wanted - known.keys())
+        if todo and self.count_cells is not None:
+            known.update(self.count_cells(todo))
+        elif todo:
+            counts = [Counter(row) for row in self.class_of]
+            known.update((c, [k[c] for k in counts]) for c in range(self.count))
+        return {c: known[c] for c in wanted}
 
 
 def pi0(X: TruncatedSSet) -> ComponentPartition:
@@ -150,7 +202,8 @@ def trivial_covering_check(h: SimplicialMap) -> CheckReport:
     of x).  The n-cells of the pullback are the pairs (b, c) with b an
     n-cell of B in the component that c maps to, in lexicographic order;
     they are counted, not visited: each component of B contributes its
-    n-cells times the classes of A over it.  Clashes are the source cells
+    n-cells times the classes of A over it, so only the sizes of components
+    with classes of A over them are asked for.  Clashes are the source cells
     whose pair an earlier cell already took.  Every pair taken is a pullback
     cell, so the misses are the pullback cells less the distinct pairs
     taken.  Injectivity clashes are reported before surjectivity misses
@@ -163,11 +216,12 @@ def trivial_covering_check(h: SimplicialMap) -> CheckReport:
     pa, pb = pi0(A), pi0(B)
     p0 = pi0_map(h)
     over = Counter(p0)  # component of B -> the number of classes of A over it
+    size = pb.sizes(over)
     witness = None
     misses = clashes = pairs = 0
     for n in range(A.truncation + 1):
         taken = set(zip(h.level[n], pa.class_of[n]))
-        pairs_n = sum(size * over[d] for d, size in pb.sizes[n].items())
+        pairs_n = sum(size[d][n] * k for d, k in over.items())
         pairs += pairs_n
         clashes += A.cells[n] - len(taken)
         misses += pairs_n - len(taken)
@@ -195,25 +249,31 @@ def trivial_covering_check(h: SimplicialMap) -> CheckReport:
 def injection_cartesian_check(m: SimplicialMap) -> CheckReport:
     """For injective m, is every target component meeting the image contained in it?
 
-    Containment and meeting are checked at every stored degree, by counting:
-    the image cells of each component and degree are counted along m's
-    levels, its cells are the class sizes of pi0 of the target, and a
-    meeting component leaks the difference.  The witness is the least
-    (component, degree, cell) with the component meeting the image and the
-    cell escaping it; only its degree is scanned, up to that cell.
+    m must be simplicial.  Containment and meeting are checked at every
+    stored degree, by counting: m sends each component of its source into
+    one component of the target, injectively, so the image cells of a
+    target component are the cells of the source components over it.  A
+    target component meets the image when some source component lies over
+    it, and it leaks its size less its image.  Only the sizes of meeting
+    components are asked for.  The witness is the least (component, degree,
+    cell) with the component meeting the image and the cell escaping it;
+    only its degree is scanned, up to that cell.
     """
     image = [set(row) for row in m.level]
     if any(len(ys) != len(row) for ys, row in zip(image, m.level)):
         raise ValueError("injection_cartesian_check requires an injective map")
     B = m.target
-    pb = pi0(B)
-    inside = [Counter(map(cls.__getitem__, row)) for cls, row in zip(pb.class_of, m.level)]
-    meeting = set().union(*inside)
+    pa, pb = pi0(m.source), pi0(B)
+    p0 = pi0_map(m)
+    meeting = set(p0)
+    size, own = pb.sizes(meeting), pa.sizes(range(pa.count))
+    inside = {c: [0] * (B.truncation + 1) for c in meeting}
+    for c_a, c in enumerate(p0):
+        inside[c] = [i + k for i, k in zip(inside[c], own[c_a])]
     leaks = 0
     first = None  # the least (component, degree) with a leak
-    for n, (size, inside_n) in enumerate(zip(pb.sizes, inside)):
-        for c in meeting:
-            out = size[c] - inside_n[c]
+    for c in meeting:
+        for n, out in enumerate(s - i for s, i in zip(size[c], inside[c])):
             if out:
                 leaks += out
                 if first is None or (c, n) < first:

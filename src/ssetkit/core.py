@@ -216,16 +216,16 @@ def validate(X: TruncatedSSet) -> ValidationReport:
 
     Stops at the first violated identity instance and reports its law,
     indices and simplex.  A missing buffer degree (nondegenerate cells at the
-    truncation) is reported via ``has_buffer``, not as a failure; after a
-    shape failure it is False.
+    truncation) is reported via ``has_buffer``, not as a failure.  It is
+    read off the cells whenever the shape is sound, after an identity
+    failure too; after a shape failure it is False.
     """
     bad = _shape_failure(X)
     if bad is not None:
         return ValidationReport(failure=bad, has_buffer=False)
-    bad = _identity_failure(X)
-    # after an identity failure has_buffer keeps its default, True
-    has_buffer = bad is not None or X.nondegenerate_dim < X.truncation
-    return ValidationReport(failure=bad, has_buffer=has_buffer)
+    # every table entry is in range now, so is_degenerate reads only cells
+    has_buffer = X.nondegenerate_dim < X.truncation
+    return ValidationReport(failure=_identity_failure(X), has_buffer=has_buffer)
 
 
 def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:

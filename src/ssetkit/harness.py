@@ -521,8 +521,11 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
 
     Aggregation is order-stable and trials are independent, so the report is
     identical for any job count; only runtime_seconds varies between runs.
+    jobs must be at least 1; at most one worker process per trial is started.
     """
     cfg.check()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
     records: list[dict] = []
     if cfg.include_curated:
@@ -532,7 +535,8 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     if jobs > 1 and cfg.trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
             records.extend(
                 pool.map(_trial_record, [cfg_doc] * cfg.trials, range(cfg.trials), chunksize=8)
             )

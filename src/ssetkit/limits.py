@@ -14,15 +14,26 @@ again lie over one base cell.  pi0 of the fiber product is taken from the
 pairs by the same arithmetic and builds no tables, so a caller that reads
 only cell counts and components (the separability checks on a diagonal)
 never builds them.
+
+pi0 visits the edge pairs, not the cells: it merges the vertex pairs of
+each edge pair and stops there.  An n-cell (x, y) lies in the component of
+its last vertex pair (a, a'), and the n-cells over that pair number
+sum_b mf[a][b] * mg[a'][b], where mf[a][b] counts the n-cells of f's source
+over b with last vertex a (mg likewise for g).  So a component's size in
+each degree is counted per fiber from these counts, and only for the
+components a caller asks about; the class of each n-cell is written out,
+one degree at a time, only when that degree is read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
-from .components import ComponentPartition, _vertex_classes
-from .core import TruncatedSSet
+from .components import ComponentPartition, _Rows, _vertex_classes
+from .core import TruncatedSSet, vertex_table
 from .maps import SimplicialMap, terminal_map
 
 
@@ -79,7 +90,8 @@ class FiberProduct:
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y],
     and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  object
     builds its face and degeneracy tables when they are first read, and its
-    pi0 comes from offset and rank without them.
+    pi0 comes from offset and rank without them, with component sizes
+    counted per fiber and class rows built when read.
     """
 
     object: TruncatedSSet
@@ -97,8 +109,11 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     f and g must be simplicial maps (they must pass validate_map): the
     tables, built on first read, are filled by offset + rank arithmetic,
     and pi0 of the object is read off the pairs by the same arithmetic,
-    without the check that each simplex lies in one component.  Both rely
-    on it, and nothing checks it at run time.
+    without the check that each simplex lies in one component.  Its vertex
+    classes come from the edge pairs; its component sizes are counted per
+    fiber from the last-vertex counts of f and g, for the components asked
+    about; its class_of rows are built when read.  All of it relies on f
+    and g being simplicial, and nothing checks that at run time.
     """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
@@ -157,18 +172,74 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         ]
         return face, degeneracy
 
+    def edge_ends() -> tuple[list[int], list[int]]:
+        # the vertex pairs d_0 p and d_1 p of each edge pair p = (x, y), less
+        # the pairs of two loops: their two ends are one vertex pair
+        heads: list[int] = []
+        tails: list[int] = []
+        if not N:
+            return heads, tails
+        (x0, x1), (y0, y1) = X.face[1], Y.face[1]
+        off, rk = offset[0], rank[0]
+        r0, r1 = [rk[v] for v in y0], [rk[v] for v in y1]
+        proper: dict[int, list[int]] = {}  # base edge -> the y over it that are not loops
+        for x, (b, ys) in enumerate(zip(f.level[1], over_x[1])):
+            if x0[x] == x1[x]:
+                if b not in proper:
+                    proper[b] = [y for y in ys if y0[y] != y1[y]]
+                ys = proper[b]
+            o0, o1 = off[x0[x]], off[x1[x]]
+            heads += [o0 + r0[y] for y in ys]
+            tails += [o1 + r1[y] for y in ys]
+        return heads, tails
+
+    def last_vertices(T: TruncatedSSet, n: int) -> list[int]:
+        return [vs[-1] for vs in vertex_table(T)[n]]
+
+    def last_vertex_counts(h: SimplicialMap, n: int) -> tuple[list[int], list[dict[int, int]]]:
+        # (kind, counts): counts[kind[a]][b] is the number of n-cells x of h's
+        # source with h(x) = b and last vertex a.  Vertices with equal counts
+        # share a kind: on a covering, all vertices over one base vertex do.
+        at: list[dict[int, int]] = [{} for _ in range(h.source.cells[0])]
+        for b, vs in zip(h.level[n], vertex_table(h.source)[n]):
+            at_a = at[vs[-1]]
+            at_a[b] = at_a.get(b, 0) + 1
+        kinds: dict[frozenset, int] = {}
+        kind = [kinds.setdefault(frozenset(at_a.items()), len(kinds)) for at_a in at]
+        return kind, [dict(items) for items in kinds]
+
     def partition(_: TruncatedSSet) -> ComponentPartition:
-        # union the vertex pairs d_0 p and d_1 p of each edge pair p, then
-        # give each n-cell the class of its d_n face, as components._pi0 does
-        ends: Sequence = ((), ())
-        if N:
-            vertices = range(cells[0])
-            ends = [table(1, 0, X.face[1][i], Y.face[1][i], vertices) for i in (0, 1)]
-        count, vertex_class = _vertex_classes(cells[0], *ends)
-        class_of = [list(vertex_class)]
-        for n in range(1, N + 1):
-            class_of.append(table(n, n - 1, X.face[n][n], Y.face[n][n], class_of[-1]))
-        return ComponentPartition(count, vertex_class, class_of)
+        # union the vertex pairs of each edge pair; an n-cell (x, y) has the
+        # class of its last vertex pair, found as offset + rank
+        count, vertex_class = _vertex_classes(cells[0], *edge_ends())
+
+        def row(n: int) -> list[int]:
+            return table(n, 0, last_vertices(X, n), last_vertices(Y, n), vertex_class)
+
+        def count_cells(components: list[int]) -> dict[int, list[int]]:
+            # The n-cells over the vertex pair (a, a') number sum_b mf[a][b] *
+            # mg[a'][b], with mf[a][b] the n-cells of X over b with last vertex
+            # a, and mg likewise for Y.  A component's n-cells are the sum over
+            # its vertex pairs; pairs of the same two kinds are summed at once.
+            keep = list(map(set(components).__contains__, vertex_class))
+            xs, ys = list(compress(left[0], keep)), list(compress(right[0], keep))
+            classes = list(compress(vertex_class, keep))
+            vertices = Counter(classes)  # each vertex pair is one 0-cell
+            out = {c: [vertices[c]] for c in components}
+            for n in range(1, N + 1):
+                kind_f, mf = last_vertex_counts(f, n)
+                kind_g, mg = (kind_f, mf) if g is f else last_vertex_counts(g, n)
+                total = dict.fromkeys(components, 0)
+                kinds = zip(map(kind_f.__getitem__, xs), map(kind_g.__getitem__, ys), classes)
+                for (i, j, c), times in Counter(kinds).items():
+                    at_j = mg[j]
+                    total[c] += times * sum(k * at_j.get(b, 0) for b, k in mf[i].items())
+                for c, cells_c in out.items():
+                    cells_c.append(total[c])
+            return out
+
+        first = list(vertex_class)
+        return ComponentPartition(count, vertex_class, _Rows(first, N + 1, row), count_cells)
 
     P = _FiberProductObject(N, cells, tables, partition)
     pr1, pr2 = SimplicialMap(P, X, left), SimplicialMap(P, Y, right)

@@ -13,9 +13,9 @@ import random
 
 from ssetkit.components import ComponentPartition, _UnionFind, pi0
 from ssetkit.core import TruncatedSSet, discrete_sset
-from ssetkit.groupoids import FiniteGroupoid
-from ssetkit.limits import FiberProduct, pullback
-from ssetkit.maps import SimplicialMap
+from ssetkit.groupoids import FiniteGroupoid, cyclic_group_groupoid, nerve
+from ssetkit.limits import FiberProduct, product, pullback
+from ssetkit.maps import SimplicialMap, cyclic_cover_projection, terminal_map
 from ssetkit.report import (
     AmbiguousLift,
     CheckReport,
@@ -25,6 +25,7 @@ from ssetkit.report import (
     MissingHornFiller,
     MissingLift,
 )
+from ssetkit.standard import build_standard, parse_spec
 
 
 def ordinal_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -916,3 +917,17 @@ def relabel(h: SimplicialMap, rng: random.Random) -> SimplicialMap:
             new[pa[n][x]] = pb[n][y]
         level.append(new)
     return SimplicialMap(_permute_object(h.source, pa), _permute_object(h.target, pb), level)
+
+
+def ladder_maps() -> dict[str, SimplicialMap]:
+    """Maps whose diagonals are ladder-sized, and a seeded relabelling of each."""
+    circle = build_standard(parse_spec("circle"), 3)
+    maps = {
+        "cyclic-cover-projection:8": cyclic_cover_projection(8, 3),
+        "terminal:cyclic-cover:4": terminal_map(build_standard(parse_spec("cyclic-cover:4"), 3)),
+        "circle-x-nerve:3": product(circle, nerve(cyclic_group_groupoid(3), 3)).pr1,
+    }
+    rng = random.Random(9)
+    for name, h in list(maps.items()):
+        maps[f"relabelled:{name}"] = relabel(h, rng)
+    return maps

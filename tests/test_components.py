@@ -15,12 +15,11 @@ from ssetkit.components import (
     trivial_covering_check,
 )
 from ssetkit.core import validate, vertex_table
-from ssetkit.groupoids import cyclic_group_groupoid, nerve
 from ssetkit.harness import GenConfig, gen_morphism, gen_sset
-from ssetkit.limits import diagonal, product
-from ssetkit.maps import classify, cyclic_cover_projection, point_inclusion, validate_map
+from ssetkit.limits import diagonal
+from ssetkit.maps import classify, point_inclusion, validate_map
 from ssetkit.report import ComparisonClash, ComparisonMiss, ComponentLeak
-from ssetkit.standard import build_standard, parse_spec, simplex_spec
+from ssetkit.standard import build_standard, simplex_spec
 
 
 def test_pi0_matches_bfs(zoo):
@@ -246,16 +245,7 @@ def test_component_checks_match_references(differential_maps):
 
 def _ladder_deltas():
     """Diagonals of ladder-sized maps, and of a seeded relabelling of each."""
-    circle = build_standard(parse_spec("circle"), 3)
-    maps = {
-        "cyclic-cover-projection:8": cyclic_cover_projection(8, 3),
-        "terminal:cyclic-cover:4": sk.terminal_map(build_standard(parse_spec("cyclic-cover:4"), 3)),
-        "circle-x-nerve:3": product(circle, nerve(cyclic_group_groupoid(3), 3)).pr1,
-    }
-    rng = random.Random(9)
-    for name, h in list(maps.items()):
-        maps[f"relabelled:{name}"] = orc.relabel(h, rng)
-    return [(name, diagonal(h).delta) for name, h in maps.items()]
+    return [(name, diagonal(h).delta) for name, h in orc.ladder_maps().items()]
 
 
 def test_component_checks_match_references_at_ladder_scale():

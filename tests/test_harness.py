@@ -152,6 +152,40 @@ def test_campaign_deterministic_and_parallel_stable():
     assert one == two == par
 
 
+def test_campaign_starts_at_most_one_worker_per_trial(monkeypatch, capsys):
+    # record the pool's size instead of starting its processes
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *inputs, chunksize=1):
+            return map(fn, *inputs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = GenConfig(seed=5, trials=2)
+    serial = run_campaign(cfg).to_doc(include_runtime=False)
+    for jobs, workers in ((5000, 2), (2, 2)):
+        assert run_campaign(cfg, jobs=jobs).to_doc(include_runtime=False) == serial
+        assert sizes.pop() == workers and not sizes, jobs
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            run_campaign(cfg, jobs=jobs)
+        argv = ["verify", "chain", "--trials", "2", "--jobs", str(jobs)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: jobs"), jobs
+    assert not sizes
+
+
 def test_campaign_counts_add_up():
     cfg = GenConfig(seed=5, trials=60)
     report = run_campaign(cfg)

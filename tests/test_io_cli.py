@@ -109,6 +109,20 @@ def test_cli_validate(tmp_path, zoo, capsys):
     assert doc["verdict"] is False and doc["witness"]["kind"] == "identity"
 
 
+def test_cli_validate_reads_has_buffer_after_an_identity_failure(tmp_path, zoo, capsys):
+    # (degree, face, cell) to tamper, and has_buffer after it: a triangle whose
+    # face[2][0] is tampered keeps its buffer; tampering face[3][0] of cell 4
+    # leaves a degree-3 cell that no degeneracy produces, so it has none
+    for n, i, x, want in ((2, 0, 0, True), (3, 0, 4, False)):
+        X = copy.deepcopy(zoo["triangle"])
+        X.face[n][i][x] = (X.face[n][i][x] + 1) % X.cells[n - 1]
+        path = _write_object(tmp_path, X, f"tampered-{n}.json")
+        assert main(["validate", path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] is False and doc["witness"]["kind"] == "identity", n
+        assert doc["has_buffer"] is want is (X.nondegenerate_dim < X.truncation), n
+
+
 def test_cli_validate_map(tmp_path, named_maps, capsys):
     path = _write_map(tmp_path, named_maps["curated:fold-interval"])
     assert main(["validate", path]) == 0

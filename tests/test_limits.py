@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -221,6 +222,10 @@ def test_scoring_builds_no_fiber_product_tables(differential_maps):
         assert _witness_audit(h, v, dd) == [], name
         assert revalidate_witness(h, v.direct), name
         assert not _tables_built(dd.fiber_product.object), name
+        if name == "cyclic-cover-16":
+            # a separable map's diagonal is decided by counts: no class row is built
+            assert v.direct.verdict and v.trivial_delta.verdict
+            assert _rows_built(pi0(dd.fiber_product.object)) == [0]
 
 
 def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
@@ -250,12 +255,32 @@ def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
         assert validate(pullback(f, g).object).ok, name
 
 
+def _rows_built(part) -> list[int]:
+    # the degrees whose class_of row a fiber product's partition has built
+    return sorted(part.class_of._built)
+
+
 def test_pi0_of_fiber_product_from_pairs(zoo, differential_maps):
-    for name, f, g in _reference_cospans(zoo, differential_maps):
+    cospans = _reference_cospans(zoo, differential_maps)
+    cospans += [(f"ladder:{name}", h, h) for name, h in orc.ladder_maps().items()]
+    for name, f, g in cospans:
         P = orc.reference_pullback(f, g)[0]
         obj = pullback(f, g).object
         part, want = pi0(obj), orc.reference_pi0(P)
-        assert not _tables_built(obj), name
         assert part.count == want.count, name
         assert part.vertex_class == want.vertex_class, name
-        assert part.class_of == want.class_of, name
+        # sizes are counted per fiber: every component, every degree, no row read;
+        # the odd components first, so that later requests use earlier counts
+        counts = [Counter(row) for row in want.class_of]
+        every = {c: [k[c] for k in counts] for c in range(want.count)}
+        odd = part.sizes(range(1, part.count, 2))
+        assert odd == {c: every[c] for c in range(1, want.count, 2)}, name
+        assert part.sizes(range(part.count)) == every, name
+        assert _rows_built(part) == [0], name
+        # each row is built on read, and gives every cell its class
+        for n in reversed(range(P.truncation + 1)):
+            row = part.class_of[n]
+            assert [row[x] for x in range(P.cells[n])] == want.class_of[n], (name, n)
+        assert len(part.class_of) == len(want.class_of), name
+        assert part.class_of == want.class_of and want.class_of == part.class_of, name
+        assert not _tables_built(obj), name
