@@ -36,6 +36,10 @@ def compose_monotone(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(f[t] for t in g)
 
 
+# The number of parameters each non-union kind takes.
+_ARITY = {"simplex": 1, "boundary": 1, "horn": 2, "circle": 0, "cyclic-cover": 1}
+
+
 @dataclass(frozen=True)
 class StandardObjectSpec:
     """Description of a standard object.
@@ -50,28 +54,28 @@ class StandardObjectSpec:
     parts: tuple["StandardObjectSpec", ...] = ()
 
     def check(self) -> None:
+        if self.kind == "union":
+            if not self.parts:
+                raise ValueError("empty union spec")
+            for p in self.parts:
+                p.check()
+            return
+        if self.kind not in _ARITY:
+            raise ValueError(f"unknown standard kind {self.kind!r}")
+        arity = _ARITY[self.kind]
+        if len(self.params) != arity:
+            takes = {0: "no parameters", 1: "1 parameter"}.get(arity, f"{arity} parameters")
+            raise ValueError(f"{self.kind} takes {takes}")
         if self.kind == "simplex" or self.kind == "boundary":
-            (n,) = self.params
-            if n < 0:
+            if self.params[0] < 0:
                 raise ValueError("simplex dimension must be >= 0")
         elif self.kind == "horn":
             n, k = self.params
             if n < 1 or not 0 <= k <= n:
                 raise ValueError("horn requires n >= 1 and 0 <= k <= n")
-        elif self.kind == "circle":
-            if self.params:
-                raise ValueError("circle takes no parameters")
         elif self.kind == "cyclic-cover":
-            (k,) = self.params
-            if k < 1:
+            if self.params[0] < 1:
                 raise ValueError("cyclic cover needs k >= 1")
-        elif self.kind == "union":
-            if not self.parts:
-                raise ValueError("empty union spec")
-            for p in self.parts:
-                p.check()
-        else:
-            raise ValueError(f"unknown standard kind {self.kind!r}")
 
     def nondegenerate_dim(self) -> int:
         if self.kind == "simplex":
@@ -251,13 +255,11 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
 
 
 def parse_spec(text: str) -> StandardObjectSpec:
-    """Parse a compact spec string such as "simplex:2" or "horn:2:1"."""
+    """Parse and check a compact spec string such as "simplex:2" or "horn:2:1"."""
     bits = text.split(":")
-    kind, args = bits[0], [int(b) for b in bits[1:]]
-    if kind in ("simplex", "boundary", "horn", "cyclic-cover"):
-        return StandardObjectSpec(kind, tuple(args))
-    if kind == "circle":
-        if args:
-            raise ValueError("circle takes no parameters")
-        return circle_spec()
-    raise ValueError(f"unknown standard kind {kind!r}")
+    kind, args = bits[0], tuple(int(b) for b in bits[1:])
+    if kind not in _ARITY:
+        raise ValueError(f"unknown standard kind {kind!r}")
+    spec = StandardObjectSpec(kind, args)
+    spec.check()
+    return spec

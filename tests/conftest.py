@@ -52,7 +52,8 @@ def campaign500():
 
 @pytest.fixture(scope="session")
 def differential_maps(zoo, named_maps):
-    """(name, map) for the differential tests against the reference copies.
+    """(name, map) for the differential tests: each check's full report
+    against its definitional oracle in oracles.py.
 
     Zoo-built maps, the named maps and a seeded corpus, then all their
     diagonals.

@@ -14,7 +14,7 @@ import random
 from ssetkit.components import ComponentPartition, _UnionFind, pi0
 from ssetkit.core import TruncatedSSet, discrete_sset
 from ssetkit.groupoids import FiniteGroupoid, cyclic_group_groupoid, nerve
-from ssetkit.limits import FiberProduct, product, pullback
+from ssetkit.limits import FiberProduct, product
 from ssetkit.maps import SimplicialMap, cyclic_cover_projection, terminal_map
 from ssetkit.report import (
     AmbiguousLift,
@@ -74,10 +74,11 @@ def apply_op(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
 
 def naive_vertex(X: TruncatedSSet, n: int, x: int, j: int) -> int:
     """Vertex j by deleting top indices down to j+1, then d_0 j times."""
+    face = X.face
     for i in range(n, j, -1):
-        x = X.d(i, i, x)
+        x = face[i][i][x]
     for i in range(j, 0, -1):
-        x = X.d(i, 0, x)
+        x = face[i][0][x]
     return x
 
 
@@ -132,156 +133,216 @@ def bfs_components(X: TruncatedSSet) -> list[set[int]]:
     return comps
 
 
-def component_of_cell(X: TruncatedSSet, comps: list[set[int]], n: int, x: int) -> int:
-    v = naive_vertex(X, n, x, 0)
-    for c, comp in enumerate(comps):
-        if v in comp:
-            return c
-    raise ValueError("vertex not in any component")
+def naive_vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
+    """Every cell's vertex tuple, each vertex found by naive_vertex."""
+    return [
+        [tuple(naive_vertex(X, n, x, j) for j in range(n + 1)) for x in range(X.cells[n])]
+        for n in range(X.truncation + 1)
+    ]
 
 
-def naive_separable_lifting(h: SimplicialMap):
-    """Plain quadruple scan for two lifts sharing a vertex.
+def naive_classes(X: TruncatedSSet) -> tuple[int, list[list[int]]]:
+    """The number of BFS components, and per degree each cell's component.
 
-    Returns (verdict, first violation as (n, j, u, a, x1, x2) or None).
+    A cell lies in the component of its vertex 0.
+    """
+    comps = bfs_components(X)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    rows = [
+        [comp_of[naive_vertex(X, n, x, 0)] for x in range(X.cells[n])]
+        for n in range(X.truncation + 1)
+    ]
+    return len(comps), rows
+
+
+# The checks by definition.  Each returns the library check's full report:
+# stats counted straight from the definition in its docstring, and the first
+# witness in the library's documented scan order.  Only the tables,
+# naive_vertex and bfs_components are read.
+
+
+def _naive_lifts(h: SimplicialMap, n: int, j: int) -> dict[tuple[int, int], list[int]]:
+    """(u, a) -> the lifts of (n, j, u, a): the n-cells over u with j-th vertex a, ascending."""
+    A = h.source
+    lifts: dict[tuple[int, int], list[int]] = {}
+    for x in range(A.cells[n]):
+        lifts.setdefault((h.level[n][x], naive_vertex(A, n, x, j)), []).append(x)
+    return lifts
+
+
+def naive_separable_lifting(h: SimplicialMap) -> CheckReport:
+    """Uniqueness of lifts, counted over the (n, j, u, a) that have a lift.
+
+    squares counts the (n, j, u, a) with at least one lift and ambiguous
+    those with two or more.  The witness is taken in the first (n, j) with an
+    ambiguous square: the least cell x1 sharing its image and j-th vertex
+    with another cell, and the least such other cell x2.
     """
     A = h.source
+    witness = None
+    squares = ambiguous = 0
     for n in range(A.truncation + 1):
         for j in range(n + 1):
-            for x1 in range(A.cells[n]):
-                for x2 in range(x1 + 1, A.cells[n]):
-                    if h.level[n][x1] != h.level[n][x2]:
-                        continue
-                    if naive_vertex(A, n, x1, j) == naive_vertex(A, n, x2, j):
-                        u = h.level[n][x1]
-                        a = naive_vertex(A, n, x1, j)
-                        return False, (n, j, u, a, x1, x2)
-    return True, None
+            lifts = _naive_lifts(h, n, j)
+            shared = [xs for xs in lifts.values() if len(xs) > 1]
+            squares += len(lifts)
+            ambiguous += len(shared)
+            if witness is None and shared:
+                x1, x2 = min(shared)[:2]
+                u, a = h.level[n][x1], naive_vertex(A, n, x1, j)
+                witness = AmbiguousLift(n, j, u, a, x1, x2)
+    stats = {"squares": squares, "ambiguous": ambiguous}
+    return CheckReport("separable-lifting", witness is None, witness, stats)
 
 
-def naive_covering(h: SimplicialMap):
-    """Plain scan over anchored squares, counting lifts by full search.
+def naive_covering(h: SimplicialMap) -> CheckReport:
+    """Exactly one lift over every anchored square (n, j, u, a).
 
-    Returns (verdict, first violation) where the violation is
-    ("missing", n, j, u, a) or ("ambiguous", n, j, u, a, x1, x2).
+    A square is anchored when h(a) is the j-th vertex of u; squares counts
+    them, missing those with no lift and ambiguous those with two or more.
+    The witness is the first such square in (n, j, u, a) order.
     """
     A, B = h.source, h.target
+    witness = None
+    squares = missing = ambiguous = 0
     for n in range(A.truncation + 1):
         for j in range(n + 1):
+            lifts = _naive_lifts(h, n, j)
             for u in range(B.cells[n]):
+                v = naive_vertex(B, n, u, j)
                 for a in range(A.cells[0]):
-                    if h.level[0][a] != naive_vertex(B, n, u, j):
+                    if h.level[0][a] != v:
                         continue
-                    lifts = [
-                        x
-                        for x in range(A.cells[n])
-                        if h.level[n][x] == u and naive_vertex(A, n, x, j) == a
-                    ]
-                    if not lifts:
-                        return False, ("missing", n, j, u, a)
-                    if len(lifts) > 1:
-                        return False, ("ambiguous", n, j, u, a, lifts[0], lifts[1])
-    return True, None
+                    squares += 1
+                    xs = lifts.get((u, a), [])
+                    if len(xs) == 1:
+                        continue
+                    if xs:
+                        ambiguous += 1
+                    else:
+                        missing += 1
+                    if witness is None and xs:
+                        witness = AmbiguousLift(n, j, u, a, xs[0], xs[1])
+                    elif witness is None:
+                        witness = MissingLift(n, j, u, a)
+    stats = {"squares": squares, "missing": missing, "ambiguous": ambiguous}
+    return CheckReport("covering", witness is None, witness, stats)
 
 
-def naive_kan(h: SimplicialMap, bound: int | None = None):
+def naive_kan(h: SimplicialMap, bound: int | None = None) -> CheckReport:
     """Horn filling by exhaustive family enumeration with itertools.
 
-    Returns (verdict, first unfillable horn as (n, k, u, faces) or None)
-    in the same (degree, horn, base, family) order as the library.
+    horns counts the compatible families over every (n <= bound, k, u), and
+    missing those that no cell over u fills.  The witness is the first
+    unfillable one in (degree, horn, base, family) order, families in
+    lexicographic order.
     """
     A, B = h.source, h.target
     N = A.truncation
     bound = N if bound is None else min(bound, N)
+    witness = None
+    horns = missing = 0
     for n in range(1, bound + 1):
+        # over[b]: the (n-1)-cells over b; fillers[u]: the face tuples of the cells over u
+        over: dict[int, list[int]] = {}
+        for y in range(A.cells[n - 1]):
+            over.setdefault(h.level[n - 1][y], []).append(y)
+        fillers: dict[int, list[tuple[int, ...]]] = {}
+        for x in range(A.cells[n]):
+            faces = tuple(A.d(n, i, x) for i in range(n + 1))
+            fillers.setdefault(h.level[n][x], []).append(faces)
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
+            # (d_i, q, d_{j-1}, p) for the slots i < j at positions p < q: a
+            # family is compatible when d_i(y_j) = d_{j-1}(y_i) for each
+            laws = [
+                (A.face[n - 1][i], q, A.face[n - 1][j - 1], p)
+                for (p, i), (q, j) in itertools.combinations(enumerate(slots), 2)
+                if n >= 2
+            ]
             for u in range(B.cells[n]):
-                cands = [
-                    [
-                        y
-                        for y in range(A.cells[n - 1])
-                        if h.level[n - 1][y] == B.d(n, i, u)
-                    ]
-                    for i in slots
-                ]
+                filled = {faces[:k] + faces[k + 1 :] for faces in fillers.get(u, ())}
+                cands = [over.get(B.d(n, i, u), []) for i in slots]
                 for fam in itertools.product(*cands):
-                    by_slot = dict(zip(slots, fam))
-                    ok = True
-                    for ai, i in enumerate(slots):
-                        for j in slots[ai + 1 :]:
-                            if n >= 2 and A.d(n - 1, i, by_slot[j]) != A.d(
-                                n - 1, j - 1, by_slot[i]
-                            ):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
+                    if any(di[fam[q]] != dj[fam[p]] for di, q, dj, p in laws):
                         continue
-                    filled = any(
-                        h.level[n][x] == u
-                        and all(A.d(n, i, x) == by_slot[i] for i in slots)
-                        for x in range(A.cells[n])
-                    )
-                    if not filled:
-                        return False, (n, k, u, tuple(zip(slots, fam)))
-    return True, None
+                    horns += 1
+                    if fam not in filled:
+                        missing += 1
+                        if witness is None:
+                            witness = MissingHornFiller(n, k, u, tuple(zip(slots, fam)))
+    stats = {"horns": horns, "missing": missing}
+    return CheckReport("kan", witness is None, witness, stats)
 
 
-def naive_trivial_covering(h: SimplicialMap) -> bool:
+def naive_trivial_covering(h: SimplicialMap) -> CheckReport:
     """Is x -> (h(x), component of x) a degreewise bijection onto the pairs?
 
-    Components come from the BFS oracle; pairs are recomputed from scratch.
+    The n-cells of the pullback are the pairs (b, c) with b an n-cell of B
+    in the component that c maps to, listed in full.  clashes counts the
+    cells whose pair an earlier cell took, and misses the pairs no cell
+    takes.  The witness is taken in the first degree with either, a clash
+    before a miss: the first clashing cell with the earliest cell of its
+    pair, or the least missed pair.
     """
     A, B = h.source, h.target
-    ca, cb = bfs_components(A), bfs_components(B)
-    # induced function on components, via any vertex
-    p0 = {}
-    for c, comp in enumerate(ca):
-        images = {component_of_cell(B, cb, 0, h.level[0][v]) for v in comp}
-        if len(images) != 1:
-            return False
-        p0[c] = images.pop()
+    count_a, ca = naive_classes(A)
+    cb = naive_classes(B)[1]
+    p0 = [-1] * count_a
+    for v, w in enumerate(h.level[0]):
+        p0[ca[0][v]] = cb[0][w]
+    witness = None
+    pairs = misses = clashes = 0
     for n in range(A.truncation + 1):
-        pairs = {
-            (b, c)
-            for b in range(B.cells[n])
-            for c in range(len(ca))
-            if component_of_cell(B, cb, n, b) == p0[c]
-        }
-        seen = set()
+        first: dict[tuple[int, int], int] = {}
+        clash = None
         for x in range(A.cells[n]):
-            key = (h.level[n][x], component_of_cell(A, ca, n, x))
-            if key in seen:
-                return False
-            seen.add(key)
-        if seen != pairs:
-            return False
-    return True
+            key = (h.level[n][x], ca[n][x])
+            if key in first:
+                clashes += 1
+                clash = clash or ComparisonClash(n, first[key], x)
+            else:
+                first[key] = x
+        want = [(b, c) for b in range(B.cells[n]) for c in range(count_a) if cb[n][b] == p0[c]]
+        missed = [p for p in want if p not in first]
+        pairs += len(want)
+        misses += len(missed)
+        if witness is None:
+            witness = clash or (ComparisonMiss(n, *missed[0]) if missed else None)
+    stats = {
+        "cells_source": sum(A.cells),
+        "cells_pullback": pairs,
+        "misses": misses,
+        "clashes": clashes,
+    }
+    return CheckReport("trivial-covering", witness is None, witness, stats)
 
 
-def naive_injection_cartesian(m: SimplicialMap):
-    """Containment of image-meeting components, by plain scans.
+def naive_injection_cartesian(m: SimplicialMap) -> CheckReport:
+    """Containment of image-meeting components, by plain scans of an injective m.
 
-    Returns (verdict, first leak as (component, degree, cell) or None) with
-    components in least-vertex order.
+    leaks counts the cells of components meeting the image that lie outside
+    it.  The witness is the least such (component, degree, cell), components
+    numbered by least vertex.
     """
     B = m.target
-    comps = bfs_components(B)
+    count, cb = naive_classes(B)
     image = [set(row) for row in m.level]
-    meets = set()
-    for n in range(B.truncation + 1):
-        for y in image[n]:
-            meets.add(component_of_cell(B, comps, n, y))
-    for c in range(len(comps)):
-        if c not in meets:
-            continue
-        for n in range(B.truncation + 1):
-            for y in range(B.cells[n]):
-                if component_of_cell(B, comps, n, y) == c and y not in image[n]:
-                    return False, (c, n, y)
-    return True, None
+    meets = {cb[n][y] for n, ys in enumerate(image) for y in ys}
+    leaks = [
+        (cb[n][y], n, y)
+        for n in range(B.truncation + 1)
+        for y in range(B.cells[n])
+        if cb[n][y] in meets and y not in image[n]
+    ]
+    witness = ComponentLeak(*min(leaks)) if leaks else None
+    stats = {
+        "components": count,
+        "meeting": len(meets),
+        "leaks": len(leaks),
+        "cells_scanned": sum(B.cells),
+    }
+    return CheckReport("injection-cartesian", witness is None, witness, stats)
 
 
 def all_simplicial_maps(X: TruncatedSSet, Y: TruncatedSSet) -> list[list[list[int]]]:
@@ -392,24 +453,9 @@ def raw_nerve_counts(
     return counts[: truncation + 1]
 
 
-# Reference copies of earlier library implementations.  The library now
-# derives pi0 degree by degree and merges its edges in one union-find loop,
-# and counts the trivial-covering misses and the component leaks from class
-# sizes, scanning only for the witness; these keep the direct versions
-# (per-edge union and find, vertex tuples, a materialized pullback, one scan
-# per component), uncached, so the tests can require identical reports.
-
-
-def reference_vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
-    """Vertex tuples bottom-up, recomputed on every call."""
-    table: list[list[tuple[int, ...]]] = [[(v,) for v in range(X.cells[0])]]
-    for n in range(1, X.truncation + 1):
-        last, first = X.face[n][n], X.face[n][0]
-        prev = table[n - 1]
-        table.append(
-            [prev[last[x]] + (prev[first[x]][n - 1],) for x in range(X.cells[n])]
-        )
-    return table
+# Definitions the library's pi0 and fiber products are compared against: a
+# per-edge union-find whose classes are read off every vertex of a cell, and
+# a fiber product built from sorted pairs and looked up in index dicts.
 
 
 def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
@@ -426,7 +472,7 @@ def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
             vertex_class[r] = count
             count += 1
         vertex_class[v] = vertex_class[r]
-    vertices = reference_vertex_table(X)
+    vertices = naive_vertex_table(X)
     class_of: list[list[int]] = []
     for n in range(X.truncation + 1):
         row = []
@@ -438,90 +484,6 @@ def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
             row.append(c)
         class_of.append(row)
     return ComponentPartition(count, vertex_class, class_of)
-
-
-def reference_trivial_covering_check(h: SimplicialMap) -> CheckReport:
-    """The comparison A -> B x_{pi0 B} pi0 A against a materialized pullback."""
-    A, B = h.source, h.target
-    N = A.truncation
-    pa, pb = reference_pi0(A), reference_pi0(B)
-    p0 = [-1] * pa.count
-    for v, w in enumerate(h.level[0]):
-        p0[pa.vertex_class[v]] = pb.vertex_class[w]
-    unit_b = component_unit(B, pb)
-    hi_h = SimplicialMap(
-        component_object(pa, N),
-        component_object(pb, N),
-        [list(p0) for _ in range(N + 1)],
-    )
-    fp = pullback(unit_b, hi_h)
-    index = fiber_index(fp)
-    witness = None
-    misses = clashes = 0
-    for n in range(N + 1):
-        seen: dict[int, int] = {}
-        clash_here = None
-        for x in range(A.cells[n]):
-            p = index[n][(h.level[n][x], pa.class_of[n][x])]
-            if p in seen:
-                clashes += 1
-                if clash_here is None:
-                    clash_here = ComparisonClash(n, seen[p], x)
-            else:
-                seen[p] = x
-        miss_here = None
-        for p, (b, c) in enumerate(fiber_pairs(fp)[n]):
-            if p not in seen:
-                misses += 1
-                if miss_here is None:
-                    miss_here = ComparisonMiss(n, b, c)
-        if witness is None:
-            witness = clash_here or miss_here
-    stats = {
-        "cells_source": sum(A.cells),
-        "cells_pullback": sum(fp.object.cells),
-        "misses": misses,
-        "clashes": clashes,
-    }
-    return CheckReport("trivial-covering", witness is None, witness, stats)
-
-
-def reference_injection_cartesian_check(m: SimplicialMap) -> CheckReport:
-    """Component containment, rescanning the target once per meeting component."""
-    for row in m.level:
-        if len(set(row)) != len(row):
-            raise ValueError("injection_cartesian_check requires an injective map")
-    B = m.target
-    pb = reference_pi0(B)
-    image = [set(row) for row in m.level]
-    meets = [False] * pb.count
-    for n in range(B.truncation + 1):
-        for y in image[n]:
-            meets[pb.class_of[n][y]] = True
-    witness = None
-    leaks = 0
-    for c in range(pb.count):
-        if not meets[c]:
-            continue
-        for n in range(B.truncation + 1):
-            for y in range(B.cells[n]):
-                if pb.class_of[n][y] == c and y not in image[n]:
-                    leaks += 1
-                    if witness is None:
-                        witness = ComponentLeak(c, n, y)
-    stats = {
-        "components": pb.count,
-        "meeting": sum(meets),
-        "leaks": leaks,
-        "cells_scanned": sum(B.cells),
-    }
-    return CheckReport("injection-cartesian", witness is None, witness, stats)
-
-
-# The library now fills fiber-product tables by offset + rank arithmetic and
-# draws horn candidates from face-indexed fibers; these keep the earlier
-# versions (a tuple-keyed index dict per degree, sorted pairs; a full scan of
-# each slot's fiber), so the tests can require identical results.
 
 
 def fiber_pairs(fp: FiberProduct) -> list[list[tuple[int, int]]]:
@@ -582,125 +544,6 @@ def reference_diagonal_level(h: SimplicialMap) -> list[list[int]]:
         [index[n][(x, x)] for x in range(h.source.cells[n])]
         for n in range(h.source.truncation + 1)
     ]
-
-
-def _reference_compatible_families(cands, slots, face_row):
-    chosen: list[int] = []
-
-    def rec(p: int):
-        if p == len(slots):
-            yield tuple(chosen)
-            return
-        jp = slots[p]
-        for y in cands[p]:
-            if all(
-                face_row[slots[q]][y] == face_row[jp - 1][chosen[q]] for q in range(p)
-            ):
-                chosen.append(y)
-                yield from rec(p + 1)
-                chosen.pop()
-
-    yield from rec(0)
-
-
-def reference_kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
-    """Horn filling, trying every candidate of every slot's fiber."""
-    A, B = h.source, h.target
-    N = A.truncation
-    bound = N if bound is None else min(bound, N)
-    fibers = []
-    for n in range(N + 1):
-        at_n: dict[int, list[int]] = {}
-        for x in range(A.cells[n]):
-            at_n.setdefault(h.level[n][x], []).append(x)
-        fibers.append(at_n)
-    witness = None
-    horns = missing = 0
-    for n in range(1, bound + 1):
-        face_tuple = [
-            tuple(A.face[n][i][x] for i in range(n + 1)) for x in range(A.cells[n])
-        ]
-        face_row = A.face[n - 1] if n >= 2 else []
-        for k in range(n + 1):
-            slots = [i for i in range(n + 1) if i != k]
-            for u in range(B.cells[n]):
-                cands = [fibers[n - 1].get(B.face[n][i][u], []) for i in slots]
-                if any(not c for c in cands):
-                    continue
-                filled = {
-                    tuple(face_tuple[x][i] for i in slots) for x in fibers[n].get(u, ())
-                }
-                for fam in _reference_compatible_families(cands, slots, face_row):
-                    horns += 1
-                    if fam not in filled:
-                        missing += 1
-                        if witness is None:
-                            witness = MissingHornFiller(n, k, u, tuple(zip(slots, fam)))
-    stats = {"horns": horns, "missing": missing}
-    return CheckReport("kan", witness is None, witness, stats)
-
-
-# The library now builds the lift buckets of covering_check and
-# separable_via_lifting in one helper, keyed by the int u * |A_0| + a; these
-# keep the earlier tuple-keyed loops, so the tests can require identical
-# reports.
-
-
-def reference_covering_check(h: SimplicialMap) -> CheckReport:
-    """Unique vertex-anchored lifts, bucketed by (base cell, vertex) tuples."""
-    A, B = h.source, h.target
-    N = A.truncation
-    va, vb = reference_vertex_table(A), reference_vertex_table(B)
-    anchors: dict[int, list[int]] = {}
-    for a in range(A.cells[0]):
-        anchors.setdefault(h.level[0][a], []).append(a)
-    witness = None
-    squares = missing = ambiguous = 0
-    for n in range(N + 1):
-        for j in range(n + 1):
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for x in range(A.cells[n]):
-                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
-            for u in range(B.cells[n]):
-                for a in anchors.get(vb[n][u][j], ()):
-                    squares += 1
-                    lifts = buckets.get((u, a), ())
-                    if not lifts:
-                        missing += 1
-                        if witness is None:
-                            witness = MissingLift(n, j, u, a)
-                    elif len(lifts) > 1:
-                        ambiguous += 1
-                        if witness is None:
-                            witness = AmbiguousLift(n, j, u, a, lifts[0], lifts[1])
-    stats = {"squares": squares, "missing": missing, "ambiguous": ambiguous}
-    return CheckReport("covering", witness is None, witness, stats)
-
-
-def reference_separable_via_lifting(h: SimplicialMap) -> CheckReport:
-    """Unique vertex-anchored lifts; the witness minimizes (first, second, u, a)."""
-    A = h.source
-    N = A.truncation
-    va = reference_vertex_table(A)
-    witness = None
-    squares = ambiguous = 0
-    for n in range(N + 1):
-        for j in range(n + 1):
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for x in range(A.cells[n]):
-                buckets.setdefault((h.level[n][x], va[n][x][j]), []).append(x)
-            squares += len(buckets)
-            best = None
-            for (u, a), xs in buckets.items():
-                if len(xs) > 1:
-                    ambiguous += 1
-                    pair = (xs[0], xs[1], u, a)
-                    if best is None or pair < best:
-                        best = pair
-            if witness is None and best is not None:
-                witness = AmbiguousLift(n, j, best[2], best[3], best[0], best[1])
-    stats = {"squares": squares, "ambiguous": ambiguous}
-    return CheckReport("separable-lifting", witness is None, witness, stats)
 
 
 # Tools the tests use that the library itself does not need: the action of
@@ -866,9 +709,9 @@ def component_object(part: ComponentPartition, truncation: int) -> TruncatedSSet
     return discrete_sset(part.count, truncation)
 
 
-def component_unit(X: TruncatedSSet, part: ComponentPartition | None = None) -> SimplicialMap:
+def component_unit(X: TruncatedSSet) -> SimplicialMap:
     """Unit X -> discrete(components), sending a simplex to its class."""
-    part = part or pi0(X)
+    part = pi0(X)
     return SimplicialMap(
         X, component_object(part, X.truncation), [list(r) for r in part.class_of]
     )

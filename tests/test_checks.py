@@ -107,32 +107,12 @@ def test_kan_bound_parameter(named_maps):
 
 def test_checks_match_oracles_on_generated():
     for label, h in _valid_generated(seed=31, count=60):
-        report = separable_via_lifting(h)
-        verdict, first = orc.naive_separable_lifting(h)
-        assert report.verdict == verdict, label
-        if not verdict:
-            w = report.witness
-            assert first == (w.degree, w.vertex, w.base, w.anchor, w.first, w.second)
-
-        report = covering_check(h)
-        verdict, first = orc.naive_covering(h)
-        assert report.verdict == verdict, label
-        if not verdict:
-            w = report.witness
-            got = (
-                ("missing", w.degree, w.vertex, w.base, w.anchor)
-                if isinstance(w, MissingLift)
-                else ("ambiguous", w.degree, w.vertex, w.base, w.anchor, w.first, w.second)
-            )
-            assert first == got, label
-
-        report = kan_check(h)
-        verdict, first = orc.naive_kan(h)
-        assert report.verdict == verdict, label
-        if not verdict:
-            w = report.witness
-            assert first == (w.degree, w.horn, w.base, w.faces), label
-
+        for got, want in (
+            (separable_via_lifting(h), orc.naive_separable_lifting(h)),
+            (covering_check(h), orc.naive_covering(h)),
+            (kan_check(h), orc.naive_kan(h)),
+        ):
+            assert got.to_doc() == want.to_doc(), (label, got.check)
         assert separable_direct(h).verdict == separable_via_lifting(h).verdict, label
 
 
@@ -371,7 +351,7 @@ def test_kan_check_matches_reference(differential_maps):
     negative = 0
     for name, h in maps:
         for bound in (None, 1, 2):
-            want = orc.reference_kan_check(h, bound)
+            want = orc.naive_kan(h, bound)
             assert kan_check(h, bound).to_doc() == want.to_doc(), (name, bound)
             negative += not want.verdict
     assert negative >= 30
@@ -380,10 +360,22 @@ def test_kan_check_matches_reference(differential_maps):
 def test_lift_checks_match_reference(differential_maps):
     negative = 0
     for name, h in differential_maps:
-        want = orc.reference_covering_check(h)
+        want = orc.naive_covering(h)
         assert covering_check(h).to_doc() == want.to_doc(), name
         negative += not want.verdict
-        want = orc.reference_separable_via_lifting(h)
+        want = orc.naive_separable_lifting(h)
         assert separable_via_lifting(h).to_doc() == want.to_doc(), name
         negative += not want.verdict
+    assert negative >= 30
+
+
+def test_separable_direct_matches_oracle(differential_maps):
+    negative = 0
+    for name, h in differential_maps:
+        if name.startswith("diagonal:"):
+            continue
+        want = orc.naive_injection_cartesian(diagonal(h).delta).to_doc()
+        want["check"] = "separable-direct"
+        assert separable_direct(h).to_doc() == want, name
+        negative += not want["verdict"]
     assert negative >= 30

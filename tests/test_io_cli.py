@@ -325,6 +325,10 @@ def test_cli_standard(tmp_path, capsys):
     capsys.readouterr()
     assert main(["standard", "moebius:1"]) == 2
     capsys.readouterr()
+    # a missing parameter is invalid input, not a crash
+    for spec in ("simplex", "boundary"):
+        assert main(["standard", spec]) == 2
+        assert capsys.readouterr().err == f"error: {spec} takes 1 parameter\n"
 
 
 def test_cli_argparse_rejects_unknown_choices():

@@ -162,3 +162,16 @@ def test_spec_check_rejects_bad_parameters():
     ):
         with pytest.raises(ValueError):
             build_standard(spec, 4)
+
+
+def test_parse_spec_names_the_arity():
+    for text, want in (
+        ("simplex", "simplex takes 1 parameter"),
+        ("boundary", "boundary takes 1 parameter"),
+        ("horn:2", "horn takes 2 parameters"),
+        ("simplex:2:3", "simplex takes 1 parameter"),
+    ):
+        with pytest.raises(ValueError, match=want):
+            parse_spec(text)
+    with pytest.raises(ValueError, match="circle takes no parameters"):
+        StandardObjectSpec("circle", (1,)).check()
