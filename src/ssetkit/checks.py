@@ -85,81 +85,80 @@ def covering_check(h: SimplicialMap) -> CheckReport:
     return CheckReport("covering", witness is None, witness, stats)
 
 
-def _compatible_families(
-    cands: list[int],
-    later: list[dict[int, list[int]]],
-    slots: list[int],
-    face_row: list[list[int]],
-) -> list[tuple[int, ...]]:
-    """The compatible families over one horn, in lexicographic order.
-
-    face_row is the face table one degree down.  Compatibility: for slots
-    i < j, d_i(y_j) = d_{j-1}(y_i).  cands lists the candidates for the
-    first slot.  For p >= 1, later[p - 1][v] lists, in ascending order, the
-    candidates y for slot p with d_{slots[0]}(y) = v, so the constraint
-    against the first slot is one lookup and only slots 1..p-1 are tested.  Families are
-    extended slot by slot, each keeping its candidates' order, so they come
-    out in the order of a full backtracking scan over (y_0, y_1, ...).
-    """
-    families = [(y,) for y in cands]
-    for p in range(1, len(slots)):
-        own, look = face_row[slots[p] - 1], later[p - 1]
-        families = [fam + (y,) for fam in families for y in look.get(own[fam[0]], ())]
-        for q in range(1, p):
-            row = face_row[slots[q]]
-            families = [fam for fam in families if row[fam[p]] == own[fam[q]]]
-    return families
-
-
 def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
     """Horn filling against the base, for all horns of degree <= bound.
 
     Every compatible family (y_i) over the faces of a base cell u must admit
     x with d_i(x) = y_i and h(x) = u.  The witness is the first unfillable
     horn in (degree, horn index, base cell, family) order, families in
-    lexicographic order.  Families are enumerated by lookup: at degree n
-    each fiber of degree n-1 is grouped by its d_0 and by its d_1, the face
-    that the first compatibility test of a later slot reads, so a slot's
-    candidates come from one dict instead of a scan of the fiber.  A
-    negative bound raises ValueError.
+    lexicographic order.
+
+    Each (n, k) is one join over all base cells u at once, on tuples
+    (u, y_0, y_1, ...) built u-major and lexicographic within u, which is
+    the witness order.  Slot 0 takes the fiber over d_{slots[0]} u.
+    Compatibility of slots i < j is d_i(y_j) = d_{j-1}(y_i); against slot 0
+    it fixes d_{slots[0]} y_p, so the degree-(n-1) cells y are indexed by
+    the int b * |A_{n-2}| + v for their base b and v = d_0 y (d_1 y when
+    k = 0), and every later slot takes its candidates with one lookup.
+    Slot 1 is joined in the same pass as slot 0, and each later slot is
+    tested against slot 1 as it is joined; the other slot-to-slot tests
+    filter the whole list.  A family is filled when it is the (image, horn
+    faces) tuple of an n-cell.  A negative bound raises ValueError.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"kan bound must be >= 0, got {bound}")
     A, B = h.source, h.target
     N = A.truncation
     bound = N if bound is None else min(bound, N)
-    fibers = [_fibers(h, n) for n in range(bound + 1)]
     witness = None
     horns = missing = 0
     for n in range(1, bound + 1):
+        fiber = _fibers(h, n - 1)
         face_row = A.face[n - 1] if n >= 2 else []
-        # by_face[i][b][v]: the y over b with d_i y = v, ascending; i = slots[0]
-        by_face: list[dict[int, dict[int, list[int]]]] = []
+        width = A.cells[n - 2] if n >= 2 else 0
+        # by_face[i][b * width + v]: the y over b with d_i y = v, ascending
+        by_face: list[dict[int, list[int]]] = []
         for i in range(2) if n >= 2 else ():
-            groups: dict[int, dict[int, list[int]]] = {}
-            for b, ys in fibers[n - 1].items():
-                at_b = groups[b] = {}
-                for y in ys:
-                    at_b.setdefault(face_row[i][y], []).append(y)
-            by_face.append(groups)
+            index: dict[int, list[int]] = {}
+            for y, (b, v) in enumerate(zip(h.level[n - 1], face_row[i])):
+                index.setdefault(b * width + v, []).append(y)
+            by_face.append(index)
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
-            groups = by_face[slots[0]] if by_face else {}
-            # horn_of[x]: the faces of x in the slots, the horn x fills
-            horn_of = list(zip(*(A.face[n][i] for i in slots)))
-            for u in range(B.cells[n]):
-                bases = [B.face[n][i][u] for i in slots]
-                if any(b not in fibers[n - 1] for b in bases):
-                    continue
-                cands = fibers[n - 1][bases[0]]
-                later = [groups[b] for b in bases[1:]]
-                families = _compatible_families(cands, later, slots, face_row)
-                filled = {horn_of[x] for x in fibers[n].get(u, ())}
-                unfilled = [fam for fam in families if fam not in filled]
-                horns += len(families)
-                missing += len(unfilled)
-                if witness is None and unfilled:
-                    witness = MissingHornFiller(n, k, u, tuple(zip(slots, unfilled[0])))
+            base = [B.face[n][i] for i in slots]
+            if n == 1:
+                families = [(u, y) for u, b in enumerate(base[0]) for y in fiber.get(b, ())]
+            else:
+                # slots 0 and 1 in one pass: y_1 is looked up under d_{slots[1]} u
+                # and v = d_{slots[1]-1} y_0
+                look = by_face[slots[0]]
+                offset = [b * width for b in base[1]]
+                own = face_row[slots[1] - 1]
+                families = [
+                    (u, y0, y1)
+                    for u, (b, off) in enumerate(zip(base[0], offset))
+                    for y0 in fiber.get(b, ())
+                    for y1 in look.get(off + own[y0], ())
+                ]
+            for p in range(2, len(slots)):
+                offset = [b * width for b in base[p]]
+                own, first = face_row[slots[p] - 1], face_row[slots[1]]
+                families = [
+                    fam + (y,)
+                    for fam in families
+                    for y in look.get(offset[fam[0]] + own[fam[1]], ())
+                    if first[y] == own[fam[2]]
+                ]
+                for q in range(2, p):
+                    row = face_row[slots[q]]
+                    families = [fam for fam in families if row[fam[p + 1]] == own[fam[q + 1]]]
+            filled = set(zip(h.level[n], *(A.face[n][i] for i in slots)))
+            unfilled = [fam for fam in families if fam not in filled]
+            horns += len(families)
+            missing += len(unfilled)
+            if witness is None and unfilled:
+                u, *ys = unfilled[0]
+                witness = MissingHornFiller(n, k, u, tuple(zip(slots, ys)))
     stats = {"horns": horns, "missing": missing}
     return CheckReport("kan", witness is None, witness, stats)
 

@@ -10,6 +10,8 @@ forgotten; everything below is stored explicitly, including degenerate cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
@@ -109,7 +111,13 @@ class TruncatedSSet:
         return False
 
     def nondegenerate(self, n: int) -> list[bool]:
-        return [not self.is_degenerate(n, x) for x in range(self.cells[n])]
+        """Whether each n-cell is nondegenerate: is_degenerate, one i-row at a time."""
+        flags, cells = [True] * self.cells[n], range(self.cells[n])
+        for i in range(n):
+            round_trip = map(self.degeneracy[n - 1][i].__getitem__, self.face[n][i])
+            for x in compress(cells, map(eq, cells, round_trip)):
+                flags[x] = False
+        return flags
 
     @property
     def nondegenerate_dim(self) -> int:
@@ -194,7 +202,7 @@ def _shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
         for i, row in enumerate(X.face[n]):
             if len(row) != X.cells[n]:
                 return ValidationFailure("shape", n, {"reason": "face row length", "i": i})
-            if any(not (0 <= v < X.cells[n - 1]) for v in row):
+            if row and (min(row) < 0 or max(row) >= X.cells[n - 1]):
                 return ValidationFailure("shape", n, {"reason": "face out of range", "i": i})
     for n in range(N):
         if len(X.degeneracy[n]) != n + 1:
@@ -204,7 +212,7 @@ def _shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
                 return ValidationFailure(
                     "shape", n, {"reason": "degeneracy row length", "i": i}
                 )
-            if any(not (0 <= v < X.cells[n + 1]) for v in row):
+            if row and (min(row) < 0 or max(row) >= X.cells[n + 1]):
                 return ValidationFailure(
                     "shape", n, {"reason": "degeneracy out of range", "i": i}
                 )
@@ -214,8 +222,13 @@ def _shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
 def validate(X: TruncatedSSet) -> ValidationReport:
     """Check the simplicial identities on every stored degree.
 
-    Stops at the first violated identity instance and reports its law,
-    indices and simplex.  A missing buffer degree (nondegenerate cells at the
+    Reports the first violated identity instance: its law, indices and
+    simplex.  Instances are scanned in (n, j, i, x) order for the laws dd
+    and ss, and in (n, j, x, i) order for ds.  Each (n, i, j) composes two
+    table rows and compares them whole; only a pair that differs is scanned
+    for its first bad x.  The shape is checked first, with one min and max
+    per row, and the degenerate cells for has_buffer are found one i-row at
+    a time.  A missing buffer degree (nondegenerate cells at the
     truncation) is reported via ``has_buffer``, not as a failure.  It is
     read off the cells whenever the shape is sound, after an identity
     failure too; after a shape failure it is False.
@@ -223,9 +236,14 @@ def validate(X: TruncatedSSet) -> ValidationReport:
     bad = _shape_failure(X)
     if bad is not None:
         return ValidationReport(failure=bad, has_buffer=False)
-    # every table entry is in range now, so is_degenerate reads only cells
+    # every table entry is in range now, so the degeneracy test reads only cells
     has_buffer = X.nondegenerate_dim < X.truncation
     return ValidationReport(failure=_identity_failure(X), has_buffer=has_buffer)
+
+
+def _first_difference(got: list[int], want: list[int]) -> int:
+    """The least index at which two rows of equal length differ."""
+    return next(x for x, (g, w) in enumerate(zip(got, want)) if g != w)
 
 
 def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
@@ -239,31 +257,37 @@ def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
     for n in range(2, N + 1):
         for j in range(n + 1):
             for i in range(j):
-                for x in range(X.cells[n]):
-                    if fc[n - 1][i][fc[n][j][x]] != fc[n - 1][j - 1][fc[n][i][x]]:
-                        return failure(n, "dd", i, j, x)
+                got = list(map(fc[n - 1][i].__getitem__, fc[n][j]))
+                want = list(map(fc[n - 1][j - 1].__getitem__, fc[n][i]))
+                if got != want:
+                    return failure(n, "dd", i, j, _first_difference(got, want))
     # s_i s_j = s_{j+1} s_i for i <= j
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                for x in range(X.cells[n]):
-                    if dg[n + 1][i][dg[n][j][x]] != dg[n + 1][j + 1][dg[n][i][x]]:
-                        return failure(n, "ss", i, j, x)
-    # d_i s_j, split into the three ranges
+                got = list(map(dg[n + 1][i].__getitem__, dg[n][j]))
+                want = list(map(dg[n + 1][j + 1].__getitem__, dg[n][i]))
+                if got != want:
+                    return failure(n, "ss", i, j, _first_difference(got, want))
+    # d_i s_j, split into the three ranges; x is scanned before i, so the
+    # failure is the least (x, i) among the failing rows of one (n, j)
     for n in range(N):
+        ident = list(range(X.cells[n]))
         for j in range(n + 1):
-            for x in range(X.cells[n]):
-                sx = dg[n][j][x]
-                for i in range(n + 2):
-                    got = fc[n + 1][i][sx]
-                    if i == j or i == j + 1:
-                        want = x
-                    elif i < j:
-                        want = dg[n - 1][j - 1][fc[n][i][x]]
-                    else:
-                        want = dg[n - 1][j][fc[n][i - 1][x]]
-                    if got != want:
-                        return failure(n, "ds", i, j, x)
+            bad = []
+            for i in range(n + 2):
+                got = list(map(fc[n + 1][i].__getitem__, dg[n][j]))
+                if i == j or i == j + 1:
+                    want = ident
+                elif i < j:
+                    want = list(map(dg[n - 1][j - 1].__getitem__, fc[n][i]))
+                else:
+                    want = list(map(dg[n - 1][j].__getitem__, fc[n][i - 1]))
+                if got != want:
+                    bad.append((_first_difference(got, want), i))
+            if bad:
+                x, i = min(bad)
+                return failure(n, "ds", i, j, x)
     return None
 
 

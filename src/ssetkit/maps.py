@@ -8,6 +8,7 @@ from .core import (
     TruncatedSSet,
     ValidationFailure,
     ValidationReport,
+    _first_difference,
     discrete_sset,
     disjoint_union,
     validate,
@@ -51,22 +52,29 @@ def _map_failure(f: SimplicialMap) -> ValidationFailure | None:
     if len(f.level) != N + 1:
         return ValidationFailure("shape", -1, {"reason": "level table length"})
     for n in range(N + 1):
-        if len(f.level[n]) != A.cells[n]:
+        row = f.level[n]
+        if len(row) != A.cells[n]:
             return ValidationFailure("shape", n, {"reason": "level row length"})
-        if any(not (0 <= v < B.cells[n]) for v in f.level[n]):
+        if row and (min(row) < 0 or max(row) >= B.cells[n]):
             return ValidationFailure("shape", n, {"reason": "level out of range"})
+    # naturality compares composed rows whole; a differing pair is scanned
+    # for its first bad x
     for n in range(1, N + 1):
         for i in range(n + 1):
-            for x in range(A.cells[n]):
-                if f.level[n - 1][A.face[n][i][x]] != B.face[n][i][f.level[n][x]]:
-                    return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
+            got = list(map(f.level[n - 1].__getitem__, A.face[n][i]))
+            want = list(map(B.face[n][i].__getitem__, f.level[n]))
+            if got != want:
+                x = _first_difference(got, want)
+                return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
     for n in range(N):
         for i in range(n + 1):
-            for x in range(A.cells[n]):
-                if f.level[n + 1][A.degeneracy[n][i][x]] != B.degeneracy[n][i][f.level[n][x]]:
-                    return ValidationFailure(
-                        "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
-                    )
+            got = list(map(f.level[n + 1].__getitem__, A.degeneracy[n][i]))
+            want = list(map(B.degeneracy[n][i].__getitem__, f.level[n]))
+            if got != want:
+                x = _first_difference(got, want)
+                return ValidationFailure(
+                    "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
+                )
     return None
 
 

@@ -9,6 +9,7 @@ from a nondegenerate skeleton.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -255,11 +256,17 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
 
 
 def parse_spec(text: str) -> StandardObjectSpec:
-    """Parse and check a compact spec string such as "simplex:2" or "horn:2:1"."""
-    bits = text.split(":")
-    kind, args = bits[0], tuple(int(b) for b in bits[1:])
+    """Parse and check a compact spec string such as "simplex:2" or "horn:2:1".
+
+    A parameter is an optional minus sign and ASCII digits, nothing else:
+    no spaces, underscores, plus signs or other scripts' digits.
+    """
+    kind, *params = text.split(":")
     if kind not in _ARITY:
         raise ValueError(f"unknown standard kind {kind!r}")
-    spec = StandardObjectSpec(kind, args)
+    for p in params:
+        if not re.fullmatch("-?[0-9]+", p):
+            raise ValueError(f"spec {text!r}: parameter {p!r} is not an integer")
+    spec = StandardObjectSpec(kind, tuple(int(p) for p in params))
     spec.check()
     return spec

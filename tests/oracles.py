@@ -12,7 +12,7 @@ import itertools
 import random
 
 from ssetkit.components import ComponentPartition, _UnionFind, pi0
-from ssetkit.core import TruncatedSSet, discrete_sset
+from ssetkit.core import TruncatedSSet, ValidationFailure, discrete_sset
 from ssetkit.groupoids import FiniteGroupoid, cyclic_group_groupoid, nerve
 from ssetkit.limits import FiberProduct, product
 from ssetkit.maps import SimplicialMap, cyclic_cover_projection, terminal_map
@@ -100,6 +100,128 @@ def ez_peel_greatest(X: TruncatedSSet, n: int, x: int) -> tuple[tuple[int, ...],
         else:
             break
     return tuple(phi), deg, y
+
+
+def _naive_shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
+    """Table lengths, then every entry's range, one entry at a time."""
+
+    def bad(degree: int, reason: str, **where) -> ValidationFailure:
+        return ValidationFailure("shape", degree, {"reason": reason, **where})
+
+    N = X.truncation
+    if N < 0:
+        return bad(-1, "negative truncation")
+    if len(X.cells) != N + 1 or any(c < 0 for c in X.cells):
+        return bad(-1, "bad cell counts")
+    if len(X.face) != N + 1:
+        return bad(-1, "face table length")
+    if len(X.degeneracy) != N:
+        return bad(-1, "degeneracy table length")
+    for table, degrees, step, name in (
+        (X.face, range(1, N + 1), -1, "face"),
+        (X.degeneracy, range(N), 1, "degeneracy"),
+    ):
+        for n in degrees:
+            if len(table[n]) != n + 1:
+                return bad(n, f"{name} row count")
+            for i in range(n + 1):
+                if len(table[n][i]) != X.cells[n]:
+                    return bad(n, f"{name} row length", i=i)
+                for x in range(X.cells[n]):
+                    if not 0 <= table[n][i][x] < X.cells[n + step]:
+                        return bad(n, f"{name} out of range", i=i)
+    return None
+
+
+def naive_identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
+    """The first failure validate(X) reports, one law instance at a time.
+
+    The shape comes first.  Then the laws dd (d_i d_j = d_{j-1} d_i, i < j)
+    and ss (s_i s_j = s_{j+1} s_i, i <= j) are scanned in (n, j, i, x)
+    order, and ds (d_i s_j) in (n, j, x, i) order: x before i.
+    """
+    shape = _naive_shape_failure(X)
+    if shape is not None:
+        return shape
+    N = X.truncation
+
+    def failure(n: int, law: str, i: int, j: int, x: int) -> ValidationFailure:
+        return ValidationFailure("identity", n, {"law": law, "i": i, "j": j, "simplex": x})
+
+    for n in range(2, N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                for x in range(X.cells[n]):
+                    if X.d(n - 1, i, X.d(n, j, x)) != X.d(n - 1, j - 1, X.d(n, i, x)):
+                        return failure(n, "dd", i, j, x)
+    for n in range(N - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                for x in range(X.cells[n]):
+                    if X.s(n + 1, i, X.s(n, j, x)) != X.s(n + 1, j + 1, X.s(n, i, x)):
+                        return failure(n, "ss", i, j, x)
+    for n in range(N):
+        for j in range(n + 1):
+            for x in range(X.cells[n]):
+                for i in range(n + 2):
+                    if i < j:
+                        want = X.s(n - 1, j - 1, X.d(n, i, x))
+                    elif i > j + 1:
+                        want = X.s(n - 1, j, X.d(n, i - 1, x))
+                    else:
+                        want = x
+                    if X.d(n + 1, i, X.s(n, j, x)) != want:
+                        return failure(n, "ds", i, j, x)
+    return None
+
+
+def naive_map_failure(f: SimplicialMap) -> ValidationFailure | None:
+    """The first failure validate_map(f) reports, one instance at a time.
+
+    The level table's shape, then naturality with the faces in (n, i, x)
+    order, then with the degeneracies in the same order.
+    """
+    A, B = f.source, f.target
+    if A.truncation != B.truncation:
+        return ValidationFailure("shape", -1, {"reason": "truncation mismatch"})
+    N = A.truncation
+    if len(f.level) != N + 1:
+        return ValidationFailure("shape", -1, {"reason": "level table length"})
+    for n in range(N + 1):
+        if len(f.level[n]) != A.cells[n]:
+            return ValidationFailure("shape", n, {"reason": "level row length"})
+        for x in range(A.cells[n]):
+            if not 0 <= f.level[n][x] < B.cells[n]:
+                return ValidationFailure("shape", n, {"reason": "level out of range"})
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            for x in range(A.cells[n]):
+                if f.level[n - 1][A.d(n, i, x)] != B.d(n, i, f.level[n][x]):
+                    return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
+    for n in range(N):
+        for i in range(n + 1):
+            for x in range(A.cells[n]):
+                if f.level[n + 1][A.s(n, i, x)] != B.s(n, i, f.level[n][x]):
+                    return ValidationFailure(
+                        "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
+                    )
+    return None
+
+
+def table_entries(X: TruncatedSSet):
+    """(row, x, bound) for every face and degeneracy entry row[x] of X.
+
+    bound is the cell count of the degree the entry points into, so the
+    in-range values are 0..bound-1.
+    """
+    for n in range(1, X.truncation + 1):
+        for row in X.face[n]:
+            for x in range(X.cells[n]):
+                yield row, x, X.cells[n - 1]
+    for n in range(X.truncation):
+        for row in X.degeneracy[n]:
+            for x in range(X.cells[n]):
+                yield row, x, X.cells[n + 1]
 
 
 def bfs_components(X: TruncatedSSet) -> list[set[int]]:

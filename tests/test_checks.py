@@ -1,6 +1,7 @@
 """Morphism classifiers, their witnesses, and the verdict equivalences."""
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from ssetkit.core import validate
 from ssetkit.harness import GenConfig, gen_morphism
 from ssetkit.io import dumps_canonical
 from ssetkit.limits import diagonal
-from ssetkit.maps import identity_map, terminal_map, validate_map
+from ssetkit.maps import SimplicialMap, fold_map, identity_map, terminal_map, validate_map
 from ssetkit.components import injection_cartesian_check
 from ssetkit.report import (
     AmbiguousLift,
@@ -31,7 +32,7 @@ from ssetkit.report import (
     MissingHornFiller,
     MissingLift,
 )
-from ssetkit.standard import build_standard, parse_spec
+from ssetkit.standard import build_standard, monotone_maps, parse_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -342,11 +343,41 @@ def test_empty_source_is_separable_everywhere(zoo):
     assert kan_check(h).verdict
 
 
+def _horn_inclusion(n, k, truncation):
+    """Lambda^n_k -> Delta^n; both keep their cells as monotone tuples in lex order."""
+    H = build_standard(parse_spec(f"horn:{n}:{k}"), truncation)
+    S = build_standard(parse_spec(f"simplex:{n}"), truncation)
+    level = []
+    for m in range(truncation + 1):
+        tuples = monotone_maps(m, n)
+        at = {t: c for c, t in enumerate(tuples)}
+        level.append([at[t] for t in tuples if len(set(t) | {k}) < n + 1])
+    return SimplicialMap(H, S, level)
+
+
 def test_kan_check_matches_reference(differential_maps):
     cover = build_standard(parse_spec("cyclic-cover:8"), 3)
+    fold = fold_map(build_standard(parse_spec("simplex:3"), 4))
+    triangle = build_standard(parse_spec("simplex:2"), 3)
+    # the base edge 0 -> 2 has an empty fiber, in slot 0 (k = 0) and in a
+    # later slot (k = 2); an empty source makes every |A_{n-2}| zero; the
+    # gluing has degree-4 families that only the test between slots 2 and 3
+    # rejects
+    gluing = gen_morphism(GenConfig(seed=2, trials=0, max_nondegenerate_dim=3), 42)
+    edge_cases = [
+        ("horn:2:1-into-simplex:2", _horn_inclusion(2, 1, 3)),
+        ("empty-into-simplex:2", SimplicialMap(sk.empty_sset(3), triangle, [[]] * 4)),
+        ("gluing:dim-3:seed-2:trial-42", gluing[1]),
+    ]
+    assert gluing[0] == "gluing"
+    for _, h in edge_cases:
+        assert validate_map(h).ok
     maps = differential_maps + [
         ("terminal:cyclic-cover:8", terminal_map(cover)),
         ("cyclic-cover-projection:16", sk.cyclic_cover_projection(16, 3)),
+        ("relabelled:fold:simplex:3", orc.relabel(fold, random.Random(3))),
+        *orc.ladder_maps().items(),
+        *edge_cases,
     ]
     negative = 0
     for name, h in maps:

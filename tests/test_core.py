@@ -75,6 +75,47 @@ def test_report_ok_is_derived_from_its_failure(zoo):
     assert doc == {"kind": "shape", "degree": 1, "reason": "face out of range", "i": 0}
 
 
+def _doc(failure):
+    return None if failure is None else failure.to_doc()
+
+
+def test_validate_matches_oracle_on_every_single_entry_tamper(zoo):
+    # each face and degeneracy entry set to every other value in -1..bound:
+    # both out-of-range values and every in-range one
+    tampers = failing = 0
+    for name, X0 in zoo.items():
+        X = copy.deepcopy(X0)
+        N = X.truncation
+        for row, x, bound in orc.table_entries(X):
+            keep = row[x]
+            for v in range(-1, bound + 1):
+                if v == keep:
+                    continue
+                row[x] = v
+                report = validate(X)
+                want = orc.naive_identity_failure(X)
+                assert _doc(report.failure) == _doc(want), (name, x, v)
+                if want is None or want.kind != "shape":
+                    # has_buffer is read off the cells after an identity failure too
+                    top_degenerate = all(X.is_degenerate(N, y) for y in range(X.cells[N]))
+                    assert report.has_buffer == top_degenerate, (name, x, v)
+                tampers += 1
+                failing += want is not None
+            row[x] = keep
+    assert tampers > 5000 and failing > 4000
+
+
+def test_ds_law_reports_least_x_before_i():
+    # two vertices, s_0 v = e_v; d_0 e_1 = 0 breaks d_0 s_0 1 = 1 (i=0, x=1)
+    # and d_1 e_0 = 1 breaks d_1 s_0 0 = 0 (i=1, x=0): x is scanned first
+    X = sk.TruncatedSSet(1, [2, 2], [[], [[0, 0], [1, 1]]], [[[0, 1]]])
+    failure = validate(X).failure
+    assert failure.to_doc() == {
+        "kind": "identity", "degree": 0, "law": "ds", "i": 1, "j": 0, "simplex": 0
+    }
+    assert failure == orc.naive_identity_failure(X)
+
+
 def test_every_identity_law_instance(zoo):
     # validate() stops at the first hit; this scan covers them all
     for X in zoo.values():

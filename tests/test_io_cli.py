@@ -329,6 +329,20 @@ def test_cli_standard(tmp_path, capsys):
     for spec in ("simplex", "boundary"):
         assert main(["standard", spec]) == 2
         assert capsys.readouterr().err == f"error: {spec} takes 1 parameter\n"
+    # a parameter is -?[0-9]+: int() would also take these, and 1_0 as 10
+    for spec, param in (
+        ("simplex:1_0", "1_0"),
+        ("simplex:\uff12", "\uff12"),
+        ("simplex: 2", " 2"),
+        ("simplex:2 ", "2 "),
+        ("simplex:+2", "+2"),
+        ("simplex:1:", ""),
+    ):
+        assert main(["standard", spec]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: spec {spec!r}: parameter {param!r} is not an integer\n"
+    assert main(["standard", "simplex:-1"]) == 2
+    assert capsys.readouterr().err == "error: simplex dimension must be >= 0\n"
 
 
 def test_cli_argparse_rejects_unknown_choices():

@@ -1,10 +1,14 @@
 """Simplicial maps: validation, composition, classification, extension."""
 
+import copy
+import random
+
 import pytest
 
 import oracles as orc
 import ssetkit as sk
 from ssetkit.core import validate
+from ssetkit.harness import GenConfig, gen_morphism
 from ssetkit.maps import (
     SimplicialMap,
     classify,
@@ -40,6 +44,73 @@ def test_validate_map_catches_range_and_shape(zoo):
     bad = SimplicialMap(X, X, [list(r) for r in out_of_range.level])
     bad.level[0][0] = 99
     assert not validate_map(bad).ok
+
+
+def _doc(failure):
+    return None if failure is None else failure.to_doc()
+
+
+def test_validate_map_matches_oracle_on_every_single_entry_tamper(zoo):
+    # level entries take every other value in -1..bound; each entry of the
+    # source's tables, which naturality reads through, takes the next value
+    tampers = failing = 0
+    for name, X in zoo.items():
+        for make in (identity_map, terminal_map, fold_map):
+            h = make(X)
+            h = SimplicialMap(copy.deepcopy(h.source), h.target, copy.deepcopy(h.level))
+            entries = [
+                (row, x, range(-1, h.target.cells[n] + 1))
+                for n, row in enumerate(h.level)
+                for x in range(len(row))
+            ]
+            entries += [
+                (row, x, [(row[x] + 1) % b]) for row, x, b in orc.table_entries(h.source)
+            ]
+            for row, x, values in entries:
+                keep = row[x]
+                for v in values:
+                    if v == keep:
+                        continue
+                    row[x] = v
+                    want = orc.naive_map_failure(h)
+                    assert _doc(validate_map(h).failure) == _doc(want), (name, x, v)
+                    tampers += 1
+                    failing += want is not None
+                row[x] = keep
+    assert tampers > 3000 and failing > 2000
+
+
+def test_validators_match_oracles_on_tampered_draws():
+    # generator draws, the corrupted family included, as drawn and then
+    # with one random in-range entry of a table changed, twice over
+    families, kinds = set(), set()
+    for seed in range(5):
+        rng = random.Random(seed)
+        cfg = GenConfig(seed=seed, trials=0)
+        for t in range(30):
+            family, h = gen_morphism(cfg, t)
+            families.add(family)
+            h = copy.deepcopy(h)
+            for _ in range(3):
+                for got, want in (
+                    (validate(h.source), orc.naive_identity_failure(h.source)),
+                    (validate(h.target), orc.naive_identity_failure(h.target)),
+                    (validate_map(h), orc.naive_map_failure(h)),
+                ):
+                    assert _doc(got.failure) == _doc(want), (seed, t)
+                    kinds.add(want and want.kind)
+                entries = [
+                    (row, x, h.target.cells[n])
+                    for n, row in enumerate(h.level)
+                    for x in range(len(row))
+                ]
+                entries += orc.table_entries(h.source)
+                entries += orc.table_entries(h.target)
+                if entries:
+                    row, x, bound = rng.choice(entries)
+                    row[x] = rng.randrange(bound)
+    assert "corrupted" in families
+    assert kinds == {None, "identity", "naturality"}
 
 
 def test_validate_map_requires_equal_truncations(zoo):
