@@ -13,7 +13,9 @@ first read, which is valid because f and g are simplicial: d_i x and d_i y
 again lie over one base cell.  pi0 of the fiber product is taken from the
 pairs by the same arithmetic and builds no tables, so a caller that reads
 only cell counts and components (the separability checks on a diagonal)
-never builds them.
+never builds them.  The levels of the projections are likewise listed
+from the fibers when first read; pi0 reads only the degree-0 pairs, so
+scoring never builds them either.
 
 pi0 visits the edge pairs, not the cells: it merges the vertex pairs of
 each edge pair and stops there.  An n-cell (x, y) lies in the component of
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress
 
 from .components import ComponentPartition, _Rows, _vertex_classes
 from .core import TruncatedSSet, vertex_table
@@ -83,6 +85,41 @@ class _FiberProductObject(TruncatedSSet):
         return TruncatedSSet, (self.truncation, self.cells, self.face, self.degeneracy)
 
 
+class _Projection(SimplicialMap):
+    """A projection of a fiber product, its level built when first read.
+
+    Until level is read, only source and target are stored; the first read
+    builds the level from the fibers and stores it as a plain attribute.
+    Like _FiberProductObject, it equals a SimplicialMap with the same level,
+    in either order, and copies and pickles of it are plain SimplicialMaps.
+    """
+
+    def __init__(
+        self, source: TruncatedSSet, target: TruncatedSSet, level: Callable[[], list]
+    ) -> None:
+        self.source, self.target = source, target
+        self._level = level
+
+    def __getattr__(self, name: str):
+        # reached only while level is not yet stored
+        if name != "level":
+            raise AttributeError(name)
+        self.level = self._level()
+        return self.level
+
+    def __eq__(self, other: object) -> bool:
+        # the dataclass __eq__ requires the exact class on both sides
+        if not isinstance(other, SimplicialMap):
+            return NotImplemented
+        return (self.source, self.target, self.level) == (
+            other.source, other.target, other.level
+        )
+
+    def __reduce_ex__(self, protocol):
+        # copy.copy, copy.deepcopy and pickle: a plain map with the level
+        return SimplicialMap, (self.source, self.target, self.level)
+
+
 @dataclass
 class FiberProduct:
     """The fiber product of f and g with its two projections.
@@ -91,7 +128,9 @@ class FiberProduct:
     and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  object
     builds its face and degeneracy tables when they are first read, and its
     pi0 comes from offset and rank without them, with component sizes
-    counted per fiber and class rows built when read.
+    counted per fiber and class rows built when read.  pr1 and pr2 build
+    their levels when first read; pi0 reads the degree-0 pairs only, so
+    scoring a diagonal never builds them.
     """
 
     object: TruncatedSSet
@@ -113,19 +152,20 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     classes come from the edge pairs; its component sizes are counted per
     fiber from the last-vertex counts of f and g, for the components asked
     about; its class_of rows are built when read.  All of it relies on f
-    and g being simplicial, and nothing checks that at run time.
+    and g being simplicial, and nothing checks that at run time.  The
+    levels of pr1 and pr2 are built on first read too: pi0 reads only the
+    degree-0 pairs, so scoring a diagonal never builds them.
     """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
     X, Y = f.source, g.source
     N = X.truncation
-    # per degree: the pairs as two columns (the levels of pr1 and pr2), and
-    # over_x[n][x], the y with g(y) = f(x) in ascending order
-    left: list[list[int]] = []
-    right: list[list[int]] = []
+    # per degree: over_x[n][x], the y with g(y) = f(x) in ascending order,
+    # and offset[n][x], the number of pairs before x
     over_x: list[list[Sequence[int]]] = []
     offset: list[list[int]] = []
     rank: list[list[int]] = []
+    cells: list[int] = []
     for n in range(N + 1):
         fiber: dict[int, list[int]] = {}
         rank_n = []
@@ -134,18 +174,22 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
             rank_n.append(len(ys))
             ys.append(y)
         over_n = [fiber.get(b, ()) for b in f.level[n]]
-        # x-major with each fiber ascending: already lexicographic
-        offset_n, left_n, right_n = [], [], []
-        for x, ys in enumerate(over_n):
-            offset_n.append(len(right_n))
-            left_n += [x] * len(ys)
-            right_n += ys
-        left.append(left_n)
-        right.append(right_n)
+        offset_n = list(accumulate(map(len, over_n), initial=0))
+        cells.append(offset_n.pop())
         over_x.append(over_n)
         offset.append(offset_n)
         rank.append(rank_n)
-    cells = [len(right_n) for right_n in right]
+
+    # the pairs of degree n as two columns, x-major with each fiber
+    # ascending: already lexicographic
+    def left(n: int) -> list[int]:
+        left_n: list[int] = []
+        for x, ys in enumerate(over_x[n]):
+            left_n += [x] * len(ys)
+        return left_n
+
+    def right(n: int) -> list[int]:
+        return list(chain.from_iterable(over_x[n]))
 
     def table(n: int, m: int, Xt: list[int], Yt: list[int], at_m: Sequence) -> list:
         # at_m[c], c the degree-m cell of (Xt[x], Yt[y]), for every degree-n pair (x, y)
@@ -212,6 +256,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         # union the vertex pairs of each edge pair; an n-cell (x, y) has the
         # class of its last vertex pair, found as offset + rank
         count, vertex_class = _vertex_classes(cells[0], *edge_ends())
+        left_0, right_0 = left(0), right(0)
 
         def row(n: int) -> list[int]:
             return table(n, 0, last_vertices(X, n), last_vertices(Y, n), vertex_class)
@@ -222,7 +267,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
             # a, and mg likewise for Y.  A component's n-cells are the sum over
             # its vertex pairs; pairs of the same two kinds are summed at once.
             keep = list(map(set(components).__contains__, vertex_class))
-            xs, ys = list(compress(left[0], keep)), list(compress(right[0], keep))
+            xs, ys = list(compress(left_0, keep)), list(compress(right_0, keep))
             classes = list(compress(vertex_class, keep))
             vertices = Counter(classes)  # each vertex pair is one 0-cell
             out = {c: [vertices[c]] for c in components}
@@ -242,7 +287,8 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         return ComponentPartition(count, vertex_class, _Rows(first, N + 1, row), count_cells)
 
     P = _FiberProductObject(N, cells, tables, partition)
-    pr1, pr2 = SimplicialMap(P, X, left), SimplicialMap(P, Y, right)
+    pr1 = _Projection(P, X, lambda: [left(n) for n in range(N + 1)])
+    pr2 = _Projection(P, Y, lambda: [right(n) for n in range(N + 1)])
     return FiberProduct(P, pr1, pr2, offset, rank)
 
 

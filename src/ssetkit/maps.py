@@ -9,6 +9,7 @@ from .core import (
     ValidationFailure,
     ValidationReport,
     _first_difference,
+    _shape_failure,
     discrete_sset,
     disjoint_union,
     validate,
@@ -40,12 +41,23 @@ def identity_map(X: TruncatedSSet) -> SimplicialMap:
 
 
 def validate_map(f: SimplicialMap) -> ValidationReport:
-    """Check totality and naturality, reporting the first violation."""
+    """Check totality and naturality, reporting the first violation.
+
+    The shapes of the source and the target are checked first, with one
+    min and max per row: a malformed end is a "shape" failure whose detail
+    names the end.  The ends' simplicial identities are not checked here:
+    validate_parts checks them first.
+    """
     return ValidationReport(failure=_map_failure(f))
 
 
 def _map_failure(f: SimplicialMap) -> ValidationFailure | None:
     A, B = f.source, f.target
+    # every table entry of both ends is in range before any row is composed
+    for end, X in (("source", A), ("target", B)):
+        bad = _shape_failure(X)
+        if bad is not None:
+            return ValidationFailure("shape", bad.degree, {"end": end, **bad.detail})
     if A.truncation != B.truncation:
         return ValidationFailure("shape", -1, {"reason": "truncation mismatch"})
     N = A.truncation

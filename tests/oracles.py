@@ -178,10 +178,15 @@ def naive_identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
 def naive_map_failure(f: SimplicialMap) -> ValidationFailure | None:
     """The first failure validate_map(f) reports, one instance at a time.
 
-    The level table's shape, then naturality with the faces in (n, i, x)
-    order, then with the degeneracies in the same order.
+    The shapes of the source and the target, then the level table's shape,
+    then naturality with the faces in (n, i, x) order, then with the
+    degeneracies in the same order.
     """
     A, B = f.source, f.target
+    for end, X in (("source", A), ("target", B)):
+        bad = _naive_shape_failure(X)
+        if bad is not None:
+            return ValidationFailure("shape", bad.degree, {"end": end, **bad.detail})
     if A.truncation != B.truncation:
         return ValidationFailure("shape", -1, {"reason": "truncation mismatch"})
     N = A.truncation

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import pickle
 from collections import Counter
 
@@ -14,8 +15,10 @@ from ssetkit.components import pi0
 from ssetkit.core import TruncatedSSet, validate
 from ssetkit.groupoids import cyclic_group_groupoid, nerve
 from ssetkit.harness import _witness_audit, evaluate_instance
+from ssetkit.io import dumps_canonical, map_from_doc, map_to_doc
 from ssetkit.limits import diagonal, product, pullback
 from ssetkit.maps import (
+    SimplicialMap,
     compose,
     identity_map,
     point_inclusion,
@@ -222,6 +225,9 @@ def test_scoring_builds_no_fiber_product_tables(differential_maps):
         assert _witness_audit(h, v, dd) == [], name
         assert revalidate_witness(h, v.direct), name
         assert not _tables_built(dd.fiber_product.object), name
+        # nor any projection level: pi0 reads the degree-0 pairs only
+        assert "level" not in vars(dd.fiber_product.pr1), name
+        assert "level" not in vars(dd.fiber_product.pr2), name
         if name == "cyclic-cover-16":
             # a separable map's diagonal is decided by counts: no class row is built
             assert v.direct.verdict and v.trivial_delta.verdict
@@ -253,6 +259,36 @@ def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
                 assert type(c) is TruncatedSSet and c == P and P == c, (name, read)
                 assert vars(c).keys() == vars(P).keys(), (name, read)
         assert validate(pullback(f, g).object).ok, name
+
+
+def test_lazy_projections_match_reference(zoo, differential_maps):
+    for name, f, g in _reference_cospans(zoo, differential_maps):
+        _, _, _, *want = orc.reference_pullback(f, g)
+        got = pullback(f, g)
+        for pr, ref in zip((got.pr1, got.pr2), want):
+            assert isinstance(pr, SimplicialMap), name
+            # == before the first level read, in both orders, and after it
+            assert "level" not in vars(pr) and pr == ref, name
+            assert "level" in vars(pr) and ref == pr, name
+        # with the reference on the left before the first read
+        fresh = pullback(f, g)
+        assert want[0] == fresh.pr1 and want[1] == fresh.pr2, name
+        for read in (False, True):
+            pr = pullback(f, g).pr2
+            if read:
+                pr.level
+            copies = [copy.copy(pr), copy.deepcopy(pr), pickle.loads(pickle.dumps(pr))]
+            for c in copies:
+                assert type(c) is SimplicialMap and c == want[1] and want[1] == c, (name, read)
+                assert vars(c).keys() == vars(want[1]).keys(), (name, read)
+
+
+def test_projection_round_trips_as_an_instance():
+    circle = build_standard(circle_spec(), 3)
+    h = product(circle, nerve(cyclic_group_groupoid(3), 3)).pr1
+    back = map_from_doc(json.loads(dumps_canonical(map_to_doc(h))))
+    assert type(back) is SimplicialMap and back == h and h == back
+    assert evaluate_instance(back) == evaluate_instance(h)
 
 
 def _rows_built(part) -> list[int]:

@@ -50,6 +50,24 @@ def _doc(failure):
     return None if failure is None else failure.to_doc()
 
 
+@pytest.mark.parametrize("value", [7, -1])
+def test_validate_map_reports_a_malformed_end(value):
+    # an out-of-range face entry of an end is a shape failure naming that
+    # end: 7 used to raise IndexError, and -1 wrapped around into a naturality failure
+    X = build_standard(simplex_spec(1), 2)
+    bad = copy.deepcopy(X)
+    bad.face[1][0][0] = value
+    level = identity_map(X).level
+    for h, end in (
+        (SimplicialMap(bad, bad, level), "source"),
+        (SimplicialMap(X, bad, level), "target"),
+    ):
+        failure = validate_map(h).failure
+        want = {"kind": "shape", "degree": 1, "end": end, "reason": "face out of range", "i": 0}
+        assert failure.to_doc() == want, end
+        assert _doc(orc.naive_map_failure(h)) == want, end
+
+
 def test_validate_map_matches_oracle_on_every_single_entry_tamper(zoo):
     # level entries take every other value in -1..bound; each entry of the
     # source's tables, which naturality reads through, takes the next value
