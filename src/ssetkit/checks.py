@@ -363,8 +363,7 @@ class CoveringAgreement:
 
 def separability_agreement(h: SimplicialMap) -> SeparabilityAgreement:
     """Compare the diagonal and lifting characterizations of separability."""
-    dd = diagonal(h)
-    return SeparabilityAgreement(separable_direct(h, dd), separable_via_lifting(h))
+    return SeparabilityAgreement(separable_direct(h), separable_via_lifting(h))
 
 
 def covering_agreement(h: SimplicialMap) -> CoveringAgreement:

@@ -71,14 +71,16 @@ class _UnionFind:
 
 
 class _Rows(Sequence):
-    """A list of rows whose rows after the first are built when first read.
+    """A list of rows, each built when first read.
 
     rows[n] is row(n) on its first read and is kept from then on.  It reads
-    like a list of lists: indexing, iteration, len, and == with a list.
+    like a list of lists: indexing, slices, iteration, len, and == with a
+    list, in either order.  copy.copy, copy.deepcopy and pickle give the
+    plain list of its rows.
     """
 
-    def __init__(self, first: list[int], degrees: int, row: Callable[[int], list[int]]):
-        self._built = {0: first}
+    def __init__(self, degrees: int, row: Callable[[int], list]):
+        self._built: dict[int, list] = {}
         self._degrees, self._row = degrees, row
 
     def __len__(self) -> int:
@@ -102,6 +104,10 @@ class _Rows(Sequence):
     def __repr__(self) -> str:
         return repr(list(self))
 
+    def __reduce_ex__(self, protocol):
+        # copy.copy, copy.deepcopy and pickle: the plain list of the rows
+        return list, (list(self),)
+
 
 @dataclass
 class ComponentPartition:
@@ -109,11 +115,11 @@ class ComponentPartition:
 
     Components are numbered by least vertex index.  class_of[n][x] is the
     component of every vertex of x.  class_of is a list of rows, or (for a
-    fiber product) a sequence that builds each row when it is first read
-    and compares equal to the list of its rows.  sizes() counts the cells
-    of a component per degree: with count_cells, which fiber products
-    supply, only the components asked about are counted and no row is
-    read; without it, every component is counted off class_of at once.
+    fiber product) a _Rows that builds each row, degree 0 included, when it
+    is first read.  sizes() counts the cells of a component per degree:
+    with count_cells, which fiber products supply, only the components
+    asked about are counted and no row is read; without it, every component
+    is counted off class_of at once.
     """
 
     count: int
@@ -143,6 +149,8 @@ class ComponentPartition:
 
 def pi0(X: TruncatedSSet) -> ComponentPartition:
     """The component partition of X, computed once per object and shared.
+
+    pullback stores a fiber product's partition on it when it builds it.
 
     Raises ValueError if some simplex has vertices in two components, which
     the simplicial identities rule out on a validated object.

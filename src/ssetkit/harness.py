@@ -167,32 +167,36 @@ def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
     X = pieces[0] if pieces else build_standard(simplex_spec(0), N)
     for p in pieces[1:]:
         X = disjoint_union(X, p)
-    pairs: list[tuple[int, int, int]] = []
-    for _ in range(int(rng.integers(0, max(2, X.cells[0])))):
-        deg = 0 if (dim == 0 or rng.random() < 0.8) else 1
+    pairs = _random_pairs(rng, X, int(rng.integers(0, max(2, X.cells[0]))), edges=dim > 0)
+    if pairs:
+        X, _ = quotient(X, pairs)
+    return X
+
+
+def _random_pairs(
+    rng: np.random.Generator, X: TruncatedSSet, draws: int, edges: bool
+) -> list[tuple[int, int, int]]:
+    """Up to draws identifications (deg, a, b) of two distinct cells of X.
+
+    Each draw picks the degree, 1 with probability 0.2 if edges else 0,
+    then two cells of that degree, and is kept if they differ.
+    """
+    pairs = []
+    for _ in range(draws):
+        deg = 1 if edges and rng.random() >= 0.8 else 0
         if X.cells[deg] >= 2:
             a = int(rng.integers(0, X.cells[deg]))
             b = int(rng.integers(0, X.cells[deg]))
             if a != b:
                 pairs.append((deg, a, b))
-    if pairs:
-        X, _ = quotient(X, pairs)
-    return X
+    return pairs
 
 
 def _family_gluing(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     roll = rng.random()
     if roll < 0.5:
         X = _gen_object(rng, cfg)
-        pairs = []
-        for _ in range(int(rng.integers(1, 4))):
-            deg = 0 if rng.random() < 0.8 else min(1, X.truncation)
-            if X.cells[deg] >= 2:
-                a = int(rng.integers(0, X.cells[deg]))
-                b = int(rng.integers(0, X.cells[deg]))
-                if a != b:
-                    pairs.append((deg, a, b))
-        return quotient(X, pairs)[1]
+        return quotient(X, _random_pairs(rng, X, int(rng.integers(1, 4)), edges=True))[1]
     if roll < 0.8:
         X = _gen_object(rng, cfg)
         Y = _gen_object(rng, cfg)

@@ -7,15 +7,18 @@ witnesses and serialized instances are reproducible.
 
 Cells are found by arithmetic, not by search: the pairs are x-major, so the
 index of (x, y) at degree n is offset[n][x] (the number of pairs before x)
-plus rank[n][y] (the position of y in its fiber of g).  The face and
-degeneracy tables of the fiber product are filled that way when they are
-first read, which is valid because f and g are simplicial: d_i x and d_i y
-again lie over one base cell.  pi0 of the fiber product is taken from the
-pairs by the same arithmetic and builds no tables, so a caller that reads
-only cell counts and components (the separability checks on a diagonal)
-never builds them.  The levels of the projections are likewise listed
-from the fibers when first read; pi0 reads only the degree-0 pairs, so
-scoring never builds them either.
+plus rank[n][y] (the position of y in its fiber of g).  This is valid
+because f and g are simplicial: d_i x and d_i y again lie over one base
+cell, and so do s_i x and s_i y.
+
+The object and its projections are a plain TruncatedSSet and plain
+SimplicialMaps, but their face, degeneracy and level tables are lazy row
+sequences (components._Rows): each degree is built by that arithmetic on
+its first read and kept.  They compare equal to the lists of their rows,
+and copies and pickles of them are plain lists.  pi0 is stored on the
+object when it is built, from the pairs by the same arithmetic, and reads
+no table of the object: a caller that reads only cell counts and
+components (the separability checks on a diagonal) builds none of them.
 
 pi0 visits the edge pairs, not the cells: it merges the vertex pairs of
 each edge pair and stops there.  An n-cell (x, y) lies in the component of
@@ -30,7 +33,7 @@ one degree at a time, only when that degree is read.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
@@ -39,98 +42,14 @@ from .core import TruncatedSSet, vertex_table
 from .maps import SimplicialMap, terminal_map
 
 
-class _FiberProductObject(TruncatedSSet):
-    """The object of a fiber product, its tables built when first read.
-
-    Until face or degeneracy is read, only truncation and cells are stored;
-    the first read of either builds both and stores them as plain
-    attributes, so later reads cost what they cost on any TruncatedSSet.
-    pi0 is computed from the pairs and builds no tables.  The object equals
-    a TruncatedSSet with the same tables, in either order, and copies and
-    pickles of it are plain TruncatedSSets that carry the tables.
-    """
-
-    def __init__(
-        self,
-        truncation: int,
-        cells: list[int],
-        tables: Callable[[], tuple[list, list]],
-        partition: Callable[[TruncatedSSet], ComponentPartition],
-    ) -> None:
-        self.truncation, self.cells = truncation, cells
-        self._derived = {}
-        self._tables, self._partition = tables, partition
-
-    def __getattr__(self, name: str):
-        # reached only while face and degeneracy are not yet stored
-        if name not in ("face", "degeneracy"):
-            raise AttributeError(name)
-        self.face, self.degeneracy = self._tables()
-        return self.__dict__[name]
-
-    def derived(self, name: str, build: Callable):
-        # components.pi0 asks for "pi0": take it from the pairs instead
-        return super().derived(name, self._partition if name == "pi0" else build)
-
-    def __eq__(self, other: object) -> bool:
-        # the dataclass __eq__ requires the exact class on both sides
-        if not isinstance(other, TruncatedSSet):
-            return NotImplemented
-        return (self.truncation, self.cells) == (other.truncation, other.cells) and (
-            self.face, self.degeneracy
-        ) == (other.face, other.degeneracy)
-
-    def __reduce_ex__(self, protocol):
-        # copy.copy, copy.deepcopy and pickle: a plain object with the tables
-        return TruncatedSSet, (self.truncation, self.cells, self.face, self.degeneracy)
-
-
-class _Projection(SimplicialMap):
-    """A projection of a fiber product, its level built when first read.
-
-    Until level is read, only source and target are stored; the first read
-    builds the level from the fibers and stores it as a plain attribute.
-    Like _FiberProductObject, it equals a SimplicialMap with the same level,
-    in either order, and copies and pickles of it are plain SimplicialMaps.
-    """
-
-    def __init__(
-        self, source: TruncatedSSet, target: TruncatedSSet, level: Callable[[], list]
-    ) -> None:
-        self.source, self.target = source, target
-        self._level = level
-
-    def __getattr__(self, name: str):
-        # reached only while level is not yet stored
-        if name != "level":
-            raise AttributeError(name)
-        self.level = self._level()
-        return self.level
-
-    def __eq__(self, other: object) -> bool:
-        # the dataclass __eq__ requires the exact class on both sides
-        if not isinstance(other, SimplicialMap):
-            return NotImplemented
-        return (self.source, self.target, self.level) == (
-            other.source, other.target, other.level
-        )
-
-    def __reduce_ex__(self, protocol):
-        # copy.copy, copy.deepcopy and pickle: a plain map with the level
-        return SimplicialMap, (self.source, self.target, self.level)
-
-
 @dataclass
 class FiberProduct:
     """The fiber product of f and g with its two projections.
 
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y],
-    and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  object
-    builds its face and degeneracy tables when they are first read, and its
-    pi0 comes from offset and rank without them, with component sizes
-    counted per fiber and class rows built when read.  pr1 and pr2 build
-    their levels when first read; pi0 reads the degree-0 pairs only, so
-    scoring a diagonal never builds them.
+    and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  The
+    tables of object, pr1 and pr2 are built one degree at a time on first
+    read (see the module docstring).
     """
 
     object: TruncatedSSet
@@ -146,15 +65,10 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     """Fiber product of f and g over their shared target.
 
     f and g must be simplicial maps (they must pass validate_map): the
-    tables, built on first read, are filled by offset + rank arithmetic,
-    and pi0 of the object is read off the pairs by the same arithmetic,
-    without the check that each simplex lies in one component.  Its vertex
-    classes come from the edge pairs; its component sizes are counted per
-    fiber from the last-vertex counts of f and g, for the components asked
-    about; its class_of rows are built when read.  All of it relies on f
-    and g being simplicial, and nothing checks that at run time.  The
-    levels of pr1 and pr2 are built on first read too: pi0 reads only the
-    degree-0 pairs, so scoring a diagonal never builds them.
+    tables and pi0 of the object are read off the pairs by offset + rank
+    arithmetic (see the module docstring), without the check that each
+    simplex lies in one component.  All of it relies on f and g being
+    simplicial, and nothing checks that at run time.
     """
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
@@ -198,23 +112,20 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         ry = [rk[v] for v in Yt]
         return [at_m[o + ry[y]] for o, ys in zip(ox, over_x[n]) for y in ys]
 
-    def tables() -> tuple[list, list]:
-        # Table entries are the shared ints of one range per degree, not a
-        # fresh int per entry: the tables are most of a fiber product's memory.
-        ids = [list(range(c)) for c in cells]
-        face: list[list[list[int]]] = [[]]
-        for n in range(1, N + 1):
-            face.append(
-                [table(n, n - 1, X.face[n][i], Y.face[n][i], ids[n - 1]) for i in range(n + 1)]
-            )
-        degeneracy = [
-            [
-                table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i], ids[n + 1])
-                for i in range(n + 1)
-            ]
-            for n in range(N)
+    # Table entries are the shared ints of one range per degree, not a fresh
+    # int per entry: the tables are most of a fiber product's memory.
+    ids = _Rows(N + 1, lambda m: list(range(cells[m])))
+
+    def face(n: int) -> list[list[int]]:
+        if not n:
+            return []
+        return [table(n, n - 1, X.face[n][i], Y.face[n][i], ids[n - 1]) for i in range(n + 1)]
+
+    def degeneracy(n: int) -> list[list[int]]:
+        return [
+            table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i], ids[n + 1])
+            for i in range(n + 1)
         ]
-        return face, degeneracy
 
     def edge_ends() -> tuple[list[int], list[int]]:
         # the vertex pairs d_0 p and d_1 p of each edge pair p = (x, y), less
@@ -252,43 +163,43 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         kind = [kinds.setdefault(frozenset(at_a.items()), len(kinds)) for at_a in at]
         return kind, [dict(items) for items in kinds]
 
-    def partition(_: TruncatedSSet) -> ComponentPartition:
-        # union the vertex pairs of each edge pair; an n-cell (x, y) has the
-        # class of its last vertex pair, found as offset + rank
-        count, vertex_class = _vertex_classes(cells[0], *edge_ends())
-        left_0, right_0 = left(0), right(0)
+    # pi0: union the vertex pairs of each edge pair; an n-cell (x, y) has the
+    # class of its last vertex pair, found as offset + rank
+    count, vertex_class = _vertex_classes(cells[0], *edge_ends())
+    left_0, right_0 = left(0), right(0)
 
-        def row(n: int) -> list[int]:
-            return table(n, 0, last_vertices(X, n), last_vertices(Y, n), vertex_class)
+    def row(n: int) -> list[int]:
+        if not n:
+            return list(vertex_class)
+        return table(n, 0, last_vertices(X, n), last_vertices(Y, n), vertex_class)
 
-        def count_cells(components: list[int]) -> dict[int, list[int]]:
-            # The n-cells over the vertex pair (a, a') number sum_b mf[a][b] *
-            # mg[a'][b], with mf[a][b] the n-cells of X over b with last vertex
-            # a, and mg likewise for Y.  A component's n-cells are the sum over
-            # its vertex pairs; pairs of the same two kinds are summed at once.
-            keep = list(map(set(components).__contains__, vertex_class))
-            xs, ys = list(compress(left_0, keep)), list(compress(right_0, keep))
-            classes = list(compress(vertex_class, keep))
-            vertices = Counter(classes)  # each vertex pair is one 0-cell
-            out = {c: [vertices[c]] for c in components}
-            for n in range(1, N + 1):
-                kind_f, mf = last_vertex_counts(f, n)
-                kind_g, mg = (kind_f, mf) if g is f else last_vertex_counts(g, n)
-                total = dict.fromkeys(components, 0)
-                kinds = zip(map(kind_f.__getitem__, xs), map(kind_g.__getitem__, ys), classes)
-                for (i, j, c), times in Counter(kinds).items():
-                    at_j = mg[j]
-                    total[c] += times * sum(k * at_j.get(b, 0) for b, k in mf[i].items())
-                for c, cells_c in out.items():
-                    cells_c.append(total[c])
-            return out
+    def count_cells(components: list[int]) -> dict[int, list[int]]:
+        # The n-cells over the vertex pair (a, a') number sum_b mf[a][b] *
+        # mg[a'][b], with mf[a][b] the n-cells of X over b with last vertex
+        # a, and mg likewise for Y.  A component's n-cells are the sum over
+        # its vertex pairs; pairs of the same two kinds are summed at once.
+        keep = list(map(set(components).__contains__, vertex_class))
+        xs, ys = list(compress(left_0, keep)), list(compress(right_0, keep))
+        classes = list(compress(vertex_class, keep))
+        vertices = Counter(classes)  # each vertex pair is one 0-cell
+        out = {c: [vertices[c]] for c in components}
+        for n in range(1, N + 1):
+            kind_f, mf = last_vertex_counts(f, n)
+            kind_g, mg = (kind_f, mf) if g is f else last_vertex_counts(g, n)
+            total = dict.fromkeys(components, 0)
+            kinds = zip(map(kind_f.__getitem__, xs), map(kind_g.__getitem__, ys), classes)
+            for (i, j, c), times in Counter(kinds).items():
+                at_j = mg[j]
+                total[c] += times * sum(k * at_j.get(b, 0) for b, k in mf[i].items())
+            for c, cells_c in out.items():
+                cells_c.append(total[c])
+        return out
 
-        first = list(vertex_class)
-        return ComponentPartition(count, vertex_class, _Rows(first, N + 1, row), count_cells)
-
-    P = _FiberProductObject(N, cells, tables, partition)
-    pr1 = _Projection(P, X, lambda: [left(n) for n in range(N + 1)])
-    pr2 = _Projection(P, Y, lambda: [right(n) for n in range(N + 1)])
+    P = TruncatedSSet(N, cells, _Rows(N + 1, face), _Rows(N, degeneracy))
+    partition = ComponentPartition(count, vertex_class, _Rows(N + 1, row), count_cells)
+    P.derived("pi0", lambda _: partition)
+    pr1 = SimplicialMap(P, X, _Rows(N + 1, left))
+    pr2 = SimplicialMap(P, Y, _Rows(N + 1, right))
     return FiberProduct(P, pr1, pr2, offset, rank)
 
 

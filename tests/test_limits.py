@@ -199,8 +199,13 @@ def test_pullback_tables_share_cell_ints():
 
 
 def _tables_built(P) -> bool:
-    # a fiber product's object stores face and degeneracy once they are read
-    return "face" in vars(P) or "degeneracy" in vars(P)
+    # whether any degree of a fiber product's face or degeneracy table is built
+    return bool(P.face._built or P.degeneracy._built)
+
+
+def _level_built(pr) -> bool:
+    # whether any degree of a projection's level is built
+    return bool(pr.level._built)
 
 
 def _reference_cospans(zoo, differential_maps):
@@ -224,14 +229,40 @@ def test_scoring_builds_no_fiber_product_tables(differential_maps):
         v = evaluate_instance(h, dd)
         assert _witness_audit(h, v, dd) == [], name
         assert revalidate_witness(h, v.direct), name
-        assert not _tables_built(dd.fiber_product.object), name
+        fp = dd.fiber_product
+        assert not _tables_built(fp.object), name
         # nor any projection level: pi0 reads the degree-0 pairs only
-        assert "level" not in vars(dd.fiber_product.pr1), name
-        assert "level" not in vars(dd.fiber_product.pr2), name
-        if name == "cyclic-cover-16":
+        assert not _level_built(fp.pr1) and not _level_built(fp.pr2), name
+        if v.direct.verdict:
             # a separable map's diagonal is decided by counts: no class row is built
-            assert v.direct.verdict and v.trivial_delta.verdict
-            assert _rows_built(pi0(dd.fiber_product.object)) == [0]
+            assert v.trivial_delta.verdict, name
+            assert _rows_built(pi0(fp.object)) == [], name
+        if name == "cyclic-cover-16":
+            assert v.direct.verdict, name
+
+
+def test_fiber_product_is_plain_objects(named_maps):
+    fp = pullback(*_cospans()["deck"])
+    P = fp.object
+    # plain classes, before any read
+    assert type(P) is TruncatedSSet, type(P)
+    assert type(fp.pr1) is SimplicialMap and type(fp.pr2) is SimplicialMap
+    assert not _tables_built(P)
+    assert not _level_built(fp.pr1) and not _level_built(fp.pr2)
+    # reading one degree of face builds that degree only
+    P.face[2]
+    assert sorted(P.face._built) == [2] and not P.degeneracy._built
+    h = named_maps["curated:cyclic-double-cover"]
+    want = orc.reference_pullback(h, h)
+    for copier in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        fresh = pullback(h, h)
+        c = copier(fresh)
+        # the copy carries plain lists, and still shares one object between its parts
+        assert type(c.object.face) is list and type(c.object.degeneracy) is list
+        assert type(c.pr1.level) is list and type(c.pr2.level) is list
+        assert c.pr1.source is c.object and c.pr2.source is c.object
+        assert (c.object, c.pr1, c.pr2) == (want[0], want[3], want[4])
+        assert fresh == c and c == fresh
 
 
 def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
@@ -253,7 +284,7 @@ def test_lazy_fiber_product_matches_reference(zoo, differential_maps):
         for read in (False, True):
             obj = pullback(f, g).object
             if read:
-                obj.degeneracy
+                obj.degeneracy[-1:]
             copies = [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
             for c in copies:
                 assert type(c) is TruncatedSSet and c == P and P == c, (name, read)
@@ -266,17 +297,17 @@ def test_lazy_projections_match_reference(zoo, differential_maps):
         _, _, _, *want = orc.reference_pullback(f, g)
         got = pullback(f, g)
         for pr, ref in zip((got.pr1, got.pr2), want):
-            assert isinstance(pr, SimplicialMap), name
+            assert type(pr) is SimplicialMap, name
             # == before the first level read, in both orders, and after it
-            assert "level" not in vars(pr) and pr == ref, name
-            assert "level" in vars(pr) and ref == pr, name
+            assert not _level_built(pr) and pr == ref, name
+            assert len(pr.level._built) == len(pr.level) and ref == pr, name
         # with the reference on the left before the first read
         fresh = pullback(f, g)
         assert want[0] == fresh.pr1 and want[1] == fresh.pr2, name
         for read in (False, True):
             pr = pullback(f, g).pr2
             if read:
-                pr.level
+                pr.level[0]
             copies = [copy.copy(pr), copy.deepcopy(pr), pickle.loads(pickle.dumps(pr))]
             for c in copies:
                 assert type(c) is SimplicialMap and c == want[1] and want[1] == c, (name, read)
@@ -312,7 +343,7 @@ def test_pi0_of_fiber_product_from_pairs(zoo, differential_maps):
         odd = part.sizes(range(1, part.count, 2))
         assert odd == {c: every[c] for c in range(1, want.count, 2)}, name
         assert part.sizes(range(part.count)) == every, name
-        assert _rows_built(part) == [0], name
+        assert _rows_built(part) == [], name
         # each row is built on read, and gives every cell its class
         for n in reversed(range(P.truncation + 1)):
             row = part.class_of[n]

@@ -2,15 +2,20 @@
 
 Verdicts do not depend on how cells are numbered, and coverings, trivial
 coverings and separable maps are stable under pullback, coverings and
-separable maps under composition.
+separable maps under composition.  A lazy row sequence reads like the list
+of its rows.
 """
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import relabel
 import ssetkit as sk
 from ssetkit.checks import covering_check, kan_check, revalidate_witness, separable_direct
-from ssetkit.components import trivial_covering_check
+from ssetkit.components import _Rows, trivial_covering_check
 from ssetkit.core import TruncatedSSet, discrete_sset, disjoint_union, validate
 from ssetkit.harness import GenConfig, evaluate_instance, gen_morphism
 from ssetkit.limits import diagonal, product, pullback
@@ -142,3 +147,41 @@ def test_composites_of_cyclic_covers_are_coverings():
     for f, g in pairs:
         assert covering_check(f).verdict and covering_check(g).verdict
         _assert_closed(_CLOSED_UNDER_COMPOSITION, [f, g], compose(g, f), "cyclic")
+
+
+_COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda rows: pickle.loads(pickle.dumps(rows)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=5), data=st.data())
+def test_lazy_rows_read_like_the_list_of_their_rows(rows, data):
+    calls: list[int] = []
+
+    def lazy() -> _Rows:
+        return _Rows(len(rows), lambda n: calls.append(n) or list(rows[n]))
+
+    got = lazy()
+    for n in data.draw(st.lists(st.integers(-len(rows) - 2, len(rows) + 1)), "indices"):
+        if -len(rows) <= n < len(rows):
+            assert got[n] == rows[n] and got[n] is got[n], n
+        else:
+            with pytest.raises(IndexError):
+                got[n]
+    # each row is built once, on its first read
+    assert sorted(calls) == sorted(set(calls))
+    part = data.draw(st.slices(len(rows)), "slice")
+    assert lazy()[part] == rows[part] and type(lazy()[part]) is list
+    assert list(lazy()) == rows and len(lazy()) == len(rows)
+    assert lazy() == rows and rows == lazy() and lazy() == lazy()
+    other = rows + [[]]
+    assert lazy() != other and other != lazy()
+    for name, copier in _COPIERS.items():
+        for rows_read in (0, len(rows) // 2):
+            orig = lazy()
+            orig[:rows_read]
+            c = copier(orig)
+            assert type(c) is list and c == rows, name
