@@ -165,13 +165,7 @@ class TruncatedSSet:
 
 
 def empty_sset(truncation: int) -> TruncatedSSet:
-    n = truncation
-    return TruncatedSSet(
-        truncation=n,
-        cells=[0] * (n + 1),
-        face=[[]] + [[[] for _ in range(m + 1)] for m in range(1, n + 1)],
-        degeneracy=[[[] for _ in range(m + 1)] for m in range(n)],
-    )
+    return discrete_sset(0, truncation)
 
 
 def discrete_sset(points: int, truncation: int) -> TruncatedSSet:

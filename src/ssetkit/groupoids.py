@@ -87,6 +87,8 @@ def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
     Nerves generally carry nondegenerate simplices at every stored degree, so
     the validation report flags the absent buffer without failing.
     """
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     strings = [_identity_free_strings(G, d) for d in range(truncation + 1)]
     # degree-0 nondegenerate cells are the objects themselves
     counts = [G.n_objects] + [len(strings[d]) for d in range(1, truncation + 1)]

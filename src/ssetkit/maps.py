@@ -14,7 +14,7 @@ from .core import (
     disjoint_union,
     validate,
 )
-from .standard import skeleton_sset, _cyclic_skeleton
+from .standard import _check_buildable, _cyclic_skeleton, cyclic_cover_spec, skeleton_sset
 
 
 @dataclass(eq=True)
@@ -160,7 +160,11 @@ def point_inclusion(X: TruncatedSSet, v: int) -> SimplicialMap:
 
 
 def cyclic_cover_projection(k: int, truncation: int) -> SimplicialMap:
-    """The k-fold cover of the circle, wrapping k vertices and k edges around."""
+    """The k-fold cover of the circle, wrapping k vertices and k edges around.
+
+    k and the truncation are checked as build_standard checks cyclic-cover:k.
+    """
+    _check_buildable(cyclic_cover_spec(k), truncation)
     counts_k, faces_k = _cyclic_skeleton(k)
     counts_1, faces_1 = _cyclic_skeleton(1)
     C, keys_c = skeleton_sset(counts_k, faces_k, truncation)

@@ -1,10 +1,13 @@
 """Builders for the standard finite objects.
 
-Standard simplices are realized concretely: the m-simplices of Delta[n] are
-the monotone maps [m] -> [n], stored as nondecreasing tuples in lexicographic
-order, with faces and degeneracies given by precomposition.  Boundaries and
-horns are the evident subcomplexes.  Circles and cyclic covers are generated
-from a nondegenerate skeleton.
+Every object here is built by one keyed table builder: the m-cells are a
+list of keys in a fixed order, and a face or degeneracy of a cell is
+looked up as the key it names.  For a standard simplex the keys are the
+monotone maps [m] -> [n] as nondecreasing tuples in lexicographic order;
+precomposition with a coface drops an entry, and with a codegeneracy
+repeats one.  Boundaries and horns keep the tuples of the evident
+subcomplexes.  Circles, cyclic covers and nerves are generated from a
+nondegenerate skeleton, keyed by formal cells.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable
+from typing import Callable, Hashable
 
 from .core import TruncatedSSet, disjoint_union
 
@@ -114,32 +117,37 @@ def union_spec(*parts: StandardObjectSpec) -> StandardObjectSpec:
     return StandardObjectSpec("union", parts=tuple(parts))
 
 
+def _object_from_keys(
+    keys: list[list[Hashable]],
+    face_key: Callable[[Hashable, int], Hashable],
+    degeneracy_key: Callable[[Hashable, int], Hashable],
+) -> TruncatedSSet:
+    """The object whose m-cells are keys[m], in order.
+
+    d_i of the m-cell k is the (m-1)-cell face_key(k, i), and s_i of k is
+    the (m+1)-cell degeneracy_key(k, i).
+    """
+    N = len(keys) - 1
+    index = [{k: c for c, k in enumerate(at_m)} for at_m in keys]
+    face: list[list[list[int]]] = [[]] + [
+        [[index[m - 1][face_key(k, i)] for k in keys[m]] for i in range(m + 1)]
+        for m in range(1, N + 1)
+    ]
+    degeneracy = [
+        [[index[m + 1][degeneracy_key(k, i)] for k in keys[m]] for i in range(m + 1)]
+        for m in range(N)
+    ]
+    return TruncatedSSet(N, [len(at_m) for at_m in keys], face, degeneracy)
+
+
 def _tables_from_tuples(
     n: int, truncation: int, keep: Callable[[tuple[int, ...]], bool]
 ) -> TruncatedSSet:
-    per_degree: list[list[tuple[int, ...]]] = []
-    index: list[dict[tuple[int, ...], int]] = []
-    for m in range(truncation + 1):
-        chosen = [t for t in monotone_maps(m, n) if keep(t)]
-        per_degree.append(chosen)
-        index.append({t: c for c, t in enumerate(chosen)})
-    face: list[list[list[int]]] = [[]]
-    for m in range(1, truncation + 1):
-        face.append(
-            [
-                [index[m - 1][compose_monotone(t, delta_op(i, m))] for t in per_degree[m]]
-                for i in range(m + 1)
-            ]
-        )
-    degeneracy = []
-    for m in range(truncation):
-        degeneracy.append(
-            [
-                [index[m + 1][compose_monotone(t, sigma_op(i, m))] for t in per_degree[m]]
-                for i in range(m + 1)
-            ]
-        )
-    return TruncatedSSet(truncation, [len(p) for p in per_degree], face, degeneracy)
+    # t . delta_op(i, m) drops entry i of t, and t . sigma_op(i, m) repeats it
+    keys = [[t for t in monotone_maps(m, n) if keep(t)] for m in range(truncation + 1)]
+    return _object_from_keys(
+        keys, lambda t, i: t[:i] + t[i + 1 :], lambda t, i: t[: i + 1] + t[i:]
+    )
 
 
 # A formal cell is (phi, d, c): the image of the nondegenerate d-cell c under
@@ -175,7 +183,6 @@ def skeleton_sset(
     """
     top = len(counts) - 1
     keys: list[list[FormalCell]] = []
-    index: list[dict[FormalCell, int]] = []
     for m in range(truncation + 1):
         at_m: list[FormalCell] = []
         for d in range(min(m, top) + 1):
@@ -185,27 +192,16 @@ def skeleton_sset(
                     at_m.append((phi, d, c))
         at_m.sort(key=lambda k: (k[1], k[2], k[0]))
         keys.append(at_m)
-        index.append({k: i for i, k in enumerate(at_m)})
-    face: list[list[list[int]]] = [[]]
-    for m in range(1, truncation + 1):
-        rows = []
-        for i in range(m + 1):
-            row = []
-            for phi, d, c in keys[m]:
-                row.append(index[m - 1][_act_on_skeleton(phi[:i] + phi[i + 1 :], d, c, faces_fn)])
-            rows.append(row)
-        face.append(rows)
-    degeneracy = []
-    for m in range(truncation):
-        rows = []
-        for i in range(m + 1):
-            row = []
-            for phi, d, c in keys[m]:
-                row.append(index[m + 1][(phi[: i + 1] + phi[i:], d, c)])
-            rows.append(row)
-        degeneracy.append(rows)
-    X = TruncatedSSet(truncation, [len(k) for k in keys], face, degeneracy)
-    return X, keys
+
+    def face_key(key: FormalCell, i: int) -> FormalCell:
+        phi, d, c = key
+        return _act_on_skeleton(phi[:i] + phi[i + 1 :], d, c, faces_fn)
+
+    def degeneracy_key(key: FormalCell, i: int) -> FormalCell:
+        phi, d, c = key
+        return (phi[: i + 1] + phi[i:], d, c)
+
+    return _object_from_keys(keys, face_key, degeneracy_key), keys
 
 
 def _cyclic_skeleton(k: int):
@@ -218,6 +214,15 @@ def _cyclic_skeleton(k: int):
     return [k, k], faces_fn
 
 
+def _check_buildable(spec: StandardObjectSpec, truncation: int) -> None:
+    """Raise ValueError unless build_standard(spec, truncation) builds."""
+    spec.check()
+    if truncation < spec.nondegenerate_dim() + 1:
+        raise ValueError(
+            f"truncation too small: need at least {spec.nondegenerate_dim() + 1}"
+        )
+
+
 def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
     """Build a standard object at the requested truncation.
 
@@ -225,11 +230,7 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
     cells so that checks quantifying over stored degrees see every horn and
     square that matters.
     """
-    spec.check()
-    if truncation < spec.nondegenerate_dim() + 1:
-        raise ValueError(
-            f"truncation too small: need at least {spec.nondegenerate_dim() + 1}"
-        )
+    _check_buildable(spec, truncation)
     if spec.kind == "simplex":
         (n,) = spec.params
         return _tables_from_tuples(n, truncation, lambda t: True)
@@ -241,11 +242,9 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
         return _tables_from_tuples(
             n, truncation, lambda t: len(set(t) | {k}) < n + 1
         )
-    if spec.kind == "circle":
-        counts, faces_fn = _cyclic_skeleton(1)
-        return skeleton_sset(counts, faces_fn, truncation)[0]
-    if spec.kind == "cyclic-cover":
-        counts, faces_fn = _cyclic_skeleton(spec.params[0])
+    if spec.kind in ("circle", "cyclic-cover"):
+        # the circle is the one-fold cyclic cover
+        counts, faces_fn = _cyclic_skeleton(*spec.params or (1,))
         return skeleton_sset(counts, faces_fn, truncation)[0]
     # union
     parts = [build_standard(p, truncation) for p in spec.parts]

@@ -8,7 +8,13 @@ import numpy as np
 import oracles as orc
 import ssetkit as sk
 from ssetkit.core import ValidationReport, validate, vertex_table
-from ssetkit.standard import build_standard, monotone_maps, simplex_spec
+from ssetkit.standard import (
+    boundary_spec,
+    build_standard,
+    horn_spec,
+    monotone_maps,
+    simplex_spec,
+)
 
 
 def test_zoo_validates(zoo):
@@ -262,6 +268,7 @@ def test_disjoint_union_counts_and_components(zoo):
 def test_discrete_and_empty():
     E = sk.empty_sset(2)
     assert validate(E).ok and E.nondegenerate_dim == -1
+    assert E == sk.discrete_sset(0, 2)
     D = sk.discrete_sset(3, 2)
     assert validate(D).ok and D.nondegenerate_dim == 0
     assert sk.pi0(D).count == 3
@@ -275,14 +282,26 @@ def test_is_degenerate_matches_ez(zoo):
 
 
 def test_simplex_cells_are_monotone_tuples():
-    # cells of the standard simplex are monotone tuples in enumeration
-    # order, with faces acting by precomposition
+    # cells of the standard simplex, and of its boundaries and horns, are
+    # the kept monotone tuples in enumeration order, with faces and
+    # degeneracies acting by precomposition
     from ssetkit.standard import delta_op, sigma_op
 
-    for n in range(4):
+    cases = [(simplex_spec(n), n, lambda t: True) for n in range(4)]
+    cases += [
+        (boundary_spec(n), n, lambda t, n=n: set(t) != set(range(n + 1)))
+        for n in range(4)
+    ]
+    cases += [
+        (horn_spec(n, k), n, lambda t, n=n, k=k: set(t) | {k} != set(range(n + 1)))
+        for n in range(1, 4)
+        for k in range(n + 1)
+    ]
+    for spec, n, keep in cases:
         upto = max(3, n + 1)
-        X = build_standard(simplex_spec(n), upto)
-        tuples = [monotone_maps(m, n) for m in range(upto + 1)]
+        X = build_standard(spec, upto)
+        tuples = [[t for t in monotone_maps(m, n) if keep(t)] for m in range(upto + 1)]
+        assert X.cells == [len(ts) for ts in tuples], spec
         for m in range(1, upto + 1):
             index = {t: c for c, t in enumerate(tuples[m - 1])}
             for c, t in enumerate(tuples[m]):

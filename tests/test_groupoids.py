@@ -58,6 +58,12 @@ def test_nerve_counts_match_string_oracle():
         assert validate(X).ok
 
 
+def test_nerve_rejects_negative_truncation():
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        nerve(cyclic_group_groupoid(2), -1)
+    assert validate(nerve(cyclic_group_groupoid(2), 0)).ok
+
+
 def test_nerve_known_counts(zoo):
     assert zoo["nerve-z2"].cells == [1, 2, 4, 8]
     assert zoo["codiscrete2"].cells == [2, 4, 8, 16]

@@ -217,6 +217,17 @@ def test_cyclic_cover_projection(zoo):
         assert classify(f).surjective
 
 
+def test_cyclic_cover_projection_checks_like_build_standard():
+    # the same errors, word for word, as building cyclic-cover:k
+    for k, N in ((0, 3), (-1, 3), (2, 1), (1, 0)):
+        with pytest.raises(ValueError) as want:
+            build_standard(sk.cyclic_cover_spec(k), N)
+        with pytest.raises(ValueError) as got:
+            cyclic_cover_projection(k, N)
+        assert str(got.value) == str(want.value)
+    assert validate(cyclic_cover_projection(2, 2).source).has_buffer
+
+
 def test_extend_map_preserves_prefix(named_maps):
     for name, h in named_maps.items():
         ext = orc.extend_map(h, h.source.truncation + 1)

@@ -175,3 +175,43 @@ def test_parse_spec_names_the_arity():
             parse_spec(text)
     with pytest.raises(ValueError, match="circle takes no parameters"):
         StandardObjectSpec("circle", (1,)).check()
+
+
+def _standard_documents():
+    """Object and map documents of every standard kind, the campaign's
+    groupoid nerves, and cyclic cover projections, in a fixed order."""
+    from ssetkit.harness import _GROUPS
+    from ssetkit.io import map_to_doc, object_to_doc
+
+    specs = [simplex_spec(n) for n in range(5)]
+    specs += [boundary_spec(n) for n in range(5)]
+    specs += [horn_spec(n, k) for n in range(1, 5) for k in range(n + 1)]
+    specs += [circle_spec(), union_spec(simplex_spec(1), circle_spec(), boundary_spec(2))]
+    specs += [cyclic_cover_spec(k) for k in (1, 2, 3, 5)]
+    for spec in specs:
+        for N in range(spec.nondegenerate_dim() + 1, 6):
+            yield object_to_doc(build_standard(spec, N))
+    for group in _GROUPS:
+        for N in range(4):
+            yield object_to_doc(sk.nerve(group(), N))
+    for k in (1, 2, 5):
+        for N in range(2, 5):
+            yield map_to_doc(sk.cyclic_cover_projection(k, N))
+
+
+# sha256 of the canonical documents above, in order
+STANDARD_SHA256 = "5216e78f68ca8946fbab0dfdf66aef56be493dbf923328ee1e94f815830c5e84"
+
+
+def test_standard_documents_are_unchanged():
+    import hashlib
+
+    from ssetkit.io import dumps_canonical
+
+    digest = hashlib.sha256()
+    count = 0
+    for doc in _standard_documents():
+        digest.update(dumps_canonical(doc).encode())
+        count += 1
+    assert count > 100
+    assert digest.hexdigest() == STANDARD_SHA256
