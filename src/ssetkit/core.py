@@ -170,6 +170,10 @@ def empty_sset(truncation: int) -> TruncatedSSet:
 
 def discrete_sset(points: int, truncation: int) -> TruncatedSSet:
     """Discrete object on ``points`` vertices: all structure maps identities."""
+    if points < 0:
+        raise ValueError("points must be >= 0")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     n = truncation
     ident = list(range(points))
     return TruncatedSSet(

@@ -9,9 +9,10 @@ must draw a valid map, and a campaign raises RuntimeError when one does not.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
 from .checks import (
     CLAIMS,
@@ -24,7 +25,7 @@ from .checks import (
 )
 from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
 from .core import TruncatedSSet, disjoint_union, empty_sset
-from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
+from .groupoids import FiniteGroupoid, codiscrete_groupoid, cyclic_group_groupoid, nerve
 from .limits import DiagonalData, diagonal, product
 from .maps import (
     SimplicialMap,
@@ -88,10 +89,73 @@ class GenConfig:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The stream of one trial; seed and trial are taken mod 2**64."""
     import numpy as np
 
-    key = [seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF]
+    # a list would go through float64 for entries of 2**63 or more
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_Built = TypeVar("_Built", TruncatedSSet, SimplicialMap)
+
+# The generator's constructor outputs, by truncation and then by
+# construction: a StandardObjectSpec, ("nerve", groupoid constructor, its
+# parameter) or ("cyclic-cover", k).  Only the _MEMO_TRUNCATIONS most
+# recently used truncations are kept (a campaign draws at one or two), each
+# with one entry per construction the generator draws from: the catalog
+# pieces, the _GROUPS nerves and the cyclic covers for k = 1..4.  Entries
+# are never handed out: each caller gets fresh rows, so no draw shares a
+# table, or a table derived from one, with the memo or with another draw.
+_MEMO: dict[int, dict[Hashable, TruncatedSSet | SimplicialMap]] = {}
+_MEMO_TRUNCATIONS = 2
+_MEMO_LOCK = threading.Lock()
+
+
+def _built(construction: Hashable, truncation: int, build: Callable[[], _Built]) -> _Built:
+    """A copy of build(), which is run once per (construction, truncation) kept."""
+    with _MEMO_LOCK:
+        entries = _MEMO.pop(truncation, None)
+        if entries is None:
+            entries = {}
+            if len(_MEMO) == _MEMO_TRUNCATIONS:
+                del _MEMO[next(iter(_MEMO))]
+        _MEMO[truncation] = entries
+        value = entries.get(construction)
+        if value is None:
+            value = entries[construction] = build()
+    if isinstance(value, SimplicialMap):
+        return SimplicialMap(_copy(value.source), _copy(value.target), _copy_rows(value.level))
+    return _copy(value)
+
+
+def _copy(X: TruncatedSSet) -> TruncatedSSet:
+    return TruncatedSSet(
+        X.truncation,
+        list(X.cells),
+        [_copy_rows(rows) for rows in X.face],
+        [_copy_rows(rows) for rows in X.degeneracy],
+    )
+
+
+def _copy_rows(rows: list[list[int]]) -> list[list[int]]:
+    return [row[:] for row in rows]
+
+
+def _standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
+    return _built(spec, truncation, lambda: build_standard(spec, truncation))
+
+
+def _group_nerve(
+    group: Callable[[int], FiniteGroupoid], n: int, truncation: int
+) -> TruncatedSSet:
+    return _built(("nerve", group, n), truncation, lambda: nerve(group(n), truncation))
+
+
+def _cyclic_cover(k: int, truncation: int) -> SimplicialMap:
+    return _built(
+        ("cyclic-cover", k), truncation, lambda: cyclic_cover_projection(k, truncation)
+    )
 
 
 def quotient(
@@ -163,8 +227,8 @@ def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
         kind, params, prof = feasible[int(rng.integers(0, len(feasible)))]
         for m, c in enumerate(prof):
             budget[m] -= c
-        pieces.append(build_standard(StandardObjectSpec(kind, params), N))
-    X = pieces[0] if pieces else build_standard(simplex_spec(0), N)
+        pieces.append(_standard(StandardObjectSpec(kind, params), N))
+    X = pieces[0] if pieces else _standard(simplex_spec(0), N)
     for p in pieces[1:]:
         X = disjoint_union(X, p)
     pairs = _random_pairs(rng, X, int(rng.integers(0, max(2, X.cells[0]))), edges=dim > 0)
@@ -207,9 +271,9 @@ def _family_gluing(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
 
 def _family_cyclic(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     N = max(2, cfg.max_nondegenerate_dim + 1)
-    p = cyclic_cover_projection(int(rng.integers(1, 5)), N)
+    p = _cyclic_cover(int(rng.integers(1, 5)), N)
     if rng.random() < 0.3:
-        q = cyclic_cover_projection(int(rng.integers(1, 5)), N)
+        q = _cyclic_cover(int(rng.integers(1, 5)), N)
         return copair(p, q)
     return p
 
@@ -219,17 +283,17 @@ def _family_fold(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
 
 
 _GROUPS = (
-    lambda: cyclic_group_groupoid(2),
-    lambda: cyclic_group_groupoid(3),
-    lambda: codiscrete_groupoid(2),
-    lambda: cyclic_group_groupoid(1),
+    (cyclic_group_groupoid, 2),
+    (cyclic_group_groupoid, 3),
+    (codiscrete_groupoid, 2),
+    (cyclic_group_groupoid, 1),
 )
 
 
 def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     X = _gen_object(rng, cfg)
     pick = rng.choice(len(_GROUPS), p=[0.4, 0.25, 0.25, 0.1])
-    K = nerve(_GROUPS[int(pick)](), X.truncation)
+    K = _group_nerve(*_GROUPS[int(pick)], X.truncation)
     return product(X, K).pr1
 
 
@@ -307,11 +371,11 @@ def gen_morphism(cfg: GenConfig, trial: int = 0) -> tuple[str, SimplicialMap]:
 
 def curated_instances(truncation: int = 3) -> list[tuple[str, SimplicialMap]]:
     """The named fixture maps, one per behavior class."""
-    interval = build_standard(simplex_spec(1), truncation)
-    circle = build_standard(circle_spec(), truncation)
-    k2 = nerve(cyclic_group_groupoid(2), truncation)
+    interval = _standard(simplex_spec(1), truncation)
+    circle = _standard(circle_spec(), truncation)
+    k2 = _group_nerve(cyclic_group_groupoid, 2, truncation)
     return [
-        ("curated:cyclic-double-cover", cyclic_cover_projection(2, truncation)),
+        ("curated:cyclic-double-cover", _cyclic_cover(2, truncation)),
         ("curated:interval-to-point", terminal_map(interval)),
         ("curated:fold-interval", fold_map(interval)),
         ("curated:circle-nerve-projection", product(circle, k2).pr1),

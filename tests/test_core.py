@@ -4,6 +4,7 @@ import copy
 import itertools
 
 import numpy as np
+import pytest
 
 import oracles as orc
 import ssetkit as sk
@@ -272,6 +273,14 @@ def test_discrete_and_empty():
     D = sk.discrete_sset(3, 2)
     assert validate(D).ok and D.nondegenerate_dim == 0
     assert sk.pi0(D).count == 3
+
+
+def test_discrete_rejects_negative_arguments():
+    for points, truncation in ((1, -1), (-2, 2)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            sk.discrete_sset(points, truncation)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        sk.empty_sset(-1)
 
 
 def test_is_degenerate_matches_ez(zoo):

@@ -20,6 +20,7 @@ from ssetkit.maps import (
     point_inclusion,
     terminal_map,
     validate_map,
+    validate_parts,
 )
 from ssetkit.standard import build_standard, circle_spec, simplex_spec
 
@@ -66,6 +67,50 @@ def test_validate_map_reports_a_malformed_end(value):
         want = {"kind": "shape", "degree": 1, "end": end, "reason": "face out of range", "i": 0}
         assert failure.to_doc() == want, end
         assert _doc(orc.naive_map_failure(h)) == want, end
+
+
+def _validate_parts_before(h):
+    """validate_parts as it was: validate, validate, then validate_map in full."""
+    for label, check, subject in (
+        ("source", validate, h.source),
+        ("target", validate, h.target),
+        ("map", validate_map, h),
+    ):
+        rep = check(subject)
+        if not rep.ok:
+            break
+    return label, _doc(rep.failure)
+
+
+def _parts(h):
+    label, rep = validate_parts(h)
+    return label, _doc(rep.failure)
+
+
+def test_validate_parts_matches_validate_map_on_malformed_maps(named_maps, zoo):
+    fold = named_maps["curated:fold-interval"]
+    broken = SimplicialMap(fold.source, fold.target, [list(r) for r in fold.level])
+    broken.level[1][0] ^= 1
+    X = zoo["interval"]
+    out_of_range = identity_map(X)
+    out_of_range.level[0][0] = 99
+    Y = build_standard(simplex_spec(1), 2)
+    cases = [
+        broken,
+        SimplicialMap(X, X, [list(range(c)) for c in X.cells[:-1]]),
+        out_of_range,
+        SimplicialMap(Y, X, [list(range(c)) for c in Y.cells]),
+    ]
+    for value in (7, -1):
+        bad = copy.deepcopy(Y)
+        bad.face[1][0][0] = value
+        level = identity_map(Y).level
+        cases += [SimplicialMap(bad, bad, level), SimplicialMap(Y, bad, level)]
+    labels = set()
+    for h in cases:
+        assert _parts(h) == _validate_parts_before(h)
+        labels.add(_parts(h)[0])
+    assert labels == {"source", "target", "map"}
 
 
 def test_validate_map_matches_oracle_on_every_single_entry_tamper(zoo):
@@ -117,6 +162,7 @@ def test_validators_match_oracles_on_tampered_draws():
                 ):
                     assert _doc(got.failure) == _doc(want), (seed, t)
                     kinds.add(want and want.kind)
+                assert _parts(h) == _validate_parts_before(h), (seed, t)
                 entries = [
                     (row, x, h.target.cells[n])
                     for n, row in enumerate(h.level)

@@ -191,9 +191,9 @@ def _standard_documents():
     for spec in specs:
         for N in range(spec.nondegenerate_dim() + 1, 6):
             yield object_to_doc(build_standard(spec, N))
-    for group in _GROUPS:
+    for group, n in _GROUPS:
         for N in range(4):
-            yield object_to_doc(sk.nerve(group(), N))
+            yield object_to_doc(sk.nerve(group(n), N))
     for k in (1, 2, 5):
         for N in range(2, 5):
             yield map_to_doc(sk.cyclic_cover_projection(k, N))
