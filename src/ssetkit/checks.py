@@ -8,8 +8,6 @@ and the reported witness is always the first one in the documented order.
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -206,25 +204,21 @@ def separable_direct(h: SimplicialMap, diag: DiagonalData | None = None) -> Chec
     return CheckReport("separable-direct", inner.verdict, inner.witness, inner.stats)
 
 
-@functools.cache
-def _reads(predicate: Callable) -> tuple[str, ...]:
-    return tuple(inspect.signature(predicate).parameters)
-
-
 @dataclass(frozen=True)
 class Claim:
     """One machine-verified equivalence or implication, as a row of CLAIMS.
 
-    The conclusion names the reports it reads (direct, lifting, covering,
-    kan, ...) by its parameters and reads them off whatever object it is
-    given; it returns a boolean, or a list of failures that is empty when
-    the claim holds.  A claim with a hypothesis assumes that report's
-    verdict; campaigns count the records meeting it as <hypothesis>_instances.
+    The conclusion takes the record itself (an InstanceVerdicts or an
+    agreement report) and reads its reports (direct, lifting, covering, kan,
+    ...) as attributes; a record without one raises AttributeError.  It
+    returns a boolean, or a list of failures that is empty when the claim
+    holds.  A claim with a hypothesis assumes that report's verdict;
+    campaigns count the records meeting it as <hypothesis>_instances.
     """
 
     name: str  # campaign record key
     hypothesis: str | None  # the report whose verdict the claim assumes, if any
-    conclusion: Callable[..., bool | list[str]]
+    conclusion: Callable[[object], bool | list[str]]
     violations: str  # campaign document field listing the violating records
     agreements: str | None  # campaign document field counting the holding records
     verify: str  # the `ssetkit verify` kind whose exit code the claim decides
@@ -235,7 +229,7 @@ class Claim:
         """The conclusion on obj, or None when obj is outside the hypothesis."""
         if self.hypothesis is not None and not getattr(obj, self.hypothesis).verdict:
             return None
-        return self.conclusion(*(getattr(obj, r) for r in _reads(self.conclusion)))
+        return self.conclusion(obj)
 
 
 def violates(value: bool | list[str] | None) -> bool:
@@ -243,20 +237,21 @@ def violates(value: bool | list[str] | None) -> bool:
     return bool(value) if isinstance(value, list) else value is False
 
 
-def _implication_failures(trivial, covering, kan, direct) -> list[str]:
+def _implication_failures(r) -> list[str]:
     chain = (  # (premise, consequence, failure)
-        (trivial, covering, "trivial-covering implies covering"),
-        (covering, kan, "covering implies kan"),
-        (covering, direct, "covering implies separable"),
+        (r.trivial, r.covering, "trivial-covering implies covering"),
+        (r.covering, r.kan, "covering implies kan"),
+        (r.covering, r.direct, "covering implies separable"),
     )
     return [failure for p, q, failure in chain if p.verdict and not q.verdict]
 
 
-def _injection_failures(trivial, trivial_delta, direct, injection_cartesian) -> list[str]:
+def _injection_failures(r) -> list[str]:
     out = []
-    if injection_cartesian is not None and injection_cartesian.verdict != trivial.verdict:
+    ic = r.injection_cartesian
+    if ic is not None and ic.verdict != r.trivial.verdict:
         out.append("injection-cartesian vs trivial-covering on the map")
-    if trivial_delta.verdict != direct.verdict:
+    if r.trivial_delta.verdict != r.direct.verdict:
         out.append("injection-cartesian vs trivial-covering on the diagonal")
     return out
 
@@ -269,21 +264,21 @@ CLAIMS = {
     c.name: c
     for c in (
         Claim("separability_agree", None,
-              lambda direct, lifting: direct.verdict == lifting.verdict,
+              lambda r: r.direct.verdict == r.lifting.verdict,
               "separability_disagreements", "separability_agreements", "theorem1"),
         Claim("covering_agree", "kan",
-              lambda direct, covering: direct.verdict == covering.verdict,
+              lambda r: r.direct.verdict == r.covering.verdict,
               "covering_disagreements", "covering_agreements", "theorem2"),
         # a failing covering check on a Kan map never lacks lifts
         Claim("ambiguous_only", "kan",
-              lambda covering: covering.stats.get("missing", 0) == 0,
+              lambda r: r.covering.stats.get("missing", 0) == 0,
               "missing_lift_violations", None, "theorem2"),
         Claim("implication_failures", None, _implication_failures,
               "implication_violations", None, "chain"),
         Claim("injection_failures", None, _injection_failures,
               "injection_violations", None, "chain"),
         # the audit lists the checks whose failure witness does not replay
-        Claim("witness_failures", None, lambda audit: audit,
+        Claim("witness_failures", None, lambda r: r.audit,
               "witness_failures", None, "theorem1", keeps_instance=False),
     )
 }
@@ -292,14 +287,11 @@ CLAIMS = {
 def holds(verify: str, obj) -> bool:
     """The `ssetkit verify <verify>` verdict on one map's reports in obj.
 
-    Only claims whose conclusion's reports obj carries are decided: a single
-    map's SeparabilityAgreement is not held to the campaign's witness audit.
+    Every claim `verify <verify>` decides is read off obj, so obj must carry
+    each report those claims read.  A single map has no witness audit: its
+    audit is None, which violates nothing.
     """
-    return not any(
-        violates(c.value(obj))
-        for c in CLAIMS.values()
-        if c.verify == verify and all(hasattr(obj, r) for r in _reads(c.conclusion))
-    )
+    return not any(violates(c.value(obj)) for c in CLAIMS.values() if c.verify == verify)
 
 
 @dataclass
@@ -308,6 +300,8 @@ class SeparabilityAgreement:
 
     direct: CheckReport
     lifting: CheckReport
+    # a class attribute, not a field: one map is not held to the witness audit
+    audit = None
 
     @property
     def agree(self) -> bool:

@@ -60,27 +60,6 @@ def codiscrete_groupoid(m: int) -> FiniteGroupoid:
     )
 
 
-def _identity_free_strings(G: FiniteGroupoid, length: int) -> list[tuple[int, ...]]:
-    ids = set(G.identity)
-    if length == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for g in range(G.n_arrows):
-            if g in ids:
-                continue
-            if prefix and G.source[g] != G.target[prefix[-1]]:
-                continue
-            rec(prefix + (g,))
-
-    rec(())
-    return out
-
-
 def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
     """Nerve of the groupoid, truncated.
 
@@ -89,13 +68,20 @@ def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    strings = [_identity_free_strings(G, d) for d in range(truncation + 1)]
+    ids = set(G.identity)
+    arrows = [g for g in range(G.n_arrows) if g not in ids]
+    # strings[d]: the identity-free composable strings of d arrows, lexicographic
+    strings: list[list[tuple[int, ...]]] = [[()]]
+    for _ in range(truncation):
+        strings.append([
+            w + (g,) for w in strings[-1] for g in arrows
+            if not w or G.source[g] == G.target[w[-1]]
+        ])
     # degree-0 nondegenerate cells are the objects themselves
     counts = [G.n_objects] + [len(strings[d]) for d in range(1, truncation + 1)]
     index = [
         {s: i for i, s in enumerate(strings[d])} for d in range(truncation + 1)
     ]
-    ids = set(G.identity)
 
     def canonical(raw: tuple[int, ...], objects: list[int]) -> FormalCell:
         # strip identity arrows, recording the vertex collapse they induce

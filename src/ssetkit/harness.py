@@ -405,7 +405,7 @@ class InstanceVerdicts:
 
 
 # (campaign "verdicts" document key, InstanceVerdicts field) for the checks
-# run on the map itself, in witness audit order.
+# run on the map itself.
 _MAP_CHECKS = (
     ("separable_direct", "direct"),
     ("separable_lifting", "lifting"),
@@ -443,24 +443,21 @@ def _witness_audit(h: SimplicialMap, v: InstanceVerdicts, dd: DiagonalData) -> l
     separable-direct replay is the injection-cartesian replay on the
     diagonal, so it runs as one here instead of rebuilding the diagonal.
     """
-    bad = []
-    for _, name in _MAP_CHECKS:
-        rep = getattr(v, name)
-        if rep.verdict:
-            continue
-        if name == "direct":
-            replayed = revalidate_witness(dd.delta, replace(rep, check="injection-cartesian"))
-        else:
-            replayed = revalidate_witness(h, rep)
-        if not replayed:
-            bad.append(rep.check)
-    if not v.trivial_delta.verdict:
-        if not revalidate_witness(dd.delta, v.trivial_delta):
-            bad.append("trivial-covering(diagonal)")
-    if v.injection_cartesian is not None and not v.injection_cartesian.verdict:
-        if not revalidate_witness(h, v.injection_cartesian):
-            bad.append("injection-cartesian")
-    return bad
+    direct = v.direct if v.direct.verdict else replace(v.direct, check="injection-cartesian")
+    replays = (  # (map the witness lives on, report, audit label), in audit order
+        (dd.delta, direct, "separable-direct"),
+        (h, v.lifting, "separable-lifting"),
+        (h, v.covering, "covering"),
+        (h, v.kan, "kan"),
+        (h, v.trivial, "trivial-covering"),
+        (dd.delta, v.trivial_delta, "trivial-covering(diagonal)"),
+        (h, v.injection_cartesian, "injection-cartesian"),
+    )
+    return [
+        label
+        for m, rep, label in replays
+        if rep is not None and not rep.verdict and not revalidate_witness(m, rep)
+    ]
 
 
 def _verdict_doc(v: InstanceVerdicts) -> dict:

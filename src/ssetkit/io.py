@@ -13,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import stat
 from pathlib import Path
 
 from .core import TruncatedSSet
@@ -126,8 +127,13 @@ def dumps_canonical(doc) -> str:
 def load_json(path: str | Path):
     """Parse a JSON file; undecodable or malformed content names the file.
 
-    OSError (a missing, unreadable or directory path) propagates as is.
+    Only a regular file is opened: any other path (a directory, a FIFO, a
+    device) raises InterchangeError before it is read, so a FIFO cannot block
+    and a device cannot be read without end.  OSError (a missing or
+    unreadable path) propagates as is.
     """
+    if not stat.S_ISREG(Path(path).stat().st_mode):
+        raise InterchangeError(f"{path}: not a regular file")
     try:
         return json.loads(Path(path).read_text())
     # ValueError: undecodable bytes, malformed JSON, an integer too long to

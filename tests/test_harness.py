@@ -26,7 +26,10 @@ from ssetkit.harness import (
     trial_rng,
 )
 from ssetkit.io import dumps_canonical, load_json, map_to_doc, object_to_doc
-from ssetkit.maps import validate_map
+from ssetkit.limits import diagonal
+from ssetkit.maps import terminal_map, validate_map
+from ssetkit.report import CheckReport, ComponentLeak, MissingHornFiller
+from ssetkit.standard import build_standard, parse_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +269,54 @@ def test_bogus_witness_fails_campaign_theorem1_only(monkeypatch, capsys):
     for kind in ("theorem2", "chain"):
         assert main(["verify", kind, *argv]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_witness_audit_labels_and_order(named_maps, monkeypatch):
+    replayed = []  # (the map a witness was replayed on, the report's check)
+    replay = harness.revalidate_witness
+
+    def recording(m, report):
+        replayed.append((m, report.check))
+        return replay(m, report)
+
+    monkeypatch.setattr(harness, "revalidate_witness", recording)
+    every_check_fails = terminal_map(build_standard(parse_spec("cyclic-cover:3"), 3))
+    injective = named_maps["vertex-into-interval"]  # injective, not cartesian
+    cases = (
+        (every_check_fails, [
+            ("delta", "injection-cartesian", "separable-direct"),
+            ("h", "separable-lifting", "separable-lifting"),
+            ("h", "covering", "covering"),
+            ("h", "kan", "kan"),
+            ("h", "trivial-covering", "trivial-covering"),
+            ("delta", "trivial-covering", "trivial-covering(diagonal)"),
+        ]),
+        (injective, [
+            ("h", "covering", "covering"),
+            ("h", "kan", "kan"),
+            ("h", "trivial-covering", "trivial-covering"),
+            ("h", "injection-cartesian", "injection-cartesian"),
+        ]),
+    )
+    for h, want in cases:
+        dd = diagonal(h)
+        v = evaluate_instance(h, dd)
+        assert harness._witness_audit(h, v, dd) == []
+        for f in dataclasses.fields(v):
+            rep = getattr(v, f.name)
+            if isinstance(rep, CheckReport) and not rep.verdict:
+                # a witness of a kind the check never reports cannot replay
+                if rep.check == "kan":
+                    bogus = ComponentLeak(0, 0, 0)
+                else:
+                    bogus = MissingHornFiller(1, 0, 0, ((1, 0),))
+                setattr(v, f.name, dataclasses.replace(rep, witness=bogus))
+        replayed.clear()
+        assert harness._witness_audit(h, v, dd) == [label for _, _, label in want]
+        names = {id(h): "h", id(dd.delta): "delta"}
+        assert [(names[id(m)], check) for m, check in replayed] == [
+            (m, check) for m, check, _ in want
+        ]
 
 
 def test_disagreement_records_carry_the_instance(monkeypatch):

@@ -1,6 +1,7 @@
 """JSON interchange format and the command-line interface."""
 
 import copy
+import dataclasses
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ssetkit as sk
-from ssetkit import io
+from ssetkit import checks, harness, io
 from ssetkit.cli import _campaign_text, main
 from ssetkit.core import validate
 from ssetkit.harness import _claim_fields
@@ -268,6 +269,54 @@ def test_cli_verify_single_map(tmp_path, named_maps, capsys):
     assert doc["failures"] == [] and doc["ok"] is True
 
 
+def _flipped(check):
+    """check with its verdict negated; the witness and stats are kept."""
+
+    def flipped(h):
+        report = check(h)
+        return dataclasses.replace(report, verdict=not report.verdict)
+
+    return flipped
+
+
+def test_cli_verify_single_map_exits_1_when_a_claim_fails(
+    tmp_path, zoo, named_maps, monkeypatch, capsys
+):
+    cover = _write_map(tmp_path, named_maps["curated:cyclic-double-cover"], "c2.json")
+    trivial = _write_map(tmp_path, sk.identity_map(zoo["circle"]), "identity.json")
+    in_hypothesis = {"out_of_hypothesis": False, "agree": False}
+    chain = {"equivalence": "chain", "failures": ["trivial-covering implies covering"]}
+    cases = (  # (kind, map, module and check whose verdict flips, expected document)
+        ("theorem1", cover, checks, "separable_via_lifting", {"agree": False}),
+        # the double cover is Kan, so its flipped covering verdict is in hypothesis
+        ("theorem2", cover, checks, "covering_check", in_hypothesis),
+        # the identity is a trivial covering that the flipped check calls no covering
+        ("chain", trivial, harness, "covering_check", {**chain, "ok": False}),
+    )
+    for kind, path, module, name, want in cases:
+        assert main(["verify", kind, path]) == 0, kind
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(module, name, _flipped(getattr(module, name)))
+            assert main(["verify", kind, path]) == 1, kind
+        doc = json.loads(capsys.readouterr().out)
+        assert {key: doc[key] for key in want} == want, kind
+
+
+def test_cli_special_files_are_invalid_input(tmp_path, zoo):
+    # each call runs in its own process, so a read that blocks fails on the timeout
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    doc = io.map_to_doc(terminal_map(zoo["circle"]))
+    doc["source"] = "pipe.json"  # resolved next to the map document
+    path = tmp_path / "map.json"
+    path.write_text(io.dumps_canonical(doc))
+    for argv in (["validate", fifo], ["validate", path], ["check", "covering", path]):
+        out = _fresh(["-m", "ssetkit.cli", *map(str, argv)], timeout=20)
+        assert (out.returncode, out.stdout) == (2, ""), argv
+        assert out.stderr == f"error: {fifo}: not a regular file\n", argv
+
+
 def test_cli_verify_campaign(capsys):
     assert main(["verify", "theorem1", "--trials", "6", "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -368,11 +417,11 @@ def test_cli_entry_point_runs():
 _SRC = str(Path(sk.__file__).resolve().parents[1])
 
 
-def _fresh(args):
+def _fresh(args, timeout=120):
     """Run the interpreter on args in a new process with only src on the path."""
     env = dict(os.environ, PYTHONPATH=_SRC)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
