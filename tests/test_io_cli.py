@@ -305,6 +305,7 @@ def test_cli_verify_single_map_exits_1_when_a_claim_fails(
 
 def test_cli_special_files_are_invalid_input(tmp_path, zoo):
     # each call runs in its own process, so a read that blocks fails on the timeout
+    tmp_path = tmp_path.resolve()  # as the map's endpoint is resolved
     fifo = tmp_path / "pipe.json"
     os.mkfifo(fifo)
     doc = io.map_to_doc(terminal_map(zoo["circle"]))
