@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested property holds (or output was produced),
-1 when a check fails (the report carries a witness), 2 for invalid input.
+1 when a check fails (the report carries a witness), 2 for invalid input,
+3 for an internal error (a bug, reported with its traceback).
 Reports are printed as canonical JSON by default; --format text renders the
 same content as plain lines.
 """
@@ -280,6 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        print(f"internal error:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The nerve of a groupoid has composable arrow strings as simplices: outer
 faces drop an end arrow, inner faces compose adjacent arrows, degeneracies
-insert identities.  Presentations extracted from an object are purely
+insert identities.  It is built straight from those strings by the keyed
+table builder of ``standard``.  Presentations extracted from an object are purely
 syntactic: one generator per 1-simplex, the relations "s_0(v) is an
 identity" and "d_1 = d_0 . d_2" per 2-simplex.  No word problem is solved.
 """
@@ -10,9 +11,10 @@ identity" and "d_1 = d_0 . d_2" per 2-simplex.  No word problem is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import TruncatedSSet
-from .standard import FormalCell, skeleton_sset
+from .standard import _object_from_keys
 
 
 @dataclass
@@ -63,56 +65,45 @@ def codiscrete_groupoid(m: int) -> FiniteGroupoid:
 def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
     """Nerve of the groupoid, truncated.
 
-    Nerves generally carry nondegenerate simplices at every stored degree, so
-    the validation report flags the absent buffer without failing.
+    The m-cells are the composable strings of m arrows, identities
+    included, keyed (o, w) by their first object o and the string w.  They
+    are ordered by the string with its identities removed, shorter first
+    (by o when nothing is left), then by where the identities sit.  Nerves
+    generally carry nondegenerate simplices at every stored degree, so the
+    validation report flags the absent buffer without failing.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     ids = set(G.identity)
-    arrows = [g for g in range(G.n_arrows) if g not in ids]
-    # strings[d]: the identity-free composable strings of d arrows, lexicographic
-    strings: list[list[tuple[int, ...]]] = [[()]]
-    for _ in range(truncation):
-        strings.append([
-            w + (g,) for w in strings[-1] for g in arrows
-            if not w or G.source[g] == G.target[w[-1]]
-        ])
-    # degree-0 nondegenerate cells are the objects themselves
-    counts = [G.n_objects] + [len(strings[d]) for d in range(1, truncation + 1)]
-    index = [
-        {s: i for i, s in enumerate(strings[d])} for d in range(truncation + 1)
-    ]
+    out = [[g for g in range(G.n_arrows) if G.source[g] == o] for o in range(G.n_objects)]
 
-    def canonical(raw: tuple[int, ...], objects: list[int]) -> FormalCell:
-        # strip identity arrows, recording the vertex collapse they induce
-        tau = [0]
-        stripped = []
-        for t, g in enumerate(raw):
-            if g in ids:
-                tau.append(tau[-1])
-            else:
-                tau.append(tau[-1] + 1)
-                stripped.append(g)
-        if not stripped:
-            return (tuple(tau), 0, objects[0])
-        return (tuple(tau), len(stripped), index[len(stripped)][tuple(stripped)])
+    def vertex(o: int, w: tuple, i: int) -> int:
+        return G.target[w[i - 1]] if i else o
 
-    def faces_fn(d: int, c: int, i: int) -> FormalCell:
-        if d == 1:
-            g = strings[1][c][0]
-            v = G.target[g] if i == 0 else G.source[g]
-            return ((0,), 0, v)
-        w = strings[d][c]
+    strings = [[(o, ()) for o in range(G.n_objects)]]
+    for m in range(truncation):
+        strings.append([(o, w + (g,)) for o, w in strings[-1] for g in out[vertex(o, w, m)]])
+
+    def order(key: tuple) -> tuple:
+        o, w = key
+        kept = tuple(g for g in w if g not in ids)
+        tau = tuple(accumulate(g not in ids for g in w))
+        return (len(kept), kept or (o,), tau)
+
+    def face_key(key: tuple, i: int) -> tuple:
+        o, w = key
         if i == 0:
-            raw = w[1:]
-        elif i == d:
-            raw = w[:-1]
-        else:
-            raw = w[: i - 1] + (G.compose[(w[i], w[i - 1])],) + w[i + 1 :]
-        objs = [G.source[raw[0]]] if raw else [G.source[w[0]] if i > 0 else G.target[w[0]]]
-        return canonical(raw, objs)
+            return (G.target[w[0]], w[1:])
+        if i == len(w):
+            return (o, w[:-1])
+        return (o, w[: i - 1] + (G.compose[(w[i], w[i - 1])],) + w[i + 1 :])
 
-    return skeleton_sset(counts, faces_fn, truncation)[0]
+    def degeneracy_key(key: tuple, i: int) -> tuple:
+        o, w = key
+        return (o, w[:i] + (G.identity[vertex(o, w, i)],) + w[i:])
+
+    keys = [sorted(at_m, key=order) for at_m in strings]
+    return _object_from_keys(keys, face_key, degeneracy_key)
 
 
 @dataclass

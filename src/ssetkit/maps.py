@@ -14,7 +14,7 @@ from .core import (
     disjoint_union,
     validate,
 )
-from .standard import _check_buildable, _cyclic_skeleton, cyclic_cover_spec, skeleton_sset
+from .standard import _check_buildable, _cyclic_object, cyclic_cover_spec
 
 
 @dataclass(eq=True)
@@ -167,10 +167,8 @@ def cyclic_cover_projection(k: int, truncation: int) -> SimplicialMap:
     k and the truncation are checked as build_standard checks cyclic-cover:k.
     """
     _check_buildable(cyclic_cover_spec(k), truncation)
-    counts_k, faces_k = _cyclic_skeleton(k)
-    counts_1, faces_1 = _cyclic_skeleton(1)
-    C, keys_c = skeleton_sset(counts_k, faces_k, truncation)
-    S, keys_s = skeleton_sset(counts_1, faces_1, truncation)
+    C, keys_c = _cyclic_object(k, truncation)
+    S, keys_s = _cyclic_object(1, truncation)
     index_s = [{key: i for i, key in enumerate(keys)} for keys in keys_s]
     level = [
         [index_s[m][(phi, d, 0)] for (phi, d, c) in keys_c[m]]

@@ -6,8 +6,10 @@ looked up as the key it names.  For a standard simplex the keys are the
 monotone maps [m] -> [n] as nondecreasing tuples in lexicographic order;
 precomposition with a coface drops an entry, and with a codegeneracy
 repeats one.  Boundaries and horns keep the tuples of the evident
-subcomplexes.  Circles, cyclic covers and nerves are generated from a
-nondegenerate skeleton, keyed by formal cells.
+subcomplexes.  A cell of a cyclic cover (the circle is the one-fold
+cover) is keyed (phi, d, c), a vertex or an edge c under a monotone
+surjection phi; a face that collapses the edge names the vertex it lands
+on.  Nerves (in ``groupoids``) are keyed by their composable strings.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ def delta_op(i: int, p: int) -> tuple[int, ...]:
 def sigma_op(i: int, p: int) -> tuple[int, ...]:
     """Surjection [p+1] -> [p] hitting i twice."""
     return tuple(t if t <= i else t - 1 for t in range(p + 2))
-
-
-def compose_monotone(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """f after g, as tuples."""
-    return tuple(f[t] for t in g)
 
 
 # The number of parameters each non-union kind takes.
@@ -150,68 +147,38 @@ def _tables_from_tuples(
     )
 
 
-# A formal cell is (phi, d, c): the image of the nondegenerate d-cell c under
-# the monotone surjection phi.  Skeleton face callbacks must return formal
-# cells already in this canonical form.
-FormalCell = tuple[tuple[int, ...], int, int]
+def _cyclic_object(k: int, truncation: int) -> tuple[TruncatedSSet, list[list[tuple]]]:
+    """The k-fold cyclic cover of the circle, with its cell keys per degree.
 
-
-def _act_on_skeleton(
-    alpha: tuple[int, ...], d: int, c: int, faces_fn: Callable[[int, int, int], FormalCell]
-) -> FormalCell:
-    """Canonical form of X(alpha)(c) for a nondegenerate d-cell c."""
-    image = set(alpha)
-    if len(image) == d + 1:
-        return (tuple(alpha), d, c)
-    v = max(w for w in range(d + 1) if w not in image)
-    alpha2 = tuple(a if a < v else a - 1 for a in alpha)
-    psi, e, b = faces_fn(d, c, v)
-    return _act_on_skeleton(compose_monotone(psi, alpha2), e, b, faces_fn)
-
-
-def skeleton_sset(
-    counts: list[int],
-    faces_fn: Callable[[int, int, int], FormalCell],
-    truncation: int,
-) -> tuple[TruncatedSSet, list[list[FormalCell]]]:
-    """Generate an object from nondegenerate cell counts per dimension.
-
-    faces_fn(d, c, i) must give the canonical formal cell d_i(c) for each
-    nondegenerate d-cell c.  Returns the object together with the ordered
-    formal-cell keys per degree (useful for building maps between generated
-    objects).
+    Vertex c and the edge from c to c + 1 mod k give the m-cells (phi, d, c),
+    ordered by (d, c, phi): phi is a monotone surjection [m] -> [d] for the
+    vertex (d = 0) or the edge (d = 1).  A face drops an entry of phi; when
+    what remains, psi, is constant, the edge has collapsed to its end
+    c + psi[0] mod k.  A degeneracy repeats an entry.
     """
-    top = len(counts) - 1
-    keys: list[list[FormalCell]] = []
-    for m in range(truncation + 1):
-        at_m: list[FormalCell] = []
-        for d in range(min(m, top) + 1):
-            epis = [t for t in monotone_maps(m, d) if len(set(t)) == d + 1]
-            for c in range(counts[d]):
-                for phi in epis:
-                    at_m.append((phi, d, c))
-        at_m.sort(key=lambda k: (k[1], k[2], k[0]))
-        keys.append(at_m)
+    keys = [
+        [
+            (phi, d, c)
+            for d in range(min(m, 1) + 1)
+            for c in range(k)
+            for phi in monotone_maps(m, d)
+            if phi[0] == 0 and phi[-1] == d
+        ]
+        for m in range(truncation + 1)
+    ]
 
-    def face_key(key: FormalCell, i: int) -> FormalCell:
+    def face_key(key: tuple, i: int) -> tuple:
         phi, d, c = key
-        return _act_on_skeleton(phi[:i] + phi[i + 1 :], d, c, faces_fn)
+        psi = phi[:i] + phi[i + 1 :]
+        if psi[0] == psi[-1]:
+            return ((0,) * len(psi), 0, (c + psi[0]) % k)
+        return (psi, d, c)
 
-    def degeneracy_key(key: FormalCell, i: int) -> FormalCell:
+    def degeneracy_key(key: tuple, i: int) -> tuple:
         phi, d, c = key
         return (phi[: i + 1] + phi[i:], d, c)
 
     return _object_from_keys(keys, face_key, degeneracy_key), keys
-
-
-def _cyclic_skeleton(k: int):
-    # k vertices, k nondegenerate edges, edge e_i running v_i -> v_{i+1 mod k}.
-    def faces_fn(d: int, c: int, i: int) -> FormalCell:
-        assert d == 1
-        if i == 0:
-            return ((0,), 0, (c + 1) % k)  # target vertex
-        return ((0,), 0, c)  # source vertex
-    return [k, k], faces_fn
 
 
 def _check_buildable(spec: StandardObjectSpec, truncation: int) -> None:
@@ -244,8 +211,7 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
         )
     if spec.kind in ("circle", "cyclic-cover"):
         # the circle is the one-fold cyclic cover
-        counts, faces_fn = _cyclic_skeleton(*spec.params or (1,))
-        return skeleton_sset(counts, faces_fn, truncation)[0]
+        return _cyclic_object(*spec.params or (1,), truncation)[0]
     # union
     parts = [build_standard(p, truncation) for p in spec.parts]
     out = parts[0]

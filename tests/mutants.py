@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _VERIFY_EXITS_1 = "tests/test_io_cli.py::test_cli_verify_single_map_exits_1_when_a_claim_fails"
 _AUDIT_LABELS = "tests/test_harness.py::test_witness_audit_labels_and_order"
+_STANDARD_DOCUMENTS = "tests/test_standard.py::test_standard_documents_are_unchanged"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -76,12 +77,26 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         '(h, direct, "separable-direct")',
         (_AUDIT_LABELS,),
     ),
-    # nerve strings in reversed arrow order
+    # nerve cells ordered without where their identities sit
     (
         "groupoids.py",
-        "arrows = [g for g in range(G.n_arrows) if g not in ids]",
-        "arrows = [g for g in reversed(range(G.n_arrows)) if g not in ids]",
-        ("tests/test_standard.py::test_standard_documents_are_unchanged",),
+        "return (len(kept), kept or (o,), tau)",
+        "return (len(kept), kept or (o,))",
+        (_STANDARD_DOCUMENTS,),
+    ),
+    # s_i inserts the identity of the first object instead of vertex i
+    (
+        "groupoids.py",
+        "(G.identity[vertex(o, w, i)],)",
+        "(G.identity[o],)",
+        (_STANDARD_DOCUMENTS,),
+    ),
+    # a collapsed edge of a cyclic cover goes to its source vertex
+    (
+        "standard.py",
+        "return ((0,) * len(psi), 0, (c + psi[0]) % k)",
+        "return ((0,) * len(psi), 0, c)",
+        (_STANDARD_DOCUMENTS,),
     ),
     # load_json opens special files again (a FIFO blocks until the test's timeout)
     (
@@ -126,6 +141,45 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "    if points < 0:\n",
         "    if False:\n",
         ("tests/test_core.py::test_discrete_rejects_negative_arguments",),
+    ),
+    # covering counts its squares per base cell, not per anchored square
+    (
+        "checks.py",
+        "                for a in anchors.get(vb[n][u][j], ()):\n"
+        "                    squares += 1\n",
+        "                squares += 1\n"
+        "                for a in anchors.get(vb[n][u][j], ()):\n",
+        ("tests/test_checks.py::test_checks_match_oracles_on_generated",),
+    ),
+    # separable-lifting counts lifted cells as squares
+    (
+        "checks.py",
+        "squares += len(buckets)",
+        "squares += sum(map(len, buckets.values()))",
+        ("tests/test_checks.py::test_lift_checks_match_reference",),
+    ),
+    # kan counts only the horns that have a filler
+    (
+        "checks.py",
+        "horns += len(families)",
+        "horns += len(families) - len(unfilled)",
+        ("tests/test_checks.py::test_kan_check_matches_reference",),
+    ),
+    # a validator reports the last differing simplex of a row, not the first
+    (
+        "core.py",
+        "return next(x for x, (g, w) in enumerate(zip(got, want)) if g != w)",
+        "return max(x for x, (g, w) in enumerate(zip(got, want)) if g != w)",
+        ("tests/test_core.py::test_validate_matches_oracle_on_every_single_entry_tamper",),
+    ),
+    # lazy rows copy and pickle as themselves, not as the list of their rows
+    (
+        "components.py",
+        "    def __reduce_ex__(self, protocol):\n"
+        "        # copy.copy, copy.deepcopy and pickle: the plain list of the rows\n"
+        "        return list, (list(self),)\n",
+        "",
+        ("tests/test_limits.py::test_fiber_product_is_plain_objects",),
     ),
 )
 
@@ -175,7 +229,8 @@ def main() -> int:
         outcome = {0: "SURVIVED", 1: "killed"}.get(out.returncode, "error")
         survived += outcome == "SURVIVED"
         errors += outcome == "error"
-        change = f"{snippet.strip().splitlines()[0]} -> {replacement.strip() or '(deleted)'}"
+        first = (replacement.strip().splitlines() or ["(deleted)"])[0]
+        change = f"{snippet.strip().splitlines()[0]} -> {first}"
         print(f"mutant {i} ({file}: {change}): {outcome}")
         if outcome == "error":
             print(out.stdout + out.stderr)

@@ -831,6 +831,21 @@ def discrete_groupoid(m: int) -> FiniteGroupoid:
     return FiniteGroupoid(m, list(range(m)), list(range(m)), comp, list(range(m)), list(range(m)))
 
 
+def sum_groupoid(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
+    """Disjoint sum: G's objects and arrows first, then H's, shifted past them."""
+    objects, arrows = G.n_objects, G.n_arrows
+    comp = dict(G.compose)
+    comp.update({(g + arrows, f + arrows): c + arrows for (g, f), c in H.compose.items()})
+    return FiniteGroupoid(
+        objects + H.n_objects,
+        G.source + [s + objects for s in H.source],
+        G.target + [t + objects for t in H.target],
+        comp,
+        G.identity + [e + arrows for e in H.identity],
+        G.inverse + [i + arrows for i in H.inverse],
+    )
+
+
 def component_object(part: ComponentPartition, truncation: int) -> TruncatedSSet:
     """Discrete object on the component set."""
     return discrete_sset(part.count, truncation)

@@ -23,6 +23,7 @@ def test_groupoid_constructors_check_out():
         cyclic_group_groupoid(4),
         codiscrete_groupoid(3),
         orc.discrete_groupoid(2),
+        orc.sum_groupoid(cyclic_group_groupoid(2), codiscrete_groupoid(2)),
     ):
         orc.check_groupoid(G)
 

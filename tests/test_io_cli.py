@@ -179,6 +179,22 @@ def test_cli_permission_denied_is_invalid_input(tmp_path, named_maps, monkeypatc
         assert path in captured.err
 
 
+def test_cli_internal_error_exits_3(tmp_path, named_maps, monkeypatch, capsys):
+    # a bug is neither a failed check (1) nor invalid input (2)
+    from ssetkit import cli
+
+    def raising_stub(h, args):
+        raise RuntimeError("stub")
+
+    monkeypatch.setitem(cli._CHECKS, "covering", raising_stub)
+    path = _write_map(tmp_path, named_maps["curated:fold-interval"])
+    assert main(["check", "covering", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert "RuntimeError: stub" in captured.err
+
+
 def test_cli_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000)

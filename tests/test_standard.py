@@ -12,7 +12,6 @@ from ssetkit.standard import (
     boundary_spec,
     build_standard,
     circle_spec,
-    compose_monotone,
     cyclic_cover_spec,
     delta_op,
     horn_spec,
@@ -45,36 +44,23 @@ def test_cosimplicial_identities():
     for p in range(1, 5):
         for j in range(p + 1):
             for i in range(j):
-                left = compose_monotone(delta_op(j, p), delta_op(i, p - 1))
-                right = compose_monotone(delta_op(i, p), delta_op(j - 1, p - 1))
+                left = orc.tuple_compose(delta_op(j, p), delta_op(i, p - 1))
+                right = orc.tuple_compose(delta_op(i, p), delta_op(j - 1, p - 1))
                 assert left == right
     for p in range(1, 4):
         for j in range(p):
             for i in range(j + 1):
-                left = compose_monotone(sigma_op(j, p - 1), sigma_op(i, p))
-                right = compose_monotone(sigma_op(i, p - 1), sigma_op(j + 1, p))
+                left = orc.tuple_compose(sigma_op(j, p - 1), sigma_op(i, p))
+                right = orc.tuple_compose(sigma_op(i, p - 1), sigma_op(j + 1, p))
                 assert left == right
     for p in range(4):
         for j in range(p + 1):
-            assert compose_monotone(sigma_op(j, p), delta_op(j, p + 1)) == tuple(
+            assert orc.tuple_compose(sigma_op(j, p), delta_op(j, p + 1)) == tuple(
                 range(p + 1)
             )
-            assert compose_monotone(sigma_op(j, p), delta_op(j + 1, p + 1)) == tuple(
+            assert orc.tuple_compose(sigma_op(j, p), delta_op(j + 1, p + 1)) == tuple(
                 range(p + 1)
             )
-
-
-def test_compose_monotone_is_function_composition():
-    import numpy as np
-
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        n, p, q = (int(rng.integers(0, 4)) for _ in range(3))
-        fs = monotone_maps(p, n)
-        gs = monotone_maps(q, p)
-        f = fs[int(rng.integers(0, len(fs)))]
-        g = gs[int(rng.integers(0, len(gs)))]
-        assert compose_monotone(f, g) == orc.tuple_compose(f, g)
 
 
 def test_boundary_counts():
@@ -116,6 +102,28 @@ def test_circle_and_cyclic_cover_counts(zoo):
         assert C.cells == [k * (m + 1) for m in range(4)]
         assert validate(C).ok
         assert sk.pi0(C).count == 1
+
+
+def test_cyclic_covers_compose():
+    # C_km -> C_k sends (phi, d, c) to (phi, d, c mod k): a covering whose
+    # composite with the projection of C_k is the projection of C_km
+    from ssetkit.checks import covering_check
+    from ssetkit.maps import SimplicialMap, compose, validate_parts
+    from ssetkit.standard import _cyclic_object
+
+    for k, m in ((1, 2), (2, 2), (3, 2), (2, 3)):
+        top, top_keys = _cyclic_object(k * m, 3)
+        bottom, bottom_keys = _cyclic_object(k, 3)
+        index = [{key: x for x, key in enumerate(at_n)} for at_n in bottom_keys]
+        level = [
+            [index[n][(phi, d, c % k)] for phi, d, c in top_keys[n]] for n in range(4)
+        ]
+        p = SimplicialMap(top, bottom, level)
+        assert validate_parts(p)[1].ok
+        assert covering_check(p).verdict
+        assert compose(sk.cyclic_cover_projection(k, 3), p) == sk.cyclic_cover_projection(
+            k * m, 3
+        )
 
 
 def test_union_spec(zoo):
@@ -215,3 +223,41 @@ def test_standard_documents_are_unchanged():
         count += 1
     assert count > 100
     assert digest.hexdigest() == STANDARD_SHA256
+
+
+def _extra_documents():
+    """Larger nerves, a nerve of a sum of groupoids, and larger cyclic
+    covers with their projections, in a fixed order."""
+    from ssetkit.groupoids import codiscrete_groupoid, cyclic_group_groupoid
+    from ssetkit.io import map_to_doc, object_to_doc
+
+    groups = [
+        cyclic_group_groupoid(4),
+        cyclic_group_groupoid(5),
+        codiscrete_groupoid(3),
+        orc.discrete_groupoid(3),
+        orc.sum_groupoid(cyclic_group_groupoid(2), codiscrete_groupoid(2)),
+    ]
+    for G in groups:
+        for N in range(5):
+            yield object_to_doc(sk.nerve(G, N))
+    for k in (16, 64):
+        for N in (3, 4):
+            yield object_to_doc(build_standard(cyclic_cover_spec(k), N))
+        yield map_to_doc(sk.cyclic_cover_projection(k, 3))
+
+
+# sha256 of the canonical documents above, in order, as the formal-skeleton
+# builder made them
+EXTRA_SHA256 = "e6670dbe6afc4f8d9af3373f64a7341688d1c9041398c6d22ca94ab12421e5f3"
+
+
+def test_extra_documents_are_unchanged():
+    import hashlib
+
+    from ssetkit.io import dumps_canonical
+
+    digest = hashlib.sha256()
+    for doc in _extra_documents():
+        digest.update(dumps_canonical(doc).encode())
+    assert digest.hexdigest() == EXTRA_SHA256
