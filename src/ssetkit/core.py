@@ -94,24 +94,12 @@ class TruncatedSSet:
             value = self._derived[name] = build(self)
             return value
 
-    def d(self, n: int, i: int, x: int) -> int:
-        """Face d_i of the n-simplex x."""
-        return self.face[n][i][x]
-
-    def s(self, n: int, i: int, x: int) -> int:
-        """Degeneracy s_i of the n-simplex x."""
-        return self.degeneracy[n][i][x]
-
-    def is_degenerate(self, n: int, x: int) -> bool:
-        # x = s_i(y) forces y = d_i(x), so degeneracy is decidable by table
-        # lookups alone.
-        for i in range(n):
-            if self.degeneracy[n - 1][i][self.face[n][i][x]] == x:
-                return True
-        return False
-
     def nondegenerate(self, n: int) -> list[bool]:
-        """Whether each n-cell is nondegenerate: is_degenerate, one i-row at a time."""
+        """Whether each n-cell is nondegenerate, one i-row at a time.
+
+        x = s_i(y) forces y = d_i(x), so x is degenerate exactly when
+        s_i(d_i(x)) = x for some i, which table lookups alone decide.
+        """
         flags, cells = [True] * self.cells[n], range(self.cells[n])
         for i in range(n):
             round_trip = map(self.degeneracy[n - 1][i].__getitem__, self.face[n][i])
@@ -140,28 +128,6 @@ class TruncatedSSet:
             c = self.face[deg][1][c]
             deg -= 1
         return c
-
-    def ez(self, n: int, x: int) -> tuple[tuple[int, ...], int, int]:
-        """Eilenberg-Zilber normal form of x.
-
-        Returns (phi, m, y) with y a nondegenerate m-simplex and phi a
-        monotone surjection [n] ->> [m] such that x = X(phi)(y).  Peels the
-        least applicable degeneracy index at each step, which makes the
-        output canonical.
-        """
-        phi = list(range(n + 1))
-        deg, y = n, x
-        while deg > 0:
-            for i in range(deg):
-                base = self.face[deg][i][y]
-                if self.degeneracy[deg - 1][i][base] == y:
-                    # y = s_i(base), so prepend sigma_i to phi.
-                    phi = [t if t <= i else t - 1 for t in phi]
-                    deg, y = deg - 1, base
-                    break
-            else:
-                break
-        return tuple(phi), deg, y
 
 
 def empty_sset(truncation: int) -> TruncatedSSet:

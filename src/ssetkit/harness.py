@@ -45,8 +45,6 @@ from . import io
 if TYPE_CHECKING:
     import numpy as np
 
-_FAMILY_NAMES = ("gluing", "cyclic-cover", "fold", "nerve-product", "corrupted")
-
 DEFAULT_MIX = {
     "gluing": 0.35,
     "cyclic-cover": 0.15,
@@ -72,7 +70,7 @@ class GenConfig:
             raise ValueError("max_cells_per_degree must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        unknown = set(self.fixture_mix) - set(_FAMILY_NAMES)
+        unknown = set(self.fixture_mix) - set(_FAMILIES)
         if unknown:
             raise ValueError(f"unknown fixture families: {sorted(unknown)}")
         if any(w < 0 for w in self.fixture_mix.values()):
@@ -298,7 +296,7 @@ def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> Simplicia
 
 
 def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
-    others = [n for n in _FAMILY_NAMES if n != "corrupted"]
+    others = [n for n in _FAMILIES if n != "corrupted"]
     base = _FAMILIES[others[int(rng.integers(0, len(others)))]](rng, cfg)
     A, B = base.source, base.target
     spots: list[tuple] = []

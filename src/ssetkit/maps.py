@@ -44,24 +44,22 @@ def validate_map(f: SimplicialMap) -> ValidationReport:
     """Check totality and naturality, reporting the first violation.
 
     The shapes of the source and the target are checked first, with one
-    min and max per row: a malformed end is a "shape" failure whose detail
-    names the end.  The ends' simplicial identities are not checked here:
-    validate_parts checks them first.
+    min and max per row, so every table entry is in range before any row
+    is composed: a malformed end is a "shape" failure whose detail names
+    the end.  The level table's shape and naturality come next.  The ends'
+    simplicial identities are not checked here: validate_parts checks them
+    first.
     """
-    return ValidationReport(failure=_map_failure(f))
-
-
-def _map_failure(f: SimplicialMap) -> ValidationFailure | None:
-    # every table entry of both ends is in range before any row is composed
     for end, X in (("source", f.source), ("target", f.target)):
         bad = _shape_failure(X)
         if bad is not None:
-            return ValidationFailure("shape", bad.degree, {"end": end, **bad.detail})
-    return _level_failure(f)
+            bad = ValidationFailure("shape", bad.degree, {"end": end, **bad.detail})
+            return ValidationReport(failure=bad)
+    return ValidationReport(failure=_level_failure(f))
 
 
 def _level_failure(f: SimplicialMap) -> ValidationFailure | None:
-    """The level shape and naturality part of _map_failure: both ends' shapes must be sound."""
+    """The level shape and naturality part of validate_map: both ends' shapes must be sound."""
     A, B = f.source, f.target
     if A.truncation != B.truncation:
         return ValidationFailure("shape", -1, {"reason": "truncation mismatch"})

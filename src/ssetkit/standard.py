@@ -27,16 +27,6 @@ def monotone_maps(m: int, n: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(n + 1), m + 1))
 
 
-def delta_op(i: int, p: int) -> tuple[int, ...]:
-    """Injection [p-1] -> [p] skipping i."""
-    return tuple(t if t < i else t + 1 for t in range(p))
-
-
-def sigma_op(i: int, p: int) -> tuple[int, ...]:
-    """Surjection [p+1] -> [p] hitting i twice."""
-    return tuple(t if t <= i else t - 1 for t in range(p + 2))
-
-
 # The number of parameters each non-union kind takes.
 _ARITY = {"simplex": 1, "boundary": 1, "horn": 2, "circle": 0, "cyclic-cover": 1}
 
@@ -140,7 +130,7 @@ def _object_from_keys(
 def _tables_from_tuples(
     n: int, truncation: int, keep: Callable[[tuple[int, ...]], bool]
 ) -> TruncatedSSet:
-    # t . delta_op(i, m) drops entry i of t, and t . sigma_op(i, m) repeats it
+    # precomposing t with delta_i drops entry i of t, and with sigma_i repeats it
     keys = [[t for t in monotone_maps(m, n) if keep(t)] for m in range(truncation + 1)]
     return _object_from_keys(
         keys, lambda t, i: t[:i] + t[i + 1 :], lambda t, i: t[: i + 1] + t[i:]

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 _VERIFY_EXITS_1 = "tests/test_io_cli.py::test_cli_verify_single_map_exits_1_when_a_claim_fails"
 _AUDIT_LABELS = "tests/test_harness.py::test_witness_audit_labels_and_order"
 _STANDARD_DOCUMENTS = "tests/test_standard.py::test_standard_documents_are_unchanged"
+_COMPONENT_CHECKS = "tests/test_components.py::test_component_checks_match_references"
+_MEMO_BOUNDED = "tests/test_harness.py::test_memo_is_invisible_and_bounded"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -180,6 +182,71 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "        return list, (list(self),)\n",
         "",
         ("tests/test_limits.py::test_fiber_product_is_plain_objects",),
+    ),
+    # trivial-covering counts its misses against the source's cells, not the pairs taken
+    (
+        "components.py",
+        "misses += pairs_n - len(taken)",
+        "misses += pairs_n - A.cells[n]",
+        (_COMPONENT_CHECKS,),
+    ),
+    # injection-cartesian counts every component of the target as met
+    (
+        "components.py",
+        '"meeting": len(meeting),',
+        '"meeting": pb.count,',
+        (_COMPONENT_CHECKS,),
+    ),
+    # the ds law reports the first failing row of an (n, j), not its least (x, i)
+    (
+        "core.py",
+        "x, i = min(bad)",
+        "x, i = bad[0]",
+        ("tests/test_core.py::test_ds_law_reports_least_x_before_i",),
+    ),
+    # a spec parameter may hold underscores, so simplex:1_0 builds simplex:10
+    (
+        "standard.py",
+        're.fullmatch("-?[0-9]+", p)',
+        're.fullmatch("-?[0-9_]+", p)',
+        ("tests/test_io_cli.py::test_cli_standard",),
+    ),
+    # nondegenerate tests only the i-row 0
+    (
+        "core.py",
+        "        for i in range(n):\n"
+        "            round_trip = map(",
+        "        for i in range(min(n, 1)):\n"
+        "            round_trip = map(",
+        ("tests/test_core.py::test_ez_normal_form",),
+    ),
+    # the generator's memo never evicts a truncation
+    (
+        "harness.py",
+        "del _MEMO[next(iter(_MEMO))]",
+        "pass",
+        (_MEMO_BOUNDED,),
+    ),
+    # the memo takes another truncation's entries
+    (
+        "harness.py",
+        "_MEMO.pop(truncation, None)",
+        "_MEMO.pop(next(iter(_MEMO), truncation), None)",
+        (_MEMO_BOUNDED,),
+    ),
+    # the memo has no lock
+    (
+        "harness.py",
+        "with _MEMO_LOCK:",
+        "if True:",
+        ("tests/test_harness.py::test_memo_under_threads",),
+    ),
+    # a slice of lazy rows ignores its bounds
+    (
+        "components.py",
+        "return [self[i] for i in range(self._degrees)[n]]",
+        "return [self[i] for i in range(self._degrees)]",
+        ("tests/test_properties.py::test_lazy_rows_read_like_the_list_of_their_rows",),
     ),
 )
 

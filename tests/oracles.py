@@ -50,6 +50,16 @@ def tuple_compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(f[v] for v in g)
 
 
+def delta_op(i: int, p: int) -> tuple[int, ...]:
+    """The coface injection [p-1] -> [p] skipping i."""
+    return tuple(t if t < i else t + 1 for t in range(p))
+
+
+def sigma_op(i: int, p: int) -> tuple[int, ...]:
+    """The codegeneracy surjection [p+1] -> [p] hitting i twice."""
+    return tuple(t if t <= i else t - 1 for t in range(p + 2))
+
+
 def apply_op(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
     """Replay X(alpha)(x) one elementary operator at a time.
 
@@ -63,12 +73,12 @@ def apply_op(X: TruncatedSSet, alpha: tuple[int, ...], deg: int, x: int) -> int:
         # alpha = delta_v . alpha' with v the least value skipped
         v = min(w for w in range(deg + 1) if w not in image)
         shrunk = tuple(a if a < v else a - 1 for a in alpha)
-        return apply_op(X, shrunk, deg - 1, X.d(deg, v, x))
+        return apply_op(X, shrunk, deg - 1, X.face[deg][v][x])
     for j in range(len(alpha) - 1):
         if alpha[j] == alpha[j + 1]:
             # alpha = alpha~ . sigma_j, so s_j comes last
             inner = apply_op(X, alpha[:j] + alpha[j + 1 :], deg, x)
-            return X.s(len(alpha) - 2, j, inner)
+            return X.degeneracy[len(alpha) - 2][j][inner]
     return x
 
 
@@ -83,17 +93,18 @@ def naive_vertex(X: TruncatedSSet, n: int, x: int, j: int) -> int:
 
 
 def ez_peel_greatest(X: TruncatedSSet, n: int, x: int) -> tuple[tuple[int, ...], int, int]:
-    """Eilenberg-Zilber form peeling the greatest degeneracy index first.
+    """Eilenberg-Zilber normal form (phi, m, y) of x, peeling the greatest index first.
 
-    The normal form is unique, so this must agree with the library's
-    least-index peeling.
+    y is a nondegenerate m-simplex and phi a monotone surjection [n] ->> [m]
+    with x = X(phi)(y).  The normal form is unique, so any peeling order
+    gives it; the tests check it against a brute-force search.
     """
     phi = list(range(n + 1))
     deg, y = n, x
     while deg > 0:
         for i in range(deg - 1, -1, -1):
-            base = X.d(deg, i, y)
-            if X.s(deg - 1, i, base) == y:
+            base = X.face[deg][i][y]
+            if X.degeneracy[deg - 1][i][base] == y:
                 phi = [t if t <= i else t - 1 for t in phi]
                 deg, y = deg - 1, base
                 break
@@ -144,6 +155,7 @@ def naive_identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
     if shape is not None:
         return shape
     N = X.truncation
+    fc, dg = X.face, X.degeneracy
 
     def failure(n: int, law: str, i: int, j: int, x: int) -> ValidationFailure:
         return ValidationFailure("identity", n, {"law": law, "i": i, "j": j, "simplex": x})
@@ -152,25 +164,25 @@ def naive_identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
         for j in range(n + 1):
             for i in range(j):
                 for x in range(X.cells[n]):
-                    if X.d(n - 1, i, X.d(n, j, x)) != X.d(n - 1, j - 1, X.d(n, i, x)):
+                    if fc[n - 1][i][fc[n][j][x]] != fc[n - 1][j - 1][fc[n][i][x]]:
                         return failure(n, "dd", i, j, x)
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
                 for x in range(X.cells[n]):
-                    if X.s(n + 1, i, X.s(n, j, x)) != X.s(n + 1, j + 1, X.s(n, i, x)):
+                    if dg[n + 1][i][dg[n][j][x]] != dg[n + 1][j + 1][dg[n][i][x]]:
                         return failure(n, "ss", i, j, x)
     for n in range(N):
         for j in range(n + 1):
             for x in range(X.cells[n]):
                 for i in range(n + 2):
                     if i < j:
-                        want = X.s(n - 1, j - 1, X.d(n, i, x))
+                        want = dg[n - 1][j - 1][fc[n][i][x]]
                     elif i > j + 1:
-                        want = X.s(n - 1, j, X.d(n, i - 1, x))
+                        want = dg[n - 1][j][fc[n][i - 1][x]]
                     else:
                         want = x
-                    if X.d(n + 1, i, X.s(n, j, x)) != want:
+                    if fc[n + 1][i][dg[n][j][x]] != want:
                         return failure(n, "ds", i, j, x)
     return None
 
@@ -201,12 +213,12 @@ def naive_map_failure(f: SimplicialMap) -> ValidationFailure | None:
     for n in range(1, N + 1):
         for i in range(n + 1):
             for x in range(A.cells[n]):
-                if f.level[n - 1][A.d(n, i, x)] != B.d(n, i, f.level[n][x]):
+                if f.level[n - 1][A.face[n][i][x]] != B.face[n][i][f.level[n][x]]:
                     return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
     for n in range(N):
         for i in range(n + 1):
             for x in range(A.cells[n]):
-                if f.level[n + 1][A.s(n, i, x)] != B.s(n, i, f.level[n][x]):
+                if f.level[n + 1][A.degeneracy[n][i][x]] != B.degeneracy[n][i][f.level[n][x]]:
                     return ValidationFailure(
                         "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
                     )
@@ -237,7 +249,7 @@ def bfs_components(X: TruncatedSSet) -> list[set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(X.cells[0])}
     if X.truncation >= 1:
         for e in range(X.cells[1]):
-            a, b = X.d(1, 0, e), X.d(1, 1, e)
+            a, b = X.face[1][0][e], X.face[1][1][e]
             adj[a].add(b)
             adj[b].add(a)
     seen: set[int] = set()
@@ -356,6 +368,32 @@ def naive_covering(h: SimplicialMap) -> CheckReport:
     return CheckReport("covering", witness is None, witness, stats)
 
 
+def anchored_lift_verdicts(h: SimplicialMap) -> tuple[bool, bool]:
+    """(covering, separable-lifting) verdicts read at the anchor positions only.
+
+    The lift squares at every (n, j) are decided by j = 0 in every degree
+    and j = 1 in degree 1.  Uniqueness: two lifts of u sharing vertex j have
+    edges 0 -> j over one base edge with one end, so degree-1 uniqueness at
+    j = 1 makes their 0-th vertices equal, and uniqueness at j = 0 makes them
+    equal.  Existence: lift the edge 0 -> j of u with its end as the anchor,
+    then lift u with vertex 0 as the anchor.
+    """
+    A, B = h.source, h.target
+    anchors = [(n, 0) for n in range(A.truncation + 1)]
+    if A.truncation >= 1:
+        anchors.append((1, 1))
+    covering = separable = True
+    for n, j in anchors:
+        lifts = _naive_lifts(h, n, j)
+        separable = separable and all(len(xs) < 2 for xs in lifts.values())
+        for u in range(B.cells[n]):
+            v = naive_vertex(B, n, u, j)
+            for a in range(A.cells[0]):
+                if h.level[0][a] == v and len(lifts.get((u, a), [])) != 1:
+                    covering = False
+    return covering, separable
+
+
 def naive_kan(h: SimplicialMap, bound: int | None = None) -> CheckReport:
     """Horn filling by exhaustive family enumeration with itertools.
 
@@ -376,7 +414,7 @@ def naive_kan(h: SimplicialMap, bound: int | None = None) -> CheckReport:
             over.setdefault(h.level[n - 1][y], []).append(y)
         fillers: dict[int, list[tuple[int, ...]]] = {}
         for x in range(A.cells[n]):
-            faces = tuple(A.d(n, i, x) for i in range(n + 1))
+            faces = tuple(A.face[n][i][x] for i in range(n + 1))
             fillers.setdefault(h.level[n][x], []).append(faces)
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
@@ -389,7 +427,7 @@ def naive_kan(h: SimplicialMap, bound: int | None = None) -> CheckReport:
             ]
             for u in range(B.cells[n]):
                 filled = {faces[:k] + faces[k + 1 :] for faces in fillers.get(u, ())}
-                cands = [over.get(B.d(n, i, u), []) for i in slots]
+                cands = [over.get(B.face[n][i][u], []) for i in slots]
                 for fam in itertools.product(*cands):
                     if any(di[fam[q]] != dj[fam[p]] for di, q, dj, p in laws):
                         continue
@@ -489,8 +527,9 @@ def all_simplicial_maps(X: TruncatedSSet, Y: TruncatedSSet) -> list[list[list[in
             # degeneracy squares from degree n-1 into n
             if n >= 1:
                 for i in range(n):
+                    sx, sy = X.degeneracy[n - 1][i], Y.degeneracy[n - 1][i]
                     for w in range(X.cells[n - 1]):
-                        if Y.s(n - 1, i, level[n - 1][w]) != level[n][X.s(n - 1, i, w)]:
+                        if sy[level[n - 1][w]] != level[n][sx[w]]:
                             return
             if n == N:
                 results.append([list(r) for r in level])
@@ -499,7 +538,7 @@ def all_simplicial_maps(X: TruncatedSSet, Y: TruncatedSSet) -> list[list[list[in
             return
         for y in range(Y.cells[n]):
             if n >= 1 and any(
-                Y.d(n, i, y) != level[n - 1][X.d(n, i, x)] for i in range(n + 1)
+                Y.face[n][i][y] != level[n - 1][X.face[n][i][x]] for i in range(n + 1)
             ):
                 continue
             level[n][x] = y
@@ -676,8 +715,8 @@ def reference_diagonal_level(h: SimplicialMap) -> list[list[int]]:
 # Tools the tests use that the library itself does not need: the action of
 # monotone maps on an object, the degeneracy closure that raises the
 # truncation of an object or a map, a groupoid-law checker, the discrete
-# groupoid, the component object and unit of an object, and a seeded
-# relabelling of a map.
+# groupoid, the component object and unit of an object, the inclusion of a
+# component, and a seeded relabelling of a map.
 
 
 def apply_epi(X: TruncatedSSet, phi: tuple[int, ...], deg: int, y: int) -> int:
@@ -723,7 +762,7 @@ def closure_step(X: TruncatedSSet) -> tuple[TruncatedSSet, list[tuple[int, int]]
     new_degeneracy_row = [[0] * X.cells[N] for _ in range(N + 1)]
     key_of: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
     for x in range(X.cells[N]):
-        phi, m, y = X.ez(N, x)
+        phi, m, y = ez_peel_greatest(X, N, x)
         for i in range(N + 1):
             # s_i(x) = X(phi o sigma_i)(y)
             lifted = phi[: i + 1] + phi[i:]
@@ -857,6 +896,28 @@ def component_unit(X: TruncatedSSet) -> SimplicialMap:
     return SimplicialMap(
         X, component_object(part, X.truncation), [list(r) for r in part.class_of]
     )
+
+
+def component_inclusion(X: TruncatedSSet, v: int) -> SimplicialMap:
+    """The inclusion into X of the component of vertex v.
+
+    The sub-object holds the cells of v's class under naive_classes, in
+    their order in X, renumbered from 0 in each degree.
+    """
+    N = X.truncation
+    classes = naive_classes(X)[1]
+    keep = [[x for x, c in enumerate(row) if c == classes[0][v]] for row in classes]
+    new = [{x: y for y, x in enumerate(row)} for row in keep]
+    face = [[]] + [
+        [[new[n - 1][X.face[n][i][x]] for x in keep[n]] for i in range(n + 1)]
+        for n in range(1, N + 1)
+    ]
+    degeneracy = [
+        [[new[n + 1][X.degeneracy[n][i][x]] for x in keep[n]] for i in range(n + 1)]
+        for n in range(N)
+    ]
+    sub = TruncatedSSet(N, [len(row) for row in keep], face, degeneracy)
+    return SimplicialMap(sub, X, keep)
 
 
 def _permute_object(X: TruncatedSSet, perms) -> TruncatedSSet:

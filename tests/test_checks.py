@@ -21,7 +21,14 @@ from ssetkit.core import validate
 from ssetkit.harness import GenConfig, gen_morphism
 from ssetkit.io import dumps_canonical
 from ssetkit.limits import diagonal
-from ssetkit.maps import SimplicialMap, fold_map, identity_map, terminal_map, validate_map
+from ssetkit.maps import (
+    SimplicialMap,
+    fold_map,
+    identity_map,
+    terminal_map,
+    validate_map,
+    validate_parts,
+)
 from ssetkit.components import injection_cartesian_check
 from ssetkit.report import (
     AmbiguousLift,
@@ -410,3 +417,21 @@ def test_separable_direct_matches_oracle(differential_maps):
         assert separable_direct(h).to_doc() == want, name
         negative += not want["verdict"]
     assert negative >= 30
+
+
+def test_anchor_positions_decide_the_lift_checks(differential_maps):
+    # squares at j = 0 in every degree and j = 1 in degree 1 decide covering
+    # and separable-lifting at every (n, j)
+    maps = [h for _, h in differential_maps] + list(orc.ladder_maps().values())
+    for seed in (0, 1):
+        for t in range(150):
+            _, h = gen_morphism(GenConfig(seed=seed), t)
+            if validate_parts(h)[1].ok:
+                maps.append(h)
+    seen = set()
+    for h in maps:
+        covering, separable = orc.anchored_lift_verdicts(h)
+        assert covering == covering_check(h).verdict
+        assert separable == separable_via_lifting(h).verdict
+        seen |= {("covering", covering), ("separable", separable)}
+    assert len(seen) == 4

@@ -104,7 +104,7 @@ def test_nerve_inner_face_composes():
     assert X.cells[1] == 3
     v = 0
     assert X.degeneracy[0][0][v] == 0
-    nondeg2 = [t for t in range(X.cells[2]) if not X.is_degenerate(2, t)]
+    nondeg2 = [t for t, nondeg in enumerate(X.nondegenerate(2)) if nondeg]
     assert len(nondeg2) == 4  # identity-free pairs from arrows {1, 2}
     for t in nondeg2:
         g1 = X.face[2][2][t]
@@ -137,7 +137,7 @@ def test_pi1_presentation_encodes_group_law(zoo):
     X = zoo["nerve-z2"]
     pres = pi1_presentation(X)
     ids = {g for _, g in pres.identity_relations}
-    nondeg_edges = [e for e in range(X.cells[1]) if not X.is_degenerate(1, e)]
+    nondeg_edges = [e for e, nondeg in enumerate(X.nondegenerate(1)) if nondeg]
     assert len(nondeg_edges) == 1
     a = nondeg_edges[0]
     squared = [

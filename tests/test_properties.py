@@ -1,18 +1,23 @@
 """Metamorphic properties.
 
 Verdicts do not depend on how cells are numbered, and coverings, trivial
-coverings and separable maps are stable under pullback, coverings and
+coverings and separable maps are stable under pullback (along a product
+projection, a vertex inclusion and a component inclusion), coverings and
 separable maps under composition.  A lazy row sequence reads like the list
-of its rows.
+of its rows.  A failing property is reported as a failed test.
 """
 
 import copy
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import relabel
+from oracles import component_inclusion, relabel
 import ssetkit as sk
 from ssetkit.checks import covering_check, kan_check, revalidate_witness, separable_direct
 from ssetkit.components import _Rows, trivial_covering_check
@@ -101,6 +106,7 @@ def test_pullback_keeps_coverings_and_separable_maps(h, v, factor):
     along = {"product": product(B, build_standard(parse_spec(factor), B.truncation)).pr1}
     if B.cells[0]:
         along["point"] = point_inclusion(B, v % B.cells[0])
+        along["component"] = component_inclusion(B, v % B.cells[0])
     for label, k in along.items():
         _assert_closed(_CLOSED_UNDER_PULLBACK, [h], pullback(h, k).pr2, label)
 
@@ -185,3 +191,27 @@ def test_lazy_rows_read_like_the_list_of_their_rows(rows, data):
             orig[:rows_read]
             c = copier(orig)
             assert type(c) is list and c == rows, name
+
+
+def test_a_failing_property_is_reported_as_failed(tmp_path):
+    # hypothesis's failure report imports modules that warn on import; the
+    # suite's warnings-as-errors setting must not turn that into an internal error
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-c", str(config), "-p", "no:cacheprovider", "test_fails.py"]
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "FAILED" in out.stdout and "INTERNALERROR" not in out.stdout

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles as orc
+from oracles import delta_op, sigma_op
 import ssetkit as sk
 from ssetkit.core import validate
 from ssetkit.standard import (
@@ -13,11 +14,9 @@ from ssetkit.standard import (
     build_standard,
     circle_spec,
     cyclic_cover_spec,
-    delta_op,
     horn_spec,
     monotone_maps,
     parse_spec,
-    sigma_op,
     simplex_spec,
     union_spec,
 )
