@@ -16,6 +16,13 @@ from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 
+# The most cells, summed over degrees, that an object document may declare.
+# A document at truncation 0 has no rows to bound its vertex count, and
+# validate allocates per declared cell.  It is far above every document the
+# tests, demos and benchmarks read, and above the 4,780,229 cells of
+# simplex:3 at truncation 100.  io.object_from_doc reads it when called.
+CELL_BUDGET = 10**7
+
 
 @dataclass
 class ValidationFailure:
@@ -259,8 +266,9 @@ def vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
     """All vertices of all simplices, computed bottom-up once per object.
 
     table[n][x] is the (n+1)-tuple of vertices of x.  Uses a different face
-    composite than TruncatedSSet.vertex, which the tests exploit as a cross
-    check.  The table is shared by every caller: read it, do not modify it.
+    composite than TruncatedSSet.vertex, which the witness replay reads so
+    as not to trust the table the scans read; the tests compare the two.
+    The table is shared by every caller: read it, do not modify it.
     """
     return X.derived("vertex_table", _vertex_table)
 

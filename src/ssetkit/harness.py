@@ -9,10 +9,10 @@ must draw a valid map, and a campaign raises RuntimeError when one does not.
 
 from __future__ import annotations
 
-import threading
+import functools
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Hashable
 
 from .checks import (
     CLAIMS,
@@ -25,7 +25,7 @@ from .checks import (
 )
 from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
 from .core import TruncatedSSet, disjoint_union, empty_sset
-from .groupoids import FiniteGroupoid, codiscrete_groupoid, cyclic_group_groupoid, nerve
+from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
 from .limits import DiagonalData, diagonal, product
 from .maps import (
     SimplicialMap,
@@ -95,33 +95,47 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_Built = TypeVar("_Built", TruncatedSSet, SimplicialMap)
+_PIECE_CATALOG: list[tuple[str, tuple[int, ...], list[int]]] = [
+    ("simplex", (0,), [1]),
+    ("simplex", (1,), [2, 1]),
+    ("simplex", (2,), [3, 3, 1]),
+    ("circle", (), [1, 1]),
+    ("boundary", (2,), [3, 3]),
+    ("horn", (2, 1), [3, 2]),
+]
 
-# The generator's constructor outputs, by truncation and then by
-# construction: a StandardObjectSpec, ("nerve", groupoid constructor, its
-# parameter) or ("cyclic-cover", k).  Only the _MEMO_TRUNCATIONS most
-# recently used truncations are kept (a campaign draws at one or two), each
-# with one entry per construction the generator draws from: the catalog
-# pieces, the _GROUPS nerves and the cyclic covers for k = 1..4.  Entries
-# are never handed out: each caller gets fresh rows, so no draw shares a
-# table, or a table derived from one, with the memo or with another draw.
-_MEMO: dict[int, dict[Hashable, TruncatedSSet | SimplicialMap]] = {}
-_MEMO_TRUNCATIONS = 2
-_MEMO_LOCK = threading.Lock()
+_GROUPS = (
+    (cyclic_group_groupoid, 2),
+    (cyclic_group_groupoid, 3),
+    (codiscrete_groupoid, 2),
+    (cyclic_group_groupoid, 1),
+)
 
 
-def _built(construction: Hashable, truncation: int, build: Callable[[], _Built]) -> _Built:
-    """A copy of build(), which is run once per (construction, truncation) kept."""
-    with _MEMO_LOCK:
-        entries = _MEMO.pop(truncation, None)
-        if entries is None:
-            entries = {}
-            if len(_MEMO) == _MEMO_TRUNCATIONS:
-                del _MEMO[next(iter(_MEMO))]
-        _MEMO[truncation] = entries
-        value = entries.get(construction)
-        if value is None:
-            value = entries[construction] = build()
+# The generator's building blocks, by (construction, truncation).  A campaign
+# draws at one or two truncations, each from one entry per catalog piece,
+# _GROUPS nerve and cyclic cover k = 1..4, so two truncations' worth is kept.
+# The key holds the construction, never the builder, so a wrapped
+# build_standard or nerve (as a tracer installs) still hits.
+@functools.lru_cache(maxsize=2 * (len(_PIECE_CATALOG) + len(_GROUPS) + 4))
+def _shared(construction: Hashable, truncation: int) -> TruncatedSSet | SimplicialMap:
+    """What construction builds: a StandardObjectSpec, a _GROUPS pair or a cyclic cover's k."""
+    if isinstance(construction, StandardObjectSpec):
+        return build_standard(construction, truncation)
+    if isinstance(construction, int):
+        return cyclic_cover_projection(construction, truncation)
+    group, n = construction
+    return nerve(group(n), truncation)
+
+
+def _fresh(construction: Hashable, truncation: int) -> TruncatedSSet | SimplicialMap:
+    """A copy of the cached block.
+
+    Cached values are never handed out: each caller gets fresh rows, so no
+    draw shares a table, or a table derived from one, with the cache or with
+    another draw.
+    """
+    value = _shared(construction, truncation)
     if isinstance(value, SimplicialMap):
         return SimplicialMap(_copy(value.source), _copy(value.target), _copy_rows(value.level))
     return _copy(value)
@@ -138,22 +152,6 @@ def _copy(X: TruncatedSSet) -> TruncatedSSet:
 
 def _copy_rows(rows: list[list[int]]) -> list[list[int]]:
     return [row[:] for row in rows]
-
-
-def _standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
-    return _built(spec, truncation, lambda: build_standard(spec, truncation))
-
-
-def _group_nerve(
-    group: Callable[[int], FiniteGroupoid], n: int, truncation: int
-) -> TruncatedSSet:
-    return _built(("nerve", group, n), truncation, lambda: nerve(group(n), truncation))
-
-
-def _cyclic_cover(k: int, truncation: int) -> SimplicialMap:
-    return _built(
-        ("cyclic-cover", k), truncation, lambda: cyclic_cover_projection(k, truncation)
-    )
 
 
 def quotient(
@@ -197,16 +195,6 @@ def quotient(
     return Y, SimplicialMap(X, Y, label)
 
 
-_PIECE_CATALOG: list[tuple[str, tuple[int, ...], list[int]]] = [
-    ("simplex", (0,), [1]),
-    ("simplex", (1,), [2, 1]),
-    ("simplex", (2,), [3, 3, 1]),
-    ("circle", (), [1, 1]),
-    ("boundary", (2,), [3, 3]),
-    ("horn", (2, 1), [3, 2]),
-]
-
-
 def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
     dim = cfg.max_nondegenerate_dim
     N = dim + 1
@@ -225,8 +213,8 @@ def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
         kind, params, prof = feasible[int(rng.integers(0, len(feasible)))]
         for m, c in enumerate(prof):
             budget[m] -= c
-        pieces.append(_standard(StandardObjectSpec(kind, params), N))
-    X = pieces[0] if pieces else _standard(simplex_spec(0), N)
+        pieces.append(_fresh(StandardObjectSpec(kind, params), N))
+    X = pieces[0] if pieces else _fresh(simplex_spec(0), N)
     for p in pieces[1:]:
         X = disjoint_union(X, p)
     pairs = _random_pairs(rng, X, int(rng.integers(0, max(2, X.cells[0]))), edges=dim > 0)
@@ -269,9 +257,9 @@ def _family_gluing(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
 
 def _family_cyclic(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     N = max(2, cfg.max_nondegenerate_dim + 1)
-    p = _cyclic_cover(int(rng.integers(1, 5)), N)
+    p = _fresh(int(rng.integers(1, 5)), N)
     if rng.random() < 0.3:
-        q = _cyclic_cover(int(rng.integers(1, 5)), N)
+        q = _fresh(int(rng.integers(1, 5)), N)
         return copair(p, q)
     return p
 
@@ -280,18 +268,10 @@ def _family_fold(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     return fold_map(_gen_object(rng, cfg))
 
 
-_GROUPS = (
-    (cyclic_group_groupoid, 2),
-    (cyclic_group_groupoid, 3),
-    (codiscrete_groupoid, 2),
-    (cyclic_group_groupoid, 1),
-)
-
-
 def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     X = _gen_object(rng, cfg)
     pick = rng.choice(len(_GROUPS), p=[0.4, 0.25, 0.25, 0.1])
-    K = _group_nerve(*_GROUPS[int(pick)], X.truncation)
+    K = _fresh(_GROUPS[int(pick)], X.truncation)
     return product(X, K).pr1
 
 
@@ -369,11 +349,11 @@ def gen_morphism(cfg: GenConfig, trial: int = 0) -> tuple[str, SimplicialMap]:
 
 def curated_instances(truncation: int = 3) -> list[tuple[str, SimplicialMap]]:
     """The named fixture maps, one per behavior class."""
-    interval = _standard(simplex_spec(1), truncation)
-    circle = _standard(circle_spec(), truncation)
-    k2 = _group_nerve(cyclic_group_groupoid, 2, truncation)
+    interval = _fresh(simplex_spec(1), truncation)
+    circle = _fresh(circle_spec(), truncation)
+    k2 = _fresh((cyclic_group_groupoid, 2), truncation)
     return [
-        ("curated:cyclic-double-cover", _cyclic_cover(2, truncation)),
+        ("curated:cyclic-double-cover", _fresh(2, truncation)),
         ("curated:interval-to-point", terminal_map(interval)),
         ("curated:fold-interval", fold_map(interval)),
         ("curated:circle-nerve-projection", product(circle, k2).pr1),

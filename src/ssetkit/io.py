@@ -16,6 +16,7 @@ import json
 import stat
 from pathlib import Path
 
+from . import core
 from .core import TruncatedSSet
 from .maps import SimplicialMap
 
@@ -78,6 +79,8 @@ def object_from_doc(doc: dict) -> TruncatedSSet:
         or any(not isinstance(c, int) or isinstance(c, bool) for c in cells)
     ):
         raise InterchangeError("cells must list one count per degree 0..truncation")
+    if sum(c for c in cells if c > 0) > core.CELL_BUDGET:
+        raise InterchangeError(f"cells declare more than {core.CELL_BUDGET} cells in all")
     face = _int_matrix_list(doc["face"], "face")
     if len(face) != n:
         raise InterchangeError("face must cover degrees 1..truncation")

@@ -30,6 +30,10 @@ _AUDIT_LABELS = "tests/test_harness.py::test_witness_audit_labels_and_order"
 _STANDARD_DOCUMENTS = "tests/test_standard.py::test_standard_documents_are_unchanged"
 _COMPONENT_CHECKS = "tests/test_components.py::test_component_checks_match_references"
 _MEMO_BOUNDED = "tests/test_harness.py::test_memo_is_invisible_and_bounded"
+_TAMPERED_WITNESSES = "tests/test_checks.py::test_tampered_witnesses_fail_revalidation"
+_SHAPE_ERRORS = "tests/test_core.py::test_validate_catches_shape_errors"
+_KAN_REFERENCE = "tests/test_checks.py::test_kan_check_matches_reference"
+_FIBER_PI0 = "tests/test_limits.py::test_pi0_of_fiber_product_from_pairs"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -131,7 +135,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         ")",
         ("tests/test_harness.py::test_trial_rng_keeps_every_64_bit_seed_apart",),
     ),
-    # the generator's memo hands out its own object instead of a copy
+    # the generator's cache hands out its own object instead of a copy
     (
         "harness.py",
         "    return _copy(value)\n",
@@ -220,33 +224,175 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "            round_trip = map(",
         ("tests/test_core.py::test_ez_normal_form",),
     ),
-    # the generator's memo never evicts a truncation
-    (
-        "harness.py",
-        "del _MEMO[next(iter(_MEMO))]",
-        "pass",
-        (_MEMO_BOUNDED,),
-    ),
-    # the memo takes another truncation's entries
-    (
-        "harness.py",
-        "_MEMO.pop(truncation, None)",
-        "_MEMO.pop(next(iter(_MEMO), truncation), None)",
-        (_MEMO_BOUNDED,),
-    ),
-    # the memo has no lock
-    (
-        "harness.py",
-        "with _MEMO_LOCK:",
-        "if True:",
-        ("tests/test_harness.py::test_memo_under_threads",),
-    ),
     # a slice of lazy rows ignores its bounds
     (
         "components.py",
         "return [self[i] for i in range(self._degrees)[n]]",
         "return [self[i] for i in range(self._degrees)]",
         ("tests/test_properties.py::test_lazy_rows_read_like_the_list_of_their_rows",),
+    ),
+    # the generator's cache is unbounded
+    (
+        "harness.py",
+        "maxsize=2 * (len(_PIECE_CATALOG) + len(_GROUPS) + 4)",
+        "maxsize=None",
+        (_MEMO_BOUNDED,),
+    ),
+    # the generator's nerves are built at truncation 3 whatever is asked
+    (
+        "harness.py",
+        "nerve(group(n), truncation)",
+        "nerve(group(n), 3)",
+        (_MEMO_BOUNDED,),
+    ),
+    # object documents declare any number of cells
+    (
+        "io.py",
+        "    if sum(c for c in cells if c > 0) > core.CELL_BUDGET:\n",
+        "    if False:\n",
+        ("tests/test_io_cli.py::test_interchange_rejections",),
+    ),
+    # a component leak replays without its cell in the named component
+    (
+        "checks.py",
+        "    if pb.class_of[w.degree][w.cell] != w.component:\n",
+        "    if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # a component leak replays with its cell in the image
+    (
+        "checks.py",
+        "    if w.cell in set(m.level[w.degree]):\n",
+        "    if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # a comparison miss replays for a cell and a component that are not a pullback pair
+    (
+        "checks.py",
+        "        if pb.class_of[n][b] != pi0_map(h)[c]:\n",
+        "        if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # a missing lift replays with its anchor off the base cell's j-th vertex
+    (
+        "checks.py",
+        "        if h.level[0][a] != B.vertex(n, u, j):\n",
+        "        if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # a missing horn filler replays with a face off the base cell's face
+    (
+        "checks.py",
+        "        if h.level[n - 1][faces[i]] != B.face[n][i][u]:\n",
+        "        if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # a missing horn filler replays with incompatible faces
+    (
+        "checks.py",
+        "                if A.face[n - 1][i][faces[j]] != A.face[n - 1][j - 1][faces[i]]:\n",
+        "                if False:\n",
+        (_TAMPERED_WITNESSES,),
+    ),
+    # the shape check takes any number of degeneracy rows
+    (
+        "core.py",
+        "        if len(X.degeneracy[n]) != n + 1:\n",
+        "        if False:\n",
+        (_SHAPE_ERRORS,),
+    ),
+    # the shape check takes negative cell counts
+    (
+        "core.py",
+        "len(X.cells) != N + 1 or any(c < 0 for c in X.cells)",
+        "len(X.cells) != N + 1",
+        (_SHAPE_ERRORS,),
+    ),
+    # the replay reads a cell's vertices through d_0 only
+    (
+        "core.py",
+        "c = self.face[deg][1][c]",
+        "c = self.face[deg][0][c]",
+        (
+            "tests/test_checks.py::test_witnesses_revalidate_on_generated",
+            "tests/test_checks.py::test_out_of_range_witnesses_do_not_replay",
+        ),
+    ),
+    # kan takes its slot-1 candidates in reverse
+    (
+        "checks.py",
+        "for y1 in look.get(off + own[y0], ())",
+        "for y1 in reversed(look.get(off + own[y0], ()))",
+        (_KAN_REFERENCE,),
+    ),
+    # kan skips base cell 0
+    (
+        "checks.py",
+        "for u, (b, off) in enumerate(zip(base[0], offset))",
+        "for u, (b, off) in enumerate(zip(base[0], offset)) if u",
+        (_KAN_REFERENCE,),
+    ),
+    # fiber-product face tables hold a fresh int per entry
+    (
+        "limits.py",
+        "ids[n - 1]",
+        "list(range(cells[n - 1]))",
+        ("tests/test_limits.py::test_pullback_tables_share_cell_ints",),
+    ),
+    # the leak witness is the last cell outside the image, not the first
+    (
+        "components.py",
+        "y = next(",
+        "y = max(",
+        (_COMPONENT_CHECKS,),
+    ),
+    # the miss witness is the last missed pair, not the first
+    (
+        "components.py",
+        "b, d = next(",
+        "b, d = max(",
+        (_COMPONENT_CHECKS,),
+    ),
+    # union_edges keeps the greater root
+    (
+        "components.py",
+        "            if a < b:\n"
+        "                p[b] = a\n"
+        "            elif b < a:\n",
+        "            if a > b:\n"
+        "                p[b] = a\n"
+        "            elif b > a:\n",
+        ("tests/test_components.py::test_union_edges_matches_union_per_edge",),
+    ),
+    # the fiber product's cell counts take m_f and m_g the wrong way round
+    (
+        "limits.py",
+        "            kind_f, mf = last_vertex_counts(f, n)\n"
+        "            kind_g, mg = (kind_f, mf) if g is f else last_vertex_counts(g, n)\n",
+        "            kind_f, mf = last_vertex_counts(g, n)\n"
+        "            kind_g, mg = (kind_f, mf) if g is f else last_vertex_counts(f, n)\n",
+        (_FIBER_PI0,),
+    ),
+    # the fiber product's components forget their non-loop edges
+    (
+        "limits.py",
+        "proper[b] = [y for y in ys if y0[y] != y1[y]]",
+        "proper[b] = []",
+        (_FIBER_PI0,),
+    ),
+    # the fiber product's cell counts drop the multiplicity of each kind pair
+    (
+        "limits.py",
+        "total[c] += times * sum(",
+        "total[c] += sum(",
+        (_FIBER_PI0,),
+    ),
+    # validate_parts validates the target before the source
+    (
+        "maps.py",
+        'for label, X in (("source", f.source), ("target", f.target)):',
+        'for label, X in (("target", f.target), ("source", f.source)):',
+        ("tests/test_maps.py::test_validate_parts_matches_validate_map_on_malformed_maps",),
     ),
 )
 

@@ -151,6 +151,34 @@ def test_tampered_witnesses_fail_revalidation(named_maps):
     assert not revalidate_witness(
         named_maps["vertex-into-interval"], dataclasses.replace(report, witness=bad)
     )
+    # in-range witnesses that each in-range rejection of the replay must catch:
+    # e is the interval's nondegenerate edge, from vertex 0 to vertex 1
+    interval = build_standard(parse_spec("simplex:1"), 3)
+    e = interval.nondegenerate(1).index(True)
+    s0v1 = interval.degeneracy[0][0][1]
+    two = sk.disjoint_union(interval, interval)
+    into_two = sk.copair(sk.point_inclusion(two, 0), sk.point_inclusion(two, 2))
+    vertex = sk.point_inclusion(interval, 0)
+    bogus = [
+        # cell 1 lies in component 0, not 1
+        (into_two, "injection-cartesian", ComponentLeak(1, 0, 1)),
+        # cell 0 is in the image
+        (vertex, "injection-cartesian", ComponentLeak(0, 0, 0)),
+        # target vertex 1 and source component 0 are not a pullback pair
+        (
+            sk.point_inclusion(sk.discrete_sset(2, 3), 0),
+            "trivial-covering",
+            ComparisonMiss(0, 1, 0),
+        ),
+        # the anchor lies over vertex 0 of e, not its vertex 1
+        (vertex, "covering", MissingLift(1, 1, e, 0)),
+        # face 1 of the horn lies over vertex 1, not over d_1(e) = 0
+        (sk.identity_map(interval), "kan", MissingHornFiller(1, 0, e, ((1, 1),))),
+        # d_1 of the two faces differ: vertex 0 against vertex 1
+        (terminal_map(interval), "kan", MissingHornFiller(2, 0, 0, ((1, s0v1), (2, e)))),
+    ]
+    for h, check, w in bogus:
+        assert revalidate_witness(h, CheckReport(check, False, w, {})) is False, w
 
 
 def test_out_of_range_witnesses_do_not_replay(named_maps):

@@ -65,6 +65,32 @@ def test_validate_catches_shape_errors(zoo):
     Z.degeneracy[0][0][0] = -1
     assert not validate(Z).ok
 
+    # one malformed object per reason, each against the oracle
+    def tampered(edit, X=zoo["interval"]):
+        X = copy.deepcopy(X)
+        edit(X)
+        return X
+
+    malformed = {
+        "negative truncation": sk.TruncatedSSet(-1, [], [[]], []),
+        "bad cell counts": sk.TruncatedSSet(0, [-1], [[]], []),
+        "face table length": tampered(lambda X: X.face.append([])),
+        "degeneracy table length": tampered(lambda X: X.degeneracy.pop()),
+        "face row count": tampered(lambda X: X.face[2].pop()),
+        "face row length": tampered(lambda X: X.face[1][0].append(0)),
+        "face out of range": tampered(lambda X: X.face[1][1].__setitem__(0, 2)),
+        "degeneracy row count": tampered(
+            lambda X: X.degeneracy[1].append(X.degeneracy[1][0][:]),
+            build_standard(simplex_spec(1), 2),
+        ),
+        "degeneracy row length": tampered(lambda X: X.degeneracy[1][1].pop()),
+        "degeneracy out of range": tampered(lambda X: X.degeneracy[1][0].__setitem__(0, 99)),
+    }
+    for reason, X in malformed.items():
+        failure = validate(X).failure
+        assert failure.to_doc() == orc._naive_shape_failure(X).to_doc(), reason
+        assert failure.detail["reason"] == reason
+
 
 def test_report_ok_is_derived_from_its_failure(zoo):
     X = copy.deepcopy(zoo["interval"])

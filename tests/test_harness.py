@@ -4,7 +4,6 @@ import dataclasses
 import json
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -393,23 +392,23 @@ def test_draws_share_no_rows_with_later_draws():
 
 
 def test_memo_is_invisible_and_bounded():
+    # two truncations' worth of entries: one per construction the generator
+    # draws from, the catalog pieces, the _GROUPS nerves and the covers k = 1..4
+    size = 2 * (len(harness._PIECE_CATALOG) + len(harness._GROUPS) + 4)
+    assert harness._shared.cache_info().maxsize == size
     warm, cold = [], []
     cfgs = [
         GenConfig(seed=seed, max_nondegenerate_dim=dim) for seed in range(4) for dim in range(4)
     ]
     for cfg in cfgs:
         for t in range(60):
-            harness._MEMO.clear()
+            harness._shared.cache_clear()
             cold.append(map_to_doc(gen_morphism(cfg, t)[1]))
     for cfg in cfgs:
         for t in range(60):
             warm.append(map_to_doc(gen_morphism(cfg, t)[1]))
+            assert harness._shared.cache_info().currsize <= size
     assert warm == cold
-    # at most one entry per construction the generator draws from: the
-    # catalog pieces, the _GROUPS nerves and the cyclic covers k = 1..4
-    per_truncation = len(harness._PIECE_CATALOG) + len(harness._GROUPS) + 4
-    assert len(harness._MEMO) <= harness._MEMO_TRUNCATIONS
-    assert all(len(entries) <= per_truncation for entries in harness._MEMO.values())
 
 
 def _run_threads(target, count):
@@ -428,7 +427,7 @@ def _run_threads(target, count):
 
 
 def test_memo_under_threads():
-    # four threads draw at three truncations in turn, more than the memo
+    # four threads draw at three truncations in turn, more than the cache
     # keeps; each must draw what one thread alone draws
     jobs = [(GenConfig(seed=2, max_nondegenerate_dim=d), t) for t in range(15) for d in range(3)]
     want = [map_to_doc(gen_morphism(cfg, t)[1]) for cfg, t in jobs]
@@ -438,24 +437,18 @@ def test_memo_under_threads():
         order = jobs[w:] + jobs[:w]
         got[w] = [map_to_doc(gen_morphism(cfg, t)[1]) for cfg, t in order]
 
-    harness._MEMO.clear()
+    harness._shared.cache_clear()
     _run_threads(draw_all, 4)
     assert [got[w] for w in range(4)] == [want[w:] + want[:w] for w in range(4)]
-    assert len(harness._MEMO) <= harness._MEMO_TRUNCATIONS
 
-    # four threads ask at once for one construction that is slow to build:
-    # it is built once, and each thread gets its own copy
-    builds = []
-
-    def slow_build():
-        builds.append(None)
-        time.sleep(0.02)
-        return sk.discrete_sset(1, 9)
+    # four threads ask at once for one construction: each gets its own copy
+    spec = parse_spec("simplex:1")
 
     def probe(w):
-        got[w] = harness._built("probe", 9, slow_build)
+        got[w] = harness._fresh(spec, 9)
 
+    harness._shared.cache_clear()
     _run_threads(probe, 4)
-    assert len(builds) == 1
-    assert all(got[w] == sk.discrete_sset(1, 9) for w in range(4))
+    assert all(got[w] == build_standard(spec, 9) for w in range(4))
     assert len({id(got[w].cells) for w in range(4)}) == 4
+    assert len({id(got[w].face[1][0]) for w in range(4)}) == 4

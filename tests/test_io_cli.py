@@ -49,6 +49,11 @@ def test_map_doc_with_file_references(zoo, tmp_path):
         io.map_from_doc({"source": "nowhere.json", "target": "nowhere.json", "level": []})
 
 
+def _points_doc(k):
+    # nothing at truncation 0 bounds the vertex count but the cell budget
+    return {"truncation": 0, "cells": [k], "face": [], "degeneracy": []}
+
+
 def test_interchange_rejections(zoo):
     good = io.object_to_doc(zoo["interval"])
     bad = dict(good)
@@ -69,6 +74,8 @@ def test_interchange_rejections(zoo):
         io.object_from_doc(bad)
     with pytest.raises(io.InterchangeError):
         io.object_from_doc([1, 2, 3])
+    with pytest.raises(io.InterchangeError, match="cells"):
+        io.object_from_doc(_points_doc(10**12))  # over the cell budget
     mdoc = io.map_to_doc(terminal_map(zoo["interval"]))
     bad = dict(mdoc)
     bad["levels"] = bad.pop("level")
@@ -139,6 +146,18 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     q.write_text('{"truncation": 0, "cells": [1], "face": [], "degeneracy": [], "x": 1}\n')
     assert main(["validate", str(q)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_cell_budget_is_invalid_input(tmp_path, monkeypatch, capsys):
+    # over-budget documents go to validate only under a lowered budget
+    monkeypatch.setattr(sk.core, "CELL_BUDGET", 10)
+    over, at = tmp_path / "over.json", tmp_path / "at.json"
+    over.write_text(io.dumps_canonical(_points_doc(11)))
+    at.write_text(io.dumps_canonical(_points_doc(10)))
+    assert main(["validate", str(over)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["validate", str(at)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
 
 
 def test_cli_directory_path_is_invalid_input(tmp_path, capsys):
