@@ -157,6 +157,16 @@ def discrete_sset(points: int, truncation: int) -> TruncatedSSet:
     )
 
 
+def _operators(N: int) -> tuple[tuple[str, int, range], ...]:
+    """(name, step, degrees) of the face table, then the degeneracy table.
+
+    Row i of the table called name, at degree n, maps the n-cells to the
+    (n + step)-cells, for n in degrees: d_i for n in 1..N, s_i for n in
+    0..N-1, at truncation N.  face[0] is a placeholder, outside the degrees.
+    """
+    return (("face", -1, range(1, N + 1)), ("degeneracy", 1, range(N)))
+
+
 def _shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
     N = X.truncation
     if N < 0:
@@ -167,26 +177,16 @@ def _shape_failure(X: TruncatedSSet) -> ValidationFailure | None:
         return ValidationFailure("shape", -1, {"reason": "face table length"})
     if len(X.degeneracy) != N:
         return ValidationFailure("shape", -1, {"reason": "degeneracy table length"})
-    for n in range(1, N + 1):
-        if len(X.face[n]) != n + 1:
-            return ValidationFailure("shape", n, {"reason": "face row count"})
-        for i, row in enumerate(X.face[n]):
-            if len(row) != X.cells[n]:
-                return ValidationFailure("shape", n, {"reason": "face row length", "i": i})
-            if row and (min(row) < 0 or max(row) >= X.cells[n - 1]):
-                return ValidationFailure("shape", n, {"reason": "face out of range", "i": i})
-    for n in range(N):
-        if len(X.degeneracy[n]) != n + 1:
-            return ValidationFailure("shape", n, {"reason": "degeneracy row count"})
-        for i, row in enumerate(X.degeneracy[n]):
-            if len(row) != X.cells[n]:
-                return ValidationFailure(
-                    "shape", n, {"reason": "degeneracy row length", "i": i}
-                )
-            if row and (min(row) < 0 or max(row) >= X.cells[n + 1]):
-                return ValidationFailure(
-                    "shape", n, {"reason": "degeneracy out of range", "i": i}
-                )
+    for name, step, degrees in _operators(N):
+        table = getattr(X, name)
+        for n in degrees:
+            if len(table[n]) != n + 1:
+                return ValidationFailure("shape", n, {"reason": f"{name} row count"})
+            for i, row in enumerate(table[n]):
+                if len(row) != X.cells[n]:
+                    return ValidationFailure("shape", n, {"reason": f"{name} row length", "i": i})
+                if row and (min(row) < 0 or max(row) >= X.cells[n + step]):
+                    return ValidationFailure("shape", n, {"reason": f"{name} out of range", "i": i})
     return None
 
 
@@ -197,8 +197,9 @@ def validate(X: TruncatedSSet) -> ValidationReport:
     simplex.  Instances are scanned in (n, j, i, x) order for the laws dd
     and ss, and in (n, j, x, i) order for ds.  Each (n, i, j) composes two
     table rows and compares them whole; only a pair that differs is scanned
-    for its first bad x.  The shape is checked first, with one min and max
-    per row, and the degenerate cells for has_buffer are found one i-row at
+    for its first bad x.  The shape is checked first, every face row
+    before every degeneracy row, each in ascending degree, with one min and
+    max per row; the degenerate cells for has_buffer are found one i-row at
     a time.  A missing buffer degree (nondegenerate cells at the
     truncation) is reported via ``has_buffer``, not as a failure.  It is
     read off the cells whenever the shape is sound, after an identity
@@ -290,16 +291,12 @@ def disjoint_union(X: TruncatedSSet, Y: TruncatedSSet) -> TruncatedSSet:
         raise ValueError("truncation mismatch in disjoint union")
     N = X.truncation
     cells = [X.cells[n] + Y.cells[n] for n in range(N + 1)]
-    face: list[list[list[int]]] = [[]]
-    for n in range(1, N + 1):
-        off = X.cells[n - 1]
-        face.append(
-            [X.face[n][i] + [v + off for v in Y.face[n][i]] for i in range(n + 1)]
-        )
-    degeneracy = []
-    for n in range(N):
-        off = X.cells[n + 1]
-        degeneracy.append(
-            [X.degeneracy[n][i] + [v + off for v in Y.degeneracy[n][i]] for i in range(n + 1)]
-        )
-    return TruncatedSSet(N, cells, face, degeneracy)
+    glued: dict[str, list[list[list[int]]]] = {}
+    for name, step, degrees in _operators(N):
+        # Y's entries shift past X's (n + step)-cells
+        tx, ty = getattr(X, name), getattr(Y, name)
+        glued[name] = [
+            [x + [v + X.cells[n + step] for v in y] for x, y in zip(tx[n], ty[n])]
+            for n in degrees
+        ]
+    return TruncatedSSet(N, cells, [[]] + glued["face"], glued["degeneracy"])

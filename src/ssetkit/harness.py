@@ -24,7 +24,7 @@ from .checks import (
     violates,
 )
 from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
-from .core import TruncatedSSet, disjoint_union, empty_sset
+from .core import TruncatedSSet, _operators, disjoint_union, empty_sset
 from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
 from .limits import DiagonalData, diagonal, product
 from .maps import (
@@ -166,32 +166,28 @@ def quotient(
     N = X.truncation
     classes = [_UnionFind(c) for c in X.cells]
     work = [(n, a, b) for (n, a, b) in pairs]
+    operators = _operators(N)
     while work:
         n, a, b = work.pop()
         if not classes[n].union(a, b):
             continue
-        if n >= 1:
-            for i in range(n + 1):
-                work.append((n - 1, X.face[n][i][a], X.face[n][i][b]))
-        if n < N:
-            for i in range(n + 1):
-                work.append((n + 1, X.degeneracy[n][i][a], X.degeneracy[n][i][b]))
+        for name, step, degrees in operators:
+            if n in degrees:
+                for row in getattr(X, name)[n]:
+                    work.append((n + step, row[a], row[b]))
 
     label = [uf.classes()[1] for uf in classes]
     # each class is numbered by its least member, which is its root
     members = [[x for x, r in enumerate(uf.parent) if r == x] for uf in classes]
     cells = [len(m) for m in members]
-    face: list[list[list[int]]] = [[]]
-    for n in range(1, N + 1):
-        face.append(
-            [[label[n - 1][X.face[n][i][m]] for m in members[n]] for i in range(n + 1)]
-        )
-    degeneracy = []
-    for n in range(N):
-        degeneracy.append(
-            [[label[n + 1][X.degeneracy[n][i][m]] for m in members[n]] for i in range(n + 1)]
-        )
-    Y = TruncatedSSet(N, cells, face, degeneracy)
+    tables = {
+        name: [
+            [[label[n + step][row[m]] for m in members[n]] for row in getattr(X, name)[n]]
+            for n in degrees
+        ]
+        for name, step, degrees in _operators(N)
+    }
+    Y = TruncatedSSet(N, cells, [[]] + tables["face"], tables["degeneracy"])
     return Y, SimplicialMap(X, Y, label)
 
 
@@ -279,32 +275,24 @@ def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap
     others = [n for n in _FAMILIES if n != "corrupted"]
     base = _FAMILIES[others[int(rng.integers(0, len(others)))]](rng, cfg)
     A, B = base.source, base.target
-    spots: list[tuple] = []
-    for n in range(A.truncation + 1):
-        if A.cells[n] and B.cells[n] >= 2:
-            spots.append(("level", n))
-    for n in range(1, A.truncation + 1):
-        if A.cells[n] and A.cells[n - 1] >= 2:
-            spots.append(("face", n))
-    for n in range(A.truncation):
-        if A.cells[n] and A.cells[n + 1] >= 2:
-            spots.append(("degeneracy", n))
+    spots: list[tuple[str, int, int]] = [
+        ("level", n, 0) for n in range(A.truncation + 1) if A.cells[n] and B.cells[n] >= 2
+    ]
+    for name, step, degrees in _operators(A.truncation):
+        spots += [(name, n, step) for n in degrees if A.cells[n] and A.cells[n + step] >= 2]
     for _ in range(40 if spots else 0):
         # each attempt copies the rows it bumps; base is never edited
-        kind, n = spots[int(rng.integers(0, len(spots)))]
+        kind, n, step = spots[int(rng.integers(0, len(spots)))]
         source, level = A, list(base.level)
         if kind == "level":
             level[n] = _bumped(level[n], rng, B.cells[n])
         else:
             i = int(rng.integers(0, n + 1))
-            face, degeneracy = list(A.face), list(A.degeneracy)
-            if kind == "face":
-                face[n] = list(face[n])
-                face[n][i] = _bumped(face[n][i], rng, A.cells[n - 1])
-            else:
-                degeneracy[n] = list(degeneracy[n])
-                degeneracy[n][i] = _bumped(degeneracy[n][i], rng, A.cells[n + 1])
-            source = TruncatedSSet(A.truncation, list(A.cells), face, degeneracy)
+            tables = {"face": list(A.face), "degeneracy": list(A.degeneracy)}
+            rows = tables[kind]
+            rows[n] = list(rows[n])
+            rows[n][i] = _bumped(rows[n][i], rng, A.cells[n + step])
+            source = TruncatedSSet(A.truncation, list(A.cells), **tables)
         h = SimplicialMap(source, B, level)
         if not validate_parts(h)[1].ok:
             return h

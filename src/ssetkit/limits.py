@@ -14,11 +14,13 @@ cell, and so do s_i x and s_i y.
 The object and its projections are a plain TruncatedSSet and plain
 SimplicialMaps, but their face, degeneracy and level tables are lazy row
 sequences (components._Rows): each degree is built by that arithmetic on
-its first read and kept.  They compare equal to the lists of their rows,
-and copies and pickles of them are plain lists.  pi0 is stored on the
-object when it is built, from the pairs by the same arithmetic, and reads
-no table of the object: a caller that reads only cell counts and
-components (the separability checks on a diagonal) builds none of them.
+its first read and kept.  One rule builds both kinds of row at degree n:
+the faces, into degree n - 1, and the degeneracies, into degree n + 1.
+They compare equal to the lists of their rows, and copies and pickles of
+them are plain lists.  pi0 is stored on the object when it is built, from
+the pairs by the same arithmetic, and reads no table of the object: a
+caller that reads only cell counts and components (the separability
+checks on a diagonal) builds none of them.
 
 pi0 visits the edge pairs, not the cells: it merges the vertex pairs of
 each edge pair and stops there.  An n-cell (x, y) lies in the component of
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from .components import ComponentPartition, _Rows, _vertex_classes
-from .core import TruncatedSSet, vertex_table
+from .core import TruncatedSSet, _operators, vertex_table
 from .maps import SimplicialMap, terminal_map
 
 
@@ -116,16 +118,15 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     # int per entry: the tables are most of a fiber product's memory.
     ids = _Rows(N + 1, lambda m: list(range(cells[m])))
 
-    def face(n: int) -> list[list[int]]:
-        if not n:
-            return []
-        return [table(n, n - 1, X.face[n][i], Y.face[n][i], ids[n - 1]) for i in range(n + 1)]
+    def rows(name: str, step: int, degrees: range) -> _Rows:
+        # the object's faces or degeneracies, each degree built on its first read
+        tx, ty = getattr(X, name), getattr(Y, name)
 
-    def degeneracy(n: int) -> list[list[int]]:
-        return [
-            table(n, n + 1, X.degeneracy[n][i], Y.degeneracy[n][i], ids[n + 1])
-            for i in range(n + 1)
-        ]
+        def build(n: int) -> list[list[int]]:
+            pairs = zip(tx[n], ty[n]) if n in degrees else ()  # face[0] stays empty
+            return [table(n, n + step, x, y, ids[n + step]) for x, y in pairs]
+
+        return _Rows(len(tx), build)
 
     def edge_ends() -> tuple[list[int], list[int]]:
         # the vertex pairs d_0 p and d_1 p of each edge pair p = (x, y), less
@@ -195,7 +196,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
                 cells_c.append(total[c])
         return out
 
-    P = TruncatedSSet(N, cells, _Rows(N + 1, face), _Rows(N, degeneracy))
+    P = TruncatedSSet(N, cells, *(rows(*op) for op in _operators(N)))
     partition = ComponentPartition(count, vertex_class, _Rows(N + 1, row), count_cells)
     P.derived("pi0", lambda _: partition)
     pr1 = SimplicialMap(P, X, _Rows(N + 1, left))

@@ -9,6 +9,7 @@ from .core import (
     ValidationFailure,
     ValidationReport,
     _first_difference,
+    _operators,
     _shape_failure,
     discrete_sset,
     disjoint_union,
@@ -46,9 +47,10 @@ def validate_map(f: SimplicialMap) -> ValidationReport:
     The shapes of the source and the target are checked first, with one
     min and max per row, so every table entry is in range before any row
     is composed: a malformed end is a "shape" failure whose detail names
-    the end.  The level table's shape and naturality come next.  The ends'
-    simplicial identities are not checked here: validate_parts checks them
-    first.
+    the end.  The level table's shape and naturality come next: naturality
+    along every face before every degeneracy, each in ascending degree.  The
+    ends' simplicial identities are not checked here: validate_parts checks
+    them first.
     """
     for end, X in (("source", f.source), ("target", f.target)):
         bad = _shape_failure(X)
@@ -72,24 +74,17 @@ def _level_failure(f: SimplicialMap) -> ValidationFailure | None:
             return ValidationFailure("shape", n, {"reason": "level row length"})
         if row and (min(row) < 0 or max(row) >= B.cells[n]):
             return ValidationFailure("shape", n, {"reason": "level out of range"})
-    # naturality compares composed rows whole; a differing pair is scanned
-    # for its first bad x
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            got = list(map(f.level[n - 1].__getitem__, A.face[n][i]))
-            want = list(map(B.face[n][i].__getitem__, f.level[n]))
-            if got != want:
-                x = _first_difference(got, want)
-                return ValidationFailure("naturality", n, {"op": "face", "i": i, "simplex": x})
-    for n in range(N):
-        for i in range(n + 1):
-            got = list(map(f.level[n + 1].__getitem__, A.degeneracy[n][i]))
-            want = list(map(B.degeneracy[n][i].__getitem__, f.level[n]))
-            if got != want:
-                x = _first_difference(got, want)
-                return ValidationFailure(
-                    "naturality", n, {"op": "degeneracy", "i": i, "simplex": x}
-                )
+    # naturality compares composed rows whole, faces before degeneracies; a
+    # differing pair is scanned for its first bad x
+    for name, step, degrees in _operators(N):
+        ops_a, ops_b = getattr(A, name), getattr(B, name)
+        for n in degrees:
+            for i, (row_a, row_b) in enumerate(zip(ops_a[n], ops_b[n])):
+                got = list(map(f.level[n + step].__getitem__, row_a))
+                want = list(map(row_b.__getitem__, f.level[n]))
+                if got != want:
+                    x = _first_difference(got, want)
+                    return ValidationFailure("naturality", n, {"op": name, "i": i, "simplex": x})
     return None
 
 

@@ -55,8 +55,8 @@ def differential_maps(zoo, named_maps):
     """(name, map) for the differential tests: each check's full report
     against its definitional oracle in oracles.py.
 
-    Zoo-built maps, the named maps and a seeded corpus, then all their
-    diagonals.
+    Zoo-built maps, the named maps, three maps at truncation 0 and a seeded
+    corpus, then all their diagonals.
     """
     maps = []
     for name, X in zoo.items():
@@ -68,6 +68,12 @@ def differential_maps(zoo, named_maps):
         if X.cells[0]:
             maps.append((f"vertex:{name}", sk.point_inclusion(X, 0)))
     maps += named_maps.items()
+    # no edges, so their fiber products have none either
+    maps += [
+        ("fold:discrete2@0", sk.fold_map(sk.discrete_sset(2, 0))),
+        ("terminal:discrete3@0", sk.terminal_map(sk.discrete_sset(3, 0))),
+        ("vertex:discrete2@0", sk.point_inclusion(sk.discrete_sset(2, 0), 1)),
+    ]
     cfg = GenConfig(seed=31, trials=0)
     for t in range(80):
         _, h = gen_morphism(cfg, t)

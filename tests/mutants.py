@@ -34,6 +34,8 @@ _TAMPERED_WITNESSES = "tests/test_checks.py::test_tampered_witnesses_fail_revali
 _SHAPE_ERRORS = "tests/test_core.py::test_validate_catches_shape_errors"
 _KAN_REFERENCE = "tests/test_checks.py::test_kan_check_matches_reference"
 _FIBER_PI0 = "tests/test_limits.py::test_pi0_of_fiber_product_from_pairs"
+_INTERCHANGE_REJECTIONS = "tests/test_io_cli.py::test_interchange_rejections"
+_MALFORMED_DOCUMENTS = "tests/test_io_cli.py::test_cli_malformed_documents_are_invalid_input"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -294,11 +296,11 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "                if False:\n",
         (_TAMPERED_WITNESSES,),
     ),
-    # the shape check takes any number of degeneracy rows
+    # the shape check takes any number of face or degeneracy rows
     (
         "core.py",
-        "        if len(X.degeneracy[n]) != n + 1:\n",
-        "        if False:\n",
+        "            if len(table[n]) != n + 1:\n",
+        "            if False:\n",
         (_SHAPE_ERRORS,),
     ),
     # the shape check takes negative cell counts
@@ -332,11 +334,11 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "for u, (b, off) in enumerate(zip(base[0], offset)) if u",
         (_KAN_REFERENCE,),
     ),
-    # fiber-product face tables hold a fresh int per entry
+    # fiber-product face and degeneracy tables hold a fresh int per entry
     (
         "limits.py",
-        "ids[n - 1]",
-        "list(range(cells[n - 1]))",
+        "ids[n + step]",
+        "list(range(cells[n + step]))",
         ("tests/test_limits.py::test_pullback_tables_share_cell_ints",),
     ),
     # the leak witness is the last cell outside the image, not the first
@@ -393,6 +395,134 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         'for label, X in (("source", f.source), ("target", f.target)):',
         'for label, X in (("target", f.target), ("source", f.source)):',
         ("tests/test_maps.py::test_validate_parts_matches_validate_map_on_malformed_maps",),
+    ),
+    # the merged face/degeneracy loops read degree n where they mean n + step
+    (
+        "core.py",
+        "max(row) >= X.cells[n + step]",
+        "max(row) >= X.cells[n]",
+        (_SHAPE_ERRORS,),
+    ),
+    (
+        "maps.py",
+        "f.level[n + step].__getitem__",
+        "f.level[n].__getitem__",
+        ("tests/test_maps.py::test_validate_map_matches_oracle_on_every_single_entry_tamper",),
+    ),
+    (
+        "core.py",
+        "v + X.cells[n + step]",
+        "v + X.cells[n]",
+        ("tests/test_core.py::test_disjoint_union_counts_and_components",),
+    ),
+    (
+        "harness.py",
+        "label[n + step]",
+        "label[n]",
+        ("tests/test_harness.py::test_generated_objects_validate",),
+    ),
+    (
+        "harness.py",
+        "_bumped(rows[n][i], rng, A.cells[n + step])",
+        "_bumped(rows[n][i], rng, A.cells[n])",
+        ("tests/test_maps.py::test_validators_match_oracles_on_tampered_draws",),
+    ),
+    # input guards: without each, a malformed document is not invalid input (exit 2)
+    (
+        "io.py",
+        "    if not isinstance(value, list):\n",
+        "    if False:\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        "        if not isinstance(rows, list):\n",
+        "        if False:\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        "    if not isinstance(n, int) or isinstance(n, bool) or n < 0:\n",
+        "    if False:\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        "    if len(face) != n:\n",
+        "    if False:\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        "    if len(degeneracy) != n:\n",
+        "    if False:\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        '    raise InterchangeError(f"{what} must be an object document or a file path")\n',
+        "",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "io.py",
+        "    if not isinstance(level, list) or any(\n",
+        "    if False and any(\n",
+        (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    (
+        "maps.py",
+        "        if len(row) != A.cells[n]:\n",
+        "        if False:\n",
+        (_MALFORMED_DOCUMENTS,),
+    ),
+    (
+        "cli.py",
+        "    if not rep.ok:\n"
+        '        raise io.InterchangeError(f"{path}: invalid object: {rep.failure}")\n',
+        "",
+        (_MALFORMED_DOCUMENTS,),
+    ),
+    (
+        "cli.py",
+        "    if not isinstance(doc, dict):\n",
+        "    if False:\n",
+        (_MALFORMED_DOCUMENTS,),
+    ),
+    # verify chain never fails on the injection claims
+    (
+        "checks.py",
+        "    if ic is not None and ic.verdict != r.trivial.verdict:\n",
+        "    if False:\n",
+        (_VERIFY_EXITS_1,),
+    ),
+    (
+        "checks.py",
+        "    if r.trivial_delta.verdict != r.direct.verdict:\n",
+        "    if False:\n",
+        (_VERIFY_EXITS_1,),
+    ),
+    # a fiber product at truncation 0 looks for edges
+    (
+        "limits.py",
+        "        if not N:\n"
+        "            return heads, tails\n",
+        "",
+        ("tests/test_limits.py::test_pullback_matches_reference",),
+    ),
+    # the generator takes a negative dimension
+    (
+        "harness.py",
+        "        if self.max_nondegenerate_dim < 0:\n",
+        "        if False:\n",
+        ("tests/test_harness.py::test_config_checks",),
+    ),
+    # a report of an unknown check replays False instead of raising
+    (
+        "checks.py",
+        '    raise ValueError(f"unknown check {report.check!r}")\n',
+        "    return False\n",
+        (_TAMPERED_WITNESSES,),
     ),
 )
 

@@ -179,6 +179,8 @@ def test_tampered_witnesses_fail_revalidation(named_maps):
     ]
     for h, check, w in bogus:
         assert revalidate_witness(h, CheckReport(check, False, w, {})) is False, w
+    with pytest.raises(ValueError, match="unknown check"):
+        revalidate_witness(vertex, CheckReport("coverage", False, MissingLift(1, 1, e, 0), {}))
 
 
 def test_out_of_range_witnesses_do_not_replay(named_maps):

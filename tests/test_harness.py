@@ -35,6 +35,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_config_checks():
     with pytest.raises(ValueError):
+        GenConfig(max_nondegenerate_dim=-1).check()
+    with pytest.raises(ValueError):
         GenConfig(trials=-1).check()
     with pytest.raises(ValueError):
         GenConfig(max_cells_per_degree=0).check()

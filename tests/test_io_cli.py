@@ -81,6 +81,29 @@ def test_interchange_rejections(zoo):
     bad["levels"] = bad.pop("level")
     with pytest.raises(io.InterchangeError):
         io.map_from_doc(bad)
+    for doc in _malformed_documents(zoo).values():
+        parse = io.map_from_doc if "level" in doc else io.object_from_doc
+        with pytest.raises(io.InterchangeError):
+            parse(doc)
+
+
+def _malformed_documents(zoo):
+    """One document per input guard, by what it gets wrong.
+
+    Without its guard each would end in an internal error (exit 3), or in a
+    failed validation (exit 1) instead of invalid input (exit 2).
+    """
+    obj = io.object_to_doc(zoo["interval"])
+    mdoc = io.map_to_doc(terminal_map(zoo["interval"]))
+    return {
+        "face-not-a-list": {**obj, "face": 5},
+        "face-degree-not-a-list": {**obj, "face": [5, []]},
+        "truncation-not-an-integer": {**obj, "truncation": "x"},
+        "face-degrees": {**obj, "face": obj["face"][:-1]},
+        "degeneracy-degrees": {**obj, "degeneracy": obj["degeneracy"][:-1]},
+        "source-not-a-document": {**mdoc, "source": 5},
+        "level-not-a-list": {**mdoc, "level": 5},
+    }
 
 
 def test_save_and_load_json(tmp_path, zoo):
@@ -146,6 +169,39 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     q.write_text('{"truncation": 0, "cells": [1], "face": [], "degeneracy": [], "x": 1}\n')
     assert main(["validate", str(q)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_malformed_documents_are_invalid_input(tmp_path, zoo, capsys):
+    for name, doc in _malformed_documents(zoo).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.dumps_canonical(doc))
+        assert main(["validate", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), name
+    # a map document that is not a JSON object is named in the error
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    assert main(["check", "covering", str(listed)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {listed}: ")
+    # a short level row fails validation and is invalid input to a check
+    h = terminal_map(zoo["interval"])
+    short = _write_map(tmp_path, sk.SimplicialMap(h.source, h.target, [[0]] + h.level[1:]))
+    assert main(["validate", short]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["reason"] == "level row length"
+    assert main(["check", "covering", short]) == 2
+    assert "level row length" in capsys.readouterr().err
+    # pi0 and pi1 read only valid objects
+    broken = copy.deepcopy(zoo["interval"])
+    broken.face[1][1][0] = 7  # out of range
+    out_of_range = _write_object(tmp_path, broken, "out-of-range.json")
+    broken = copy.deepcopy(zoo["interval"])
+    broken.degeneracy[0][0][0] ^= 1  # breaks d_0 s_0 = id
+    unlawful = _write_object(tmp_path, broken, "unlawful.json")
+    for argv in (["pi0", out_of_range], ["pi1", out_of_range], ["pi0", unlawful],
+                 ["pi1", unlawful]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid object" in captured.err, argv
 
 
 def test_cli_cell_budget_is_invalid_input(tmp_path, monkeypatch, capsys):
@@ -307,8 +363,8 @@ def test_cli_verify_single_map(tmp_path, named_maps, capsys):
 def _flipped(check):
     """check with its verdict negated; the witness and stats are kept."""
 
-    def flipped(h):
-        report = check(h)
+    def flipped(h, *args):  # separable_direct also takes the diagonal
+        report = check(h, *args)
         return dataclasses.replace(report, verdict=not report.verdict)
 
     return flipped
@@ -327,6 +383,14 @@ def test_cli_verify_single_map_exits_1_when_a_claim_fails(
         ("theorem2", cover, checks, "covering_check", in_hypothesis),
         # the identity is a trivial covering that the flipped check calls no covering
         ("chain", trivial, harness, "covering_check", {**chain, "ok": False}),
+        # an injection whose flipped injection-cartesian verdict is not its trivial covering's
+        ("chain", trivial, harness, "injection_cartesian_check",
+         {"failures": ["injection-cartesian vs trivial-covering on the map"], "ok": False}),
+        # a separable map, flipped, whose diagonal is still a trivial covering
+        ("chain", trivial, harness, "separable_direct", {"failures": [
+            "covering implies separable",
+            "injection-cartesian vs trivial-covering on the diagonal",
+        ]}),
     )
     for kind, path, module, name, want in cases:
         assert main(["verify", kind, path]) == 0, kind
