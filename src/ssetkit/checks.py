@@ -444,26 +444,19 @@ def _recheck_comparison(h: SimplicialMap, w) -> bool:
 
 
 def _recheck_covering(h: SimplicialMap, w) -> bool:
+    if isinstance(w, AmbiguousLift):
+        return _recheck_lifting(h, w)
+    if not isinstance(w, MissingLift):
+        return False
     A, B = h.source, h.target
-    if isinstance(w, (MissingLift, AmbiguousLift)):
-        n, j, u, a = w.degree, w.vertex, w.base, w.anchor
-        if not (_is_cell(B, n, u) and 0 <= j <= n and _is_cell(A, 0, a)):
-            return False
-        if h.level[0][a] != B.vertex(n, u, j):
-            return False
-        lifts = [
-            x
-            for x in range(A.cells[n])
-            if h.level[n][x] == u and A.vertex(n, x, j) == a
-        ]
-        if isinstance(w, MissingLift):
-            return not lifts
-        return (
-            w.first != w.second
-            and w.first in lifts
-            and w.second in lifts
-        )
-    return False
+    n, j, u, a = w.degree, w.vertex, w.base, w.anchor
+    if not (_is_cell(B, n, u) and 0 <= j <= n and _is_cell(A, 0, a)):
+        return False
+    if h.level[0][a] != B.vertex(n, u, j):
+        return False
+    return not any(
+        h.level[n][x] == u and A.vertex(n, x, j) == a for x in range(A.cells[n])
+    )
 
 
 def _recheck_lifting(h: SimplicialMap, w) -> bool:

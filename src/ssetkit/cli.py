@@ -58,7 +58,7 @@ def _render_lines(doc, prefix: str = "") -> str:
 
 
 def _load_valid_object(path: str):
-    X = io.object_from_doc(io.load_json(path))
+    X = io._from_file(path, io.object_from_doc, io.load_json(path))
     rep = validate(X)
     if not rep.ok:
         raise io.InterchangeError(f"{path}: invalid object: {rep.failure}")
@@ -66,10 +66,7 @@ def _load_valid_object(path: str):
 
 
 def _load_valid_map(path: str):
-    doc = io.load_json(path)
-    if not isinstance(doc, dict):
-        raise io.InterchangeError(f"{path}: expected a JSON object")
-    h = io.map_from_doc(doc, base_dir=Path(path).resolve().parent)
+    h = io._from_file(path, io.map_from_doc, io.load_json(path), Path(path).resolve().parent)
     label, rep = validate_parts(h)
     if not rep.ok:
         raise io.InterchangeError(f"{path}: invalid {label}: {rep.failure}")
@@ -79,11 +76,11 @@ def _load_valid_map(path: str):
 def _cmd_validate(args) -> int:
     doc = io.load_json(args.path)
     if isinstance(doc, dict) and "level" in doc:
-        f = io.map_from_doc(doc, base_dir=Path(args.path).resolve().parent)
+        f = io._from_file(args.path, io.map_from_doc, doc, Path(args.path).resolve().parent)
         _, rep = validate_parts(f)
         kind = "map"
     else:
-        rep = validate(io.object_from_doc(doc))
+        rep = validate(io._from_file(args.path, io.object_from_doc, doc))
         kind = "object"
     out = {"check": "validate", "subject": kind, "verdict": rep.ok}
     if kind == "object":

@@ -225,22 +225,17 @@ def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
     def failure(n: int, law: str, i: int, j: int, x: int) -> ValidationFailure:
         return ValidationFailure("identity", n, {"law": law, "i": i, "j": j, "simplex": x})
 
-    # d_i d_j = d_{j-1} d_i for i < j
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                got = list(map(fc[n - 1][i].__getitem__, fc[n][j]))
-                want = list(map(fc[n - 1][j - 1].__getitem__, fc[n][i]))
-                if got != want:
-                    return failure(n, "dd", i, j, _first_difference(got, want))
-    # s_i s_j = s_{j+1} s_i for i <= j
-    for n in range(N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                got = list(map(dg[n + 1][i].__getitem__, dg[n][j]))
-                want = list(map(dg[n + 1][j + 1].__getitem__, dg[n][i]))
-                if got != want:
-                    return failure(n, "ss", i, j, _first_difference(got, want))
+    # op_i op_j = op_{j+step} op_i: d_i d_j = d_{j-1} d_i for i < j, then
+    # s_i s_j = s_{j+1} s_i for i <= j, at each degree n where n + step is one too
+    for (name, step, degrees), law in zip(_operators(N), ("dd", "ss")):
+        op = getattr(X, name)
+        for n in (n for n in degrees if n + step in degrees):
+            for j in range(n + 1):
+                for i in range(j + (step > 0)):
+                    got = list(map(op[n + step][i].__getitem__, op[n][j]))
+                    want = list(map(op[n + step][j + step].__getitem__, op[n][i]))
+                    if got != want:
+                        return failure(n, law, i, j, _first_difference(got, want))
     # d_i s_j, split into the three ranges; x is scanned before i, so the
     # failure is the least (x, i) among the failing rows of one (n, j)
     for n in range(N):

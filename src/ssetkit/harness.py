@@ -504,44 +504,23 @@ def _claim_fields(scored: list[dict]) -> dict:
 
 @dataclass
 class CampaignReport:
-    """Aggregated campaign results; each claims field is also an attribute."""
+    """A campaign's document and its wall time; attributes read document keys."""
 
-    config: dict
-    scored: int
-    skipped: int
-    curated: int
-    families: dict[str, int]
-    claims: dict  # the fields _claim_fields derives from the claims table
-    adequacy: dict
+    doc: dict
     runtime_seconds: float
 
     def __getattr__(self, name: str):
-        claims = self.__dict__.get("claims", {})
-        if name not in claims:
+        doc = self.__dict__.get("doc", {})
+        if name not in doc:
             raise AttributeError(name)
-        return claims[name]
+        return doc[name]
 
     def holds(self, verify: str) -> bool:
         """No record violates a claim that `ssetkit verify <verify>` decides."""
-        return not any(
-            self.claims[c.violations] for c in CLAIMS.values() if c.verify == verify
-        )
-
-    @property
-    def ok(self) -> bool:
-        return all(self.holds(c.verify) for c in CLAIMS.values())
+        return not any(self.doc[c.violations] for c in CLAIMS.values() if c.verify == verify)
 
     def to_doc(self, include_runtime: bool = True) -> dict:
-        doc = {
-            "config": dict(self.config),
-            "scored": self.scored,
-            "skipped": self.skipped,
-            "curated": self.curated,
-            "families": dict(self.families),
-            **self.claims,
-            "adequacy": dict(self.adequacy),
-            "ok": self.ok,
-        }
+        doc = {k: dict(v) if isinstance(v, dict) else v for k, v in self.doc.items()}
         if include_runtime:
             doc["runtime_seconds"] = self.runtime_seconds
         return doc
@@ -582,13 +561,15 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
         for c in rec["classes"]:
             adequacy[c] += 1
     adequacy["adequate"] = all(adequacy[c] > 0 for c in _ADEQUACY_CLASSES)
-    return CampaignReport(
-        config=cfg_doc,
-        scored=len(scored),
-        skipped=len(records) - len(scored),
-        curated=families.get("curated", 0),
-        families=families,
-        claims=_claim_fields(scored),
-        adequacy=adequacy,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    claims = _claim_fields(scored)
+    doc = {
+        "config": cfg_doc,
+        "scored": len(scored),
+        "skipped": len(records) - len(scored),
+        "curated": families.get("curated", 0),
+        "families": families,
+        **claims,
+        "adequacy": adequacy,
+        "ok": not any(claims[c.violations] for c in CLAIMS.values()),
+    }
+    return CampaignReport(doc, time.perf_counter() - started)

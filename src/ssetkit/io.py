@@ -25,6 +25,23 @@ class InterchangeError(ValueError):
     """Raised for documents that do not match the interchange format."""
 
 
+class _FileError(InterchangeError):
+    """An InterchangeError whose message begins with the file at fault."""
+
+
+def _from_file(path, parse, doc, *args):
+    """parse(doc, *args) for the doc read from path; an error names the file.
+
+    An error that already names a file, such as an endpoint file's, is kept.
+    """
+    try:
+        return parse(doc, *args)
+    except _FileError:
+        raise
+    except InterchangeError as exc:
+        raise _FileError(f"{path}: {exc}") from exc
+
+
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
     if not isinstance(doc, dict):
         raise InterchangeError(f"{what} must be a JSON object")
@@ -103,7 +120,7 @@ def _resolve_endpoint(value, base_dir: Path | None, what: str) -> TruncatedSSet:
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return object_from_doc(load_json(path))
+        return _from_file(path, object_from_doc, load_json(path))
     if isinstance(value, dict):
         return object_from_doc(value)
     raise InterchangeError(f"{what} must be an object document or a file path")
@@ -136,10 +153,10 @@ def load_json(path: str | Path):
     unreadable path) propagates as is.
     """
     if not stat.S_ISREG(Path(path).stat().st_mode):
-        raise InterchangeError(f"{path}: not a regular file")
+        raise _FileError(f"{path}: not a regular file")
     try:
         return json.loads(Path(path).read_text())
     # ValueError: undecodable bytes, malformed JSON, an integer too long to
     # convert; RecursionError: nested too deeply
     except (ValueError, RecursionError) as exc:
-        raise InterchangeError(f"{path}: {exc}") from exc
+        raise _FileError(f"{path}: {exc}") from exc

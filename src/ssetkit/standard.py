@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Hashable
 
-from .core import TruncatedSSet, disjoint_union
+from .core import TruncatedSSet, _operators, disjoint_union
 
 
 def monotone_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -116,15 +116,11 @@ def _object_from_keys(
     """
     N = len(keys) - 1
     index = [{k: c for c, k in enumerate(at_m)} for at_m in keys]
-    face: list[list[list[int]]] = [[]] + [
-        [[index[m - 1][face_key(k, i)] for k in keys[m]] for i in range(m + 1)]
-        for m in range(1, N + 1)
-    ]
-    degeneracy = [
-        [[index[m + 1][degeneracy_key(k, i)] for k in keys[m]] for i in range(m + 1)]
-        for m in range(N)
-    ]
-    return TruncatedSSet(N, [len(at_m) for at_m in keys], face, degeneracy)
+    face, degeneracy = (
+        [[[index[m + step][key(k, i)] for k in keys[m]] for i in range(m + 1)] for m in degrees]
+        for (_, step, degrees), key in zip(_operators(N), (face_key, degeneracy_key))
+    )
+    return TruncatedSSet(N, [len(at_m) for at_m in keys], [[]] + face, degeneracy)
 
 
 def _tables_from_tuples(

@@ -36,6 +36,9 @@ _KAN_REFERENCE = "tests/test_checks.py::test_kan_check_matches_reference"
 _FIBER_PI0 = "tests/test_limits.py::test_pi0_of_fiber_product_from_pairs"
 _INTERCHANGE_REJECTIONS = "tests/test_io_cli.py::test_interchange_rejections"
 _MALFORMED_DOCUMENTS = "tests/test_io_cli.py::test_cli_malformed_documents_are_invalid_input"
+_FILE_AT_FAULT = "tests/test_io_cli.py::test_cli_errors_name_the_file_at_fault"
+_CAMPAIGN_REPORT = "tests/test_harness.py::test_campaign_report_is_its_document"
+_IDENTITY_TAMPERS = "tests/test_core.py::test_validate_matches_oracle_on_every_single_entry_tamper"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -110,7 +113,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     (
         "io.py",
         '    if not stat.S_ISREG(Path(path).stat().st_mode):\n'
-        '        raise InterchangeError(f"{path}: not a regular file")\n',
+        '        raise _FileError(f"{path}: not a regular file")\n',
         "",
         ("tests/test_io_cli.py::test_cli_special_files_are_invalid_input",),
     ),
@@ -278,8 +281,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a missing lift replays with its anchor off the base cell's j-th vertex
     (
         "checks.py",
-        "        if h.level[0][a] != B.vertex(n, u, j):\n",
-        "        if False:\n",
+        "    if h.level[0][a] != B.vertex(n, u, j):\n",
+        "    if False:\n",
         (_TAMPERED_WITNESSES,),
     ),
     # a missing horn filler replays with a face off the base cell's face
@@ -484,10 +487,10 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (_MALFORMED_DOCUMENTS,),
     ),
     (
-        "cli.py",
+        "io.py",
         "    if not isinstance(doc, dict):\n",
         "    if False:\n",
-        (_MALFORMED_DOCUMENTS,),
+        (_MALFORMED_DOCUMENTS, _FILE_AT_FAULT),
     ),
     # verify chain never fails on the injection claims
     (
@@ -523,6 +526,135 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         '    raise ValueError(f"unknown check {report.check!r}")\n',
         "    return False\n",
         (_TAMPERED_WITNESSES,),
+    ),
+    # the merged identity scan: d_i d_j checked for i = j too, or against the wrong side
+    (
+        "core.py",
+        "for i in range(j + (step > 0)):",
+        "for i in range(j):",
+        (_IDENTITY_TAMPERS,),
+    ),
+    (
+        "core.py",
+        "op[n + step][j + step]",
+        "op[n + step][j]",
+        (_IDENTITY_TAMPERS,),
+    ),
+    (
+        "core.py",
+        'zip(_operators(N), ("dd", "ss"))',
+        'zip(_operators(N), ("ss", "dd"))',
+        (_IDENTITY_TAMPERS,),
+    ),
+    # the merged key tables look up the wrong degree
+    (
+        "standard.py",
+        "index[m + step]",
+        "index[m]",
+        (_STANDARD_DOCUMENTS,),
+    ),
+    # an ambiguous lift replays for the covering check without being checked
+    (
+        "checks.py",
+        "    if isinstance(w, AmbiguousLift):\n"
+        "        return _recheck_lifting(h, w)\n",
+        "    if isinstance(w, AmbiguousLift):\n"
+        "        return True\n",
+        ("tests/test_checks.py::test_out_of_range_witnesses_do_not_replay",),
+    ),
+    # a campaign report reads any name, or hands out its own tables
+    (
+        "harness.py",
+        "            raise AttributeError(name)\n",
+        "            return None\n",
+        (_CAMPAIGN_REPORT,),
+    ),
+    (
+        "harness.py",
+        "dict(v) if isinstance(v, dict) else v",
+        "v",
+        (_CAMPAIGN_REPORT,),
+    ),
+    (
+        "harness.py",
+        'doc = self.__dict__.get("doc", {})',
+        "doc = self.doc",
+        (_CAMPAIGN_REPORT,),
+    ),
+    # an error does not name the file at fault, or names two
+    (
+        "io.py",
+        "    except _FileError:\n"
+        "        raise\n",
+        "",
+        (_FILE_AT_FAULT,),
+    ),
+    (
+        "io.py",
+        "return _from_file(path, object_from_doc, load_json(path))",
+        "return object_from_doc(load_json(path))",
+        (_FILE_AT_FAULT,),
+    ),
+    (
+        "cli.py",
+        "validate(io._from_file(args.path, io.object_from_doc, doc))",
+        "validate(io.object_from_doc(doc))",
+        (_FILE_AT_FAULT,),
+    ),
+    # input guards no other test reaches
+    (
+        "core.py",
+        "    if X.truncation != Y.truncation:\n",
+        "    if False:\n",
+        ("tests/test_core.py::test_disjoint_union_requires_equal_truncations",),
+    ),
+    (
+        "limits.py",
+        "    if X.truncation != Y.truncation:\n",
+        "    if False:\n",
+        ("tests/test_limits.py::test_product_requires_equal_truncations",),
+    ),
+    (
+        "maps.py",
+        "    if f.target != g.target:\n",
+        "    if False:\n",
+        ("tests/test_maps.py::test_copair_requires_a_shared_target",),
+    ),
+    (
+        "groupoids.py",
+        "    if k < 1:\n",
+        "    if False:\n",
+        ("tests/test_groupoids.py::test_groupoid_constructors_need_an_object",),
+    ),
+    (
+        "groupoids.py",
+        "    if m < 1:\n",
+        "    if False:\n",
+        ("tests/test_groupoids.py::test_groupoid_constructors_need_an_object",),
+    ),
+    (
+        "standard.py",
+        "            if not self.parts:\n",
+        "            if False:\n",
+        ("tests/test_standard.py::test_spec_check_rejects_an_empty_union_and_an_unknown_kind",),
+    ),
+    (
+        "standard.py",
+        "        if self.kind not in _ARITY:\n",
+        "        if False:\n",
+        ("tests/test_standard.py::test_spec_check_rejects_an_empty_union_and_an_unknown_kind",),
+    ),
+    (
+        "components.py",
+        "        elif out[c] != d:\n",
+        "        elif False:\n",
+        ("tests/test_components.py::test_pi0_map_rejects_a_map_that_splits_a_component",),
+    ),
+    (
+        "components.py",
+        "        if not isinstance(other, (list, _Rows)):\n",
+        "        if False:\n",
+        ("tests/test_components.py::test_lazy_rows_are_unequal_to_what_is_not_a_list",),
     ),
 )
 

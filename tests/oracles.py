@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ssetkit.components import ComponentPartition, _UnionFind, pi0
+from ssetkit.components import ComponentPartition, pi0
 from ssetkit.core import TruncatedSSet, ValidationFailure, discrete_sset
 from ssetkit.groupoids import FiniteGroupoid, cyclic_group_groupoid, nerve
 from ssetkit.limits import FiberProduct, product
@@ -619,25 +619,20 @@ def raw_nerve_counts(
     return counts[: truncation + 1]
 
 
-# Definitions the library's pi0 and fiber products are compared against: a
-# per-edge union-find whose classes are read off every vertex of a cell, and
-# a fiber product built from sorted pairs and looked up in index dicts.
+# Definitions the library's pi0 and fiber products are compared against:
+# components by breadth-first search along the edges, numbered by least
+# vertex and read off every vertex of a cell (no union-find, so a bug in the
+# library's cannot pass here too), and a fiber product built from sorted
+# pairs and looked up in index dicts.
 
 
 def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
-    """Components by union-find; a simplex takes the class of its vertex tuple."""
-    uf = _UnionFind(X.cells[0])
-    if X.truncation >= 1:
-        for e in range(X.cells[1]):
-            uf.union(X.face[1][0][e], X.face[1][1][e])
+    """Components by breadth-first search; a simplex takes the class of its vertex tuple."""
+    comps = bfs_components(X)
     vertex_class = [-1] * X.cells[0]
-    count = 0
-    for v in range(X.cells[0]):
-        r = uf.find(v)
-        if vertex_class[r] == -1:
-            vertex_class[r] = count
-            count += 1
-        vertex_class[v] = vertex_class[r]
+    for c, comp in enumerate(comps):
+        for v in comp:
+            vertex_class[v] = c
     vertices = naive_vertex_table(X)
     class_of: list[list[int]] = []
     for n in range(X.truncation + 1):
@@ -649,7 +644,7 @@ def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
                 raise ValueError(f"component class not constant on simplex {x} at degree {n}")
             row.append(c)
         class_of.append(row)
-    return ComponentPartition(count, vertex_class, class_of)
+    return ComponentPartition(len(comps), vertex_class, class_of)
 
 
 def fiber_pairs(fp: FiberProduct) -> list[list[tuple[int, int]]]:

@@ -8,6 +8,7 @@ import pytest
 import oracles as orc
 import ssetkit as sk
 from ssetkit.components import (
+    _Rows,
     _UnionFind,
     injection_cartesian_check,
     pi0,
@@ -201,6 +202,14 @@ def test_pi0_map_composes(named_maps):
     assert left == step
 
 
+def test_pi0_map_rejects_a_map_that_splits_a_component(zoo):
+    # not simplicial: the interval's two ends go to different points
+    X = zoo["interval"]
+    h = sk.SimplicialMap(X, zoo["two-points"], [[0, 1]] + [[0] * c for c in X.cells[1:]])
+    with pytest.raises(ValueError, match="component image not well defined on class 0"):
+        pi0_map(h)
+
+
 def test_copies_never_carry_derived_tables(zoo):
     X = zoo["two-points"]
     part, verts = pi0(X), vertex_table(X)
@@ -272,3 +281,9 @@ def test_pi0_matches_reference_on_tampered_objects(zoo):
             assert pi0(X) == want
             outcomes["partition"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_lazy_rows_are_unequal_to_what_is_not_a_list():
+    rows = _Rows(2, lambda n: [n])
+    assert (rows == 5) is False and rows != 5 and rows != ([0], [1])
+    assert rows == [[0], [1]]

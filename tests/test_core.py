@@ -296,6 +296,11 @@ def test_disjoint_union_counts_and_components(zoo):
     assert sk.pi0(U).count == sk.pi0(X).count + sk.pi0(Y).count
 
 
+def test_disjoint_union_requires_equal_truncations(zoo):
+    with pytest.raises(ValueError, match="truncation mismatch in disjoint union"):
+        sk.disjoint_union(zoo["interval"], sk.discrete_sset(1, 2))
+
+
 def test_discrete_and_empty():
     E = sk.empty_sset(2)
     assert validate(E).ok and E.nondegenerate_dim == -1

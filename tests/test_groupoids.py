@@ -28,6 +28,13 @@ def test_groupoid_constructors_check_out():
         orc.check_groupoid(G)
 
 
+def test_groupoid_constructors_need_an_object():
+    with pytest.raises(ValueError, match="need k >= 1"):
+        cyclic_group_groupoid(0)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        codiscrete_groupoid(0)
+
+
 def test_check_groupoid_rejects_broken_tables():
     G = cyclic_group_groupoid(3)
     bad = FiniteGroupoid(

@@ -1,7 +1,9 @@
 """Instance generator, scoring, and campaign determinism."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import sys
 import threading
 import warnings
@@ -252,6 +254,25 @@ def test_campaign_doc_shape():
     assert doc["config"]["seed"] == 3
     trimmed = run_campaign(GenConfig(seed=3, trials=8)).to_doc(include_runtime=False)
     assert "runtime_seconds" not in trimmed
+
+
+def test_campaign_report_is_its_document():
+    report = run_campaign(GenConfig(seed=3, trials=8))
+    doc = report.to_doc(include_runtime=False)
+    assert report.doc == doc and list(report.to_doc()) == [*doc, "runtime_seconds"]
+    for key, value in doc.items():
+        assert getattr(report, key) == value, key
+    # a name that is no document key is no attribute
+    with pytest.raises(AttributeError, match="nope"):
+        report.nope
+    assert not hasattr(report, "nope")
+    # each document handed out is a copy, down to its tables
+    before = dumps_canonical(report.doc)
+    for key in ("config", "families", "adequacy"):
+        doc[key]["edited"] = True
+    doc["scored"] = -1
+    assert dumps_canonical(report.to_doc(include_runtime=False)) == before
+    assert copy.deepcopy(report) == report == pickle.loads(pickle.dumps(report))
 
 
 def test_campaign_golden():

@@ -19,6 +19,8 @@ from ssetkit.core import validate
 from ssetkit.harness import _claim_fields
 from ssetkit.maps import point_inclusion, terminal_map, validate_map
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def test_object_round_trip_is_byte_identical(zoo):
     for name, X in zoo.items():
@@ -202,6 +204,72 @@ def test_cli_malformed_documents_are_invalid_input(tmp_path, zoo, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid object" in captured.err, argv
+
+
+def test_cli_errors_name_the_file_at_fault(tmp_path, zoo, capsys):
+    tmp_path = tmp_path.resolve()  # as the map's endpoint is resolved
+    listed = tmp_path / "listobj.json"
+    listed.write_text("[1]\n")
+    doc = io.map_to_doc(terminal_map(zoo["circle"]))
+    refmap = tmp_path / "refmap.json"
+    refmap.write_text(io.dumps_canonical({**doc, "source": "listobj.json"}))
+    inline = tmp_path / "inline.json"  # the endpoint is in the map document itself
+    inline.write_text(io.dumps_canonical({**doc, "target": [1]}))
+    short = io.object_to_doc(zoo["interval"])
+    short["cells"].pop()
+    shortpath = tmp_path / "short.json"
+    shortpath.write_text(io.dumps_canonical(short))
+    not_an_object = "object document must be a JSON object"
+    cases = (
+        (["check", "covering", refmap], f"{listed}: {not_an_object}"),
+        (["validate", refmap], f"{listed}: {not_an_object}"),
+        (["check", "covering", inline],
+         f"{inline}: target must be an object document or a file path"),
+        (["pi0", listed], f"{listed}: {not_an_object}"),
+        (["pi1", listed], f"{listed}: {not_an_object}"),
+        (["validate", listed], f"{listed}: {not_an_object}"),
+        (["validate", shortpath],
+         f"{shortpath}: cells must list one count per degree 0..truncation"),
+    )
+    for argv, message in cases:
+        assert main([*map(str, argv)]) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
+def test_cli_text_format_nests_reports(tmp_path, zoo, capsys):
+    assert main(["check", "covering", str(GOLDEN / "gen-map-seed42-trial3.json"),
+                 "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "check: covering\n"
+        "stats:\n"
+        "  ambiguous: 0\n"
+        "  missing: 10\n"
+        "  squares: 60\n"
+        "verdict: False\n"
+        "witness:\n"
+        "  anchor: 0\n"
+        "  base: 1\n"
+        "  degree: 1\n"
+        "  kind: missing_lift\n"
+        "  vertex: 0\n"
+    )
+    X = copy.deepcopy(zoo["triangle"])
+    X.face[2][0][0] = (X.face[2][0][0] + 1) % X.cells[1]  # breaks d_0 d_1 = d_0 d_0
+    assert main(["validate", _write_object(tmp_path, X), "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "check: validate\n"
+        "has_buffer: True\n"
+        "subject: object\n"
+        "verdict: False\n"
+        "witness:\n"
+        "  degree: 2\n"
+        "  i: 0\n"
+        "  j: 1\n"
+        "  kind: identity\n"
+        "  law: dd\n"
+        "  simplex: 0\n"
+    )
 
 
 def test_cli_cell_budget_is_invalid_input(tmp_path, monkeypatch, capsys):

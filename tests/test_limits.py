@@ -120,6 +120,11 @@ def test_product_is_pullback_over_terminal(zoo):
     assert validate(prod.object).ok
 
 
+def test_product_requires_equal_truncations(zoo):
+    with pytest.raises(ValueError, match="truncation mismatch in product"):
+        product(zoo["interval"], sk.discrete_sset(1, 2))
+
+
 def test_two_vertex_pullback_is_empty():
     f, g = _cospans()["two-vertices"]
     fp = pullback(f, g)

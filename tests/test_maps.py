@@ -241,6 +241,12 @@ def test_copair_and_fold(zoo):
     assert g.source.cells == [2] * (X.truncation + 1)
 
 
+def test_copair_requires_a_shared_target(zoo):
+    X = zoo["interval"]
+    with pytest.raises(ValueError, match="copair requires a shared target"):
+        copair(identity_map(X), terminal_map(X))
+
+
 def test_terminal_and_point_inclusion(zoo):
     for name in ("interval", "circle", "nerve-z2"):
         X = zoo[name]

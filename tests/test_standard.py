@@ -171,6 +171,13 @@ def test_spec_check_rejects_bad_parameters():
             build_standard(spec, 4)
 
 
+def test_spec_check_rejects_an_empty_union_and_an_unknown_kind():
+    with pytest.raises(ValueError, match="empty union spec"):
+        union_spec().check()
+    with pytest.raises(ValueError, match="unknown standard kind 'moebius'"):
+        StandardObjectSpec("moebius").check()
+
+
 def test_parse_spec_names_the_arity():
     for text, want in (
         ("simplex", "simplex takes 1 parameter"),
