@@ -34,18 +34,15 @@ def _fibers(h: SimplicialMap, n: int) -> dict[int, list[int]]:
     return out
 
 
-def _lift_buckets(
-    h: SimplicialMap, va: list[list[tuple[int, ...]]], n: int, j: int
-) -> dict[int, list[int]]:
-    """The degree-n cells x of h's source, grouped by (h(x), j-th vertex of x).
+def _buckets(base: list[int], other: list[int], width: int) -> dict[int, list[int]]:
+    """The positions x grouped by the pair (base[x], other[x]), each group ascending.
 
-    va is the source's vertex table.  The pair (u, a) is keyed by the int
-    u * |A_0| + a, and each group lists its cells in ascending order.
+    The pair (b, v) is keyed by the int b * width + v, so width must exceed
+    every entry of other.
     """
-    width = h.source.cells[0]
     buckets: dict[int, list[int]] = {}
-    for x, (u, vs) in enumerate(zip(h.level[n], va[n])):
-        buckets.setdefault(u * width + vs[j], []).append(x)
+    for x, (b, v) in enumerate(zip(base, other)):
+        buckets.setdefault(b * width + v, []).append(x)
     return buckets
 
 
@@ -66,9 +63,9 @@ def covering_check(h: SimplicialMap) -> CheckReport:
     squares = missing = ambiguous = 0
     for n in range(N + 1):
         for j in range(n + 1):
-            buckets = _lift_buckets(h, va, n, j)
+            buckets = _buckets(h.level[n], va[n][j], width)
             for u in range(B.cells[n]):
-                for a in anchors.get(vb[n][u][j], ()):
+                for a in anchors.get(vb[n][j][u], ()):
                     squares += 1
                     lifts = buckets.get(u * width + a, ())
                     if not lifts:
@@ -115,12 +112,7 @@ def kan_check(h: SimplicialMap, bound: int | None = None) -> CheckReport:
         face_row = A.face[n - 1] if n >= 2 else []
         width = A.cells[n - 2] if n >= 2 else 0
         # by_face[i][b * width + v]: the y over b with d_i y = v, ascending
-        by_face: list[dict[int, list[int]]] = []
-        for i in range(2) if n >= 2 else ():
-            index: dict[int, list[int]] = {}
-            for y, (b, v) in enumerate(zip(h.level[n - 1], face_row[i])):
-                index.setdefault(b * width + v, []).append(y)
-            by_face.append(index)
+        by_face = [_buckets(h.level[n - 1], face_row[i], width) for i in range(2) if n >= 2]
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
             base = [B.face[n][i] for i in slots]
@@ -175,7 +167,7 @@ def separable_via_lifting(h: SimplicialMap) -> CheckReport:
     squares = ambiguous = 0
     for n in range(N + 1):
         for j in range(n + 1):
-            buckets = _lift_buckets(h, va, n, j)
+            buckets = _buckets(h.level[n], va[n][j], A.cells[0])
             squares += len(buckets)
             # a cell lies in one group, so the first cells of groups differ
             best = None
@@ -186,7 +178,7 @@ def separable_via_lifting(h: SimplicialMap) -> CheckReport:
                         best = xs
             if witness is None and best is not None:
                 x = best[0]
-                witness = AmbiguousLift(n, j, h.level[n][x], va[n][x][j], x, best[1])
+                witness = AmbiguousLift(n, j, h.level[n][x], va[n][j][x], x, best[1])
     stats = {"squares": squares, "ambiguous": ambiguous}
     return CheckReport("separable-lifting", witness is None, witness, stats)
 

@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .core import TruncatedSSet
+from .core import TruncatedSSet, _first_difference
 from .maps import SimplicialMap
 from .report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
 
@@ -183,7 +183,7 @@ def _pi0(X: TruncatedSSet) -> ComponentPartition:
         row = [prev[y] for y in X.face[n][n]]
         last = [prev[y] for y in X.face[n][0]]
         if row != last:
-            x = next(x for x, (a, b) in enumerate(zip(row, last)) if a != b)
+            x = _first_difference(row, last)
             raise ValueError(f"component class not constant on simplex {x} at degree {n}")
         class_of.append(row)
     return ComponentPartition(count, vertex_class, class_of)

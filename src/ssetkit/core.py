@@ -258,25 +258,25 @@ def _identity_failure(X: TruncatedSSet) -> ValidationFailure | None:
     return None
 
 
-def vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
+def vertex_table(X: TruncatedSSet) -> list[list[list[int]]]:
     """All vertices of all simplices, computed bottom-up once per object.
 
-    table[n][x] is the (n+1)-tuple of vertices of x.  Uses a different face
-    composite than TruncatedSSet.vertex, which the witness replay reads so
-    as not to trust the table the scans read; the tests compare the two.
-    The table is shared by every caller: read it, do not modify it.
+    table[n][j][x] is the j-th vertex of the n-cell x, indexed like
+    face[n][i][x].  Uses a different face composite than
+    TruncatedSSet.vertex, which the witness replay reads so as not to trust
+    the table the scans read; the tests compare the two.  The table is
+    shared by every caller: read it, do not modify it.
     """
     return X.derived("vertex_table", _vertex_table)
 
 
-def _vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
-    table: list[list[tuple[int, ...]]] = [[(v,) for v in range(X.cells[0])]]
+def _vertex_table(X: TruncatedSSet) -> list[list[list[int]]]:
+    # vertices 0..n-1 of x are those of d_n x, and vertex n is the last of d_0 x
+    table = [[list(range(X.cells[0]))]]
     for n in range(1, X.truncation + 1):
         last, first = X.face[n][n], X.face[n][0]
-        prev = table[n - 1]
-        table.append(
-            [prev[last[x]] + (prev[first[x]][n - 1],) for x in range(X.cells[n])]
-        )
+        rows = [list(map(row.__getitem__, last)) for row in table[n - 1]]
+        table.append(rows + [list(map(table[n - 1][n - 1].__getitem__, first))])
     return table
 
 

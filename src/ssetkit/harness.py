@@ -10,6 +10,7 @@ must draw a valid map, and a campaign raises RuntimeError when one does not.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Hashable
@@ -370,17 +371,6 @@ class InstanceVerdicts:
         return CLAIMS["injection_failures"].value(self)
 
 
-# (campaign "verdicts" document key, InstanceVerdicts field) for the checks
-# run on the map itself.
-_MAP_CHECKS = (
-    ("separable_direct", "direct"),
-    ("separable_lifting", "lifting"),
-    ("covering", "covering"),
-    ("kan", "kan"),
-    ("trivial_covering", "trivial"),
-)
-
-
 def evaluate_instance(h: SimplicialMap, diag: DiagonalData | None = None) -> InstanceVerdicts:
     """Run every classifier once, sharing the diagonal construction.
 
@@ -426,19 +416,21 @@ def _witness_audit(h: SimplicialMap, v: InstanceVerdicts, dd: DiagonalData) -> l
     ]
 
 
+def _map_reports(v: InstanceVerdicts) -> list[CheckReport]:
+    """The reports of the checks run on the map itself, injection-cartesian last if it ran."""
+    reports = (v.direct, v.lifting, v.covering, v.kan, v.trivial, v.injection_cartesian)
+    return [r for r in reports if r is not None]
+
+
 def _verdict_doc(v: InstanceVerdicts) -> dict:
-    doc = {key: getattr(v, name).to_doc() for key, name in _MAP_CHECKS}
-    if v.injection_cartesian is not None:
-        doc["injection_cartesian"] = v.injection_cartesian.to_doc()
-    return doc
+    # campaign "verdicts" keys are the check names with _ for -
+    return {r.check.replace("-", "_"): r.to_doc() for r in _map_reports(v)}
 
 
 def _roundtrip_verdicts_match(h: SimplicialMap, v: InstanceVerdicts) -> bool:
     """Serialize the instance, re-parse, re-run, and compare verdicts."""
     v2 = evaluate_instance(io.map_from_doc(io.map_to_doc(h)))
-    return all(
-        getattr(v, name).verdict == getattr(v2, name).verdict for _, name in _MAP_CHECKS
-    )
+    return [r.verdict for r in _map_reports(v)] == [r.verdict for r in _map_reports(v2)]
 
 
 # The behaviour classes an adequate corpus hits at least once each.
@@ -531,7 +523,8 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
 
     Aggregation is order-stable and trials are independent, so the report is
     identical for any job count; only runtime_seconds varies between runs.
-    jobs must be at least 1; at most one worker process per trial is started.
+    jobs must be at least 1.  At most min(jobs, trials, os.cpu_count())
+    worker processes are started, and none when that is 1.
     """
     cfg.check()
     if jobs < 1:
@@ -542,11 +535,12 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
         for name, h in curated_instances(max(2, cfg.max_nondegenerate_dim + 1)):
             records.append(_score(name, "curated", h))
     cfg_doc = cfg.to_doc()
-    if jobs > 1 and cfg.trials > 1:
+    # the pool starts all its workers at once, so start no idle ones
+    workers = min(jobs, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers at once, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records.extend(
                 pool.map(_trial_record, [cfg_doc] * cfg.trials, range(cfg.trials), chunksize=8)
             )

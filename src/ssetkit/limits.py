@@ -149,16 +149,13 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
             tails += [o1 + r1[y] for y in ys]
         return heads, tails
 
-    def last_vertices(T: TruncatedSSet, n: int) -> list[int]:
-        return [vs[-1] for vs in vertex_table(T)[n]]
-
     def last_vertex_counts(h: SimplicialMap, n: int) -> tuple[list[int], list[dict[int, int]]]:
         # (kind, counts): counts[kind[a]][b] is the number of n-cells x of h's
         # source with h(x) = b and last vertex a.  Vertices with equal counts
         # share a kind: on a covering, all vertices over one base vertex do.
         at: list[dict[int, int]] = [{} for _ in range(h.source.cells[0])]
-        for b, vs in zip(h.level[n], vertex_table(h.source)[n]):
-            at_a = at[vs[-1]]
+        for b, a in zip(h.level[n], vertex_table(h.source)[n][n]):
+            at_a = at[a]
             at_a[b] = at_a.get(b, 0) + 1
         kinds: dict[frozenset, int] = {}
         kind = [kinds.setdefault(frozenset(at_a.items()), len(kinds)) for at_a in at]
@@ -172,7 +169,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     def row(n: int) -> list[int]:
         if not n:
             return list(vertex_class)
-        return table(n, 0, last_vertices(X, n), last_vertices(Y, n), vertex_class)
+        return table(n, 0, vertex_table(X)[n][n], vertex_table(Y)[n][n], vertex_class)
 
     def count_cells(components: list[int]) -> dict[int, list[int]]:
         # The n-cells over the vertex pair (a, a') number sum_b mf[a][b] *

@@ -156,10 +156,10 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # covering counts its squares per base cell, not per anchored square
     (
         "checks.py",
-        "                for a in anchors.get(vb[n][u][j], ()):\n"
+        "                for a in anchors.get(vb[n][j][u], ()):\n"
         "                    squares += 1\n",
         "                squares += 1\n"
-        "                for a in anchors.get(vb[n][u][j], ()):\n",
+        "                for a in anchors.get(vb[n][j][u], ()):\n",
         ("tests/test_checks.py::test_checks_match_oracles_on_generated",),
     ),
     # separable-lifting counts lifted cells as squares
@@ -600,6 +600,64 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "validate(io._from_file(args.path, io.object_from_doc, doc))",
         "validate(io.object_from_doc(doc))",
         (_FILE_AT_FAULT,),
+    ),
+    # the last vertex row reads the first vertices of d_0 x
+    (
+        "core.py",
+        "table[n - 1][n - 1].__getitem__, first",
+        "table[n - 1][0].__getitem__, first",
+        (
+            "tests/test_core.py::test_vertices_three_ways",
+            "tests/test_checks.py::test_lift_checks_match_reference",
+        ),
+    ),
+    # buckets keyed by a sum that is not one-to-one on the pairs
+    (
+        "checks.py",
+        "buckets.setdefault(b * width + v, []).append(x)",
+        "buckets.setdefault(b + v, []).append(x)",
+        (
+            "tests/test_checks.py::test_checks_match_oracles_on_generated",
+            "tests/test_checks.py::test_witnesses_revalidate_on_generated",
+        ),
+    ),
+    # the horn lookups swap the d_0 and d_1 indexes
+    (
+        "checks.py",
+        "_buckets(h.level[n - 1], face_row[i], width)",
+        "_buckets(h.level[n - 1], face_row[1 - i], width)",
+        ("tests/test_checks.py::test_kan_witness_golden",),
+    ),
+    # the fiber product counts each (last vertex, image) pair once
+    (
+        "limits.py",
+        "at_a[b] = at_a.get(b, 0) + 1",
+        "at_a[b] = 1",
+        (
+            _FIBER_PI0,
+            "tests/test_components.py::test_injection_cartesian_matches_oracle_on_diagonals",
+        ),
+    ),
+    # a campaign starts more workers than there are CPUs
+    (
+        "harness.py",
+        "workers = min(jobs, cfg.trials, os.cpu_count() or 1)",
+        "workers = min(jobs, cfg.trials)",
+        ("tests/test_harness.py::test_campaign_starts_at_most_one_worker_per_trial",),
+    ),
+    # campaign verdict keys keep the check names' hyphens
+    (
+        "harness.py",
+        'r.check.replace("-", "_")',
+        "r.check",
+        ("tests/test_harness.py::test_disagreement_records_carry_the_instance",),
+    ),
+    # lazy rows print as an object, not as the list of their rows
+    (
+        "components.py",
+        "        return repr(list(self))\n",
+        "        return object.__repr__(self)\n",
+        ("tests/test_properties.py::test_lazy_rows_read_like_the_list_of_their_rows",),
     ),
     # input guards no other test reaches
     (

@@ -272,10 +272,10 @@ def bfs_components(X: TruncatedSSet) -> list[set[int]]:
     return comps
 
 
-def naive_vertex_table(X: TruncatedSSet) -> list[list[tuple[int, ...]]]:
-    """Every cell's vertex tuple, each vertex found by naive_vertex."""
+def naive_vertex_table(X: TruncatedSSet) -> list[list[list[int]]]:
+    """table[n][j][x], the j-th vertex of the n-cell x, each found by naive_vertex."""
     return [
-        [tuple(naive_vertex(X, n, x, j) for j in range(n + 1)) for x in range(X.cells[n])]
+        [[naive_vertex(X, n, x, j) for x in range(X.cells[n])] for j in range(n + 1)]
         for n in range(X.truncation + 1)
     ]
 
@@ -638,7 +638,7 @@ def reference_pi0(X: TruncatedSSet) -> ComponentPartition:
     for n in range(X.truncation + 1):
         row = []
         for x in range(X.cells[n]):
-            vs = vertices[n][x]
+            vs = [row[x] for row in vertices[n]]
             c = vertex_class[vs[0]]
             if any(vertex_class[v] != c for v in vs):
                 raise ValueError(f"component class not constant on simplex {x} at degree {n}")

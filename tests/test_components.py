@@ -217,7 +217,7 @@ def test_copies_never_carry_derived_tables(zoo):
     assert Y == X and repr(Y) == repr(X)
     Y.face[1][0][1] = 0  # the degenerate edge at vertex 1 now ends at vertex 0
     assert pi0(Y) == orc.reference_pi0(Y) and pi0(Y).count == 1
-    assert vertex_table(Y) == orc.naive_vertex_table(Y) and vertex_table(Y)[1][1] == (1, 0)
+    assert vertex_table(Y) == orc.naive_vertex_table(Y) and [row[1] for row in vertex_table(Y)[1]] == [1, 0]
     assert pi0(X) is part and part == orc.reference_pi0(X) and part.count == 2
     assert vertex_table(X) is verts and verts == orc.naive_vertex_table(X)
 

@@ -212,11 +212,14 @@ def test_vertices_three_ways(zoo):
     for X in zoo.values():
         table = vertex_table(X)
         for n in range(X.truncation + 1):
+            # one row per vertex position, indexed like the face rows
+            assert len(table[n]) == n + 1
+            assert all(type(row) is list and len(row) == X.cells[n] for row in table[n])
             for x in range(X.cells[n]):
                 for j in range(n + 1):
                     v = X.vertex(n, x, j)
                     assert v == orc.naive_vertex(X, n, x, j)
-                    assert v == table[n][x][j]
+                    assert v == table[n][j][x]
 
 
 def test_ez_normal_form(zoo):

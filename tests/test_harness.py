@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import os
 import pickle
 import sys
 import threading
@@ -205,9 +206,18 @@ def test_campaign_starts_at_most_one_worker_per_trial(monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = GenConfig(seed=5, trials=2)
     serial = run_campaign(cfg).to_doc(include_runtime=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     for jobs, workers in ((5000, 2), (2, 2)):
         assert run_campaign(cfg, jobs=jobs).to_doc(include_runtime=False) == serial
         assert sizes.pop() == workers and not sizes, jobs
+    # no more workers than CPUs, and no pool when one CPU or none is known
+    cfg = GenConfig(seed=5, trials=4)
+    serial = run_campaign(cfg).to_doc(include_runtime=False)
+    for cpus, jobs, workers in ((3, 5000, [3]), (3, 2, [2]), (None, 5000, []), (1, 4, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_campaign(cfg, jobs=jobs).to_doc(include_runtime=False) == serial
+        assert sizes == workers, (cpus, jobs)
+        sizes.clear()
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             run_campaign(cfg, jobs=jobs)
@@ -356,7 +366,16 @@ def test_disagreement_records_carry_the_instance(monkeypatch):
         assert rec["separability_agree"] is False
         assert {"verdicts", "instance", "recheck_same"} <= set(rec)
         assert rec["recheck_same"] is True
-        assert validate_map(sk.io.map_from_doc(rec["instance"])).ok
+        h = sk.io.map_from_doc(rec["instance"])
+        assert validate_map(h).ok
+        # one verdict per map check, keyed by its check name with _ for -
+        keys = ["separable_direct", "separable_lifting", "covering", "kan", "trivial_covering"]
+        keys += ["injection_cartesian"] if sk.classify(h).injective else []
+        assert list(rec["verdicts"]) == keys
+        for key, doc in rec["verdicts"].items():
+            assert doc["check"] == key.replace("_", "-")
+    injective = ["injection_cartesian" in rec["verdicts"] for rec in report.separability_disagreements]
+    assert any(injective) and not all(injective)
 
 
 def test_clean_family_drawing_an_invalid_map_stops_the_campaign(monkeypatch):

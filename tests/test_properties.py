@@ -181,7 +181,7 @@ def test_lazy_rows_read_like_the_list_of_their_rows(rows, data):
     assert sorted(calls) == sorted(set(calls))
     part = data.draw(st.slices(len(rows)), "slice")
     assert lazy()[part] == rows[part] and type(lazy()[part]) is list
-    assert list(lazy()) == rows and len(lazy()) == len(rows)
+    assert list(lazy()) == rows and len(lazy()) == len(rows) and repr(lazy()) == repr(rows)
     assert lazy() == rows and rows == lazy() and lazy() == lazy()
     other = rows + [[]]
     assert lazy() != other and other != lazy()
