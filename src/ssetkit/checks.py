@@ -370,21 +370,11 @@ def revalidate_witness(h: SimplicialMap, report: CheckReport) -> bool:
     """
     if report.verdict or report.witness is None:
         return report.verdict and report.witness is None
-    w = report.witness
-    if report.check == "separable-direct":
-        dd = diagonal(h)
-        return _recheck_leak(dd.delta, w)
-    if report.check == "injection-cartesian":
-        return _recheck_leak(h, w)
-    if report.check == "trivial-covering":
-        return _recheck_comparison(h, w)
-    if report.check == "covering":
-        return _recheck_covering(h, w)
-    if report.check == "separable-lifting":
-        return _recheck_lifting(h, w)
-    if report.check == "kan":
-        return _recheck_horn(h, w)
-    raise ValueError(f"unknown check {report.check!r}")
+    if report.check not in _REPLAYS:
+        raise ValueError(f"unknown check {report.check!r}")
+    # a witness of a kind the check never reports replays False
+    replay = _REPLAYS[report.check].get(type(report.witness))
+    return replay is not None and replay(h, report.witness)
 
 
 def _is_cell(X: TruncatedSSet, n: int, *xs: int) -> bool:
@@ -396,9 +386,7 @@ def _is_cell(X: TruncatedSSet, n: int, *xs: int) -> bool:
     return 0 <= n <= X.truncation and all(0 <= x < X.cells[n] for x in xs)
 
 
-def _recheck_leak(m: SimplicialMap, w) -> bool:
-    if not isinstance(w, ComponentLeak):
-        return False
+def _recheck_leak(m: SimplicialMap, w: ComponentLeak) -> bool:
     B = m.target
     if not _is_cell(B, w.degree, w.cell):
         return False
@@ -412,34 +400,28 @@ def _recheck_leak(m: SimplicialMap, w) -> bool:
     return any(pb.vertex_class[y] == w.component for y in m.level[0])
 
 
-def _recheck_comparison(h: SimplicialMap, w) -> bool:
+def _recheck_clash(h: SimplicialMap, w: ComparisonClash) -> bool:
+    n, x, y = w.degree, w.first, w.second
+    if x == y or not _is_cell(h.source, n, x, y):
+        return False
+    class_of = pi0(h.source).class_of[n]
+    return h.level[n][x] == h.level[n][y] and class_of[x] == class_of[y]
+
+
+def _recheck_miss(h: SimplicialMap, w: ComparisonMiss) -> bool:
     A = h.source
     pa, pb = pi0(A), pi0(h.target)
-    if isinstance(w, ComparisonClash):
-        n = w.degree
-        if w.first == w.second or not _is_cell(A, n, w.first, w.second):
-            return False
-        return (
-            h.level[n][w.first] == h.level[n][w.second]
-            and pa.class_of[n][w.first] == pa.class_of[n][w.second]
-        )
-    if isinstance(w, ComparisonMiss):
-        n, b, c = w.degree, w.target_cell, w.component
-        if not (0 <= c < pa.count and _is_cell(h.target, n, b)):
-            return False
-        if pb.class_of[n][b] != pi0_map(h)[c]:
-            return False  # not a pullback pair at all
-        return all(
-            h.level[n][x] != b or pa.class_of[n][x] != c for x in range(A.cells[n])
-        )
-    return False
-
-
-def _recheck_covering(h: SimplicialMap, w) -> bool:
-    if isinstance(w, AmbiguousLift):
-        return _recheck_lifting(h, w)
-    if not isinstance(w, MissingLift):
+    n, b, c = w.degree, w.target_cell, w.component
+    if not (0 <= c < pa.count and _is_cell(h.target, n, b)):
         return False
+    if pb.class_of[n][b] != pi0_map(h)[c]:
+        return False  # not a pullback pair at all
+    return all(
+        h.level[n][x] != b or pa.class_of[n][x] != c for x in range(A.cells[n])
+    )
+
+
+def _recheck_missing(h: SimplicialMap, w: MissingLift) -> bool:
     A, B = h.source, h.target
     n, j, u, a = w.degree, w.vertex, w.base, w.anchor
     if not (_is_cell(B, n, u) and 0 <= j <= n and _is_cell(A, 0, a)):
@@ -451,9 +433,7 @@ def _recheck_covering(h: SimplicialMap, w) -> bool:
     )
 
 
-def _recheck_lifting(h: SimplicialMap, w) -> bool:
-    if not isinstance(w, AmbiguousLift):
-        return False
+def _recheck_lifting(h: SimplicialMap, w: AmbiguousLift) -> bool:
     A = h.source
     n, j = w.degree, w.vertex
     x1, x2 = w.first, w.second
@@ -466,9 +446,7 @@ def _recheck_lifting(h: SimplicialMap, w) -> bool:
     )
 
 
-def _recheck_horn(h: SimplicialMap, w) -> bool:
-    if not isinstance(w, MissingHornFiller):
-        return False
+def _recheck_horn(h: SimplicialMap, w: MissingHornFiller) -> bool:
     A, B = h.source, h.target
     n, k, u = w.degree, w.horn, w.base
     if not (n >= 1 and _is_cell(B, n, u) and 0 <= k <= n):
@@ -491,3 +469,15 @@ def _recheck_horn(h: SimplicialMap, w) -> bool:
         if h.level[n][x] == u and all(A.face[n][i][x] == faces[i] for i in slots):
             return False
     return True
+
+
+# check -> {each witness kind the check reports: its one replay}; a
+# separable-direct leak lives in the fiber product of the rebuilt diagonal
+_REPLAYS = {
+    "separable-direct": {ComponentLeak: lambda h, w: _recheck_leak(diagonal(h).delta, w)},
+    "injection-cartesian": {ComponentLeak: _recheck_leak},
+    "trivial-covering": {ComparisonClash: _recheck_clash, ComparisonMiss: _recheck_miss},
+    "covering": {MissingLift: _recheck_missing, AmbiguousLift: _recheck_lifting},
+    "separable-lifting": {AmbiguousLift: _recheck_lifting},
+    "kan": {MissingHornFiller: _recheck_horn},
+}

@@ -211,53 +211,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify maps of finite truncated simplicial sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several commands share, one parser per group
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    gen = argparse.ArgumentParser(add_help=False)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--max-dim", type=int, default=2)
+    gen.add_argument("--max-cells", type=int, default=6)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", default=None)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
+    for name, func, summary in (
+        ("validate", _cmd_validate, "validate an object or map file"),
+        ("pi0", _cmd_pi0, "connected components of an object file"),
+        ("pi1", _cmd_pi1, "fundamental groupoid presentation"),
+    ):
+        p = sub.add_parser(name, help=summary, parents=[fmt])
+        p.add_argument("path")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="validate an object or map file")
-    p.add_argument("path")
-    add_format(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("pi0", help="connected components of an object file")
-    p.add_argument("path")
-    add_format(p)
-    p.set_defaults(func=_cmd_pi0)
-
-    p = sub.add_parser("pi1", help="fundamental groupoid presentation")
-    p.add_argument("path")
-    add_format(p)
-    p.set_defaults(func=_cmd_pi1)
-
-    p = sub.add_parser("check", help="run one classifier on a map file")
+    p = sub.add_parser("check", help="run one classifier on a map file", parents=[fmt])
     p.add_argument("kind", choices=sorted(_CHECKS))
     p.add_argument("map")
     p.add_argument("--bound", type=int, default=None, help="degree bound for kan")
-    add_format(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="verify an equivalence on a map or a campaign")
+    p = sub.add_parser(
+        "verify", help="verify an equivalence on a map or a campaign", parents=[gen, fmt]
+    )
     p.add_argument("kind", choices=tuple(_VERIFY_MAP))
     p.add_argument("map", nargs="?", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--max-cells", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
-    add_format(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a generated object or map")
+    p = sub.add_parser("gen", help="emit a generated object or map", parents=[gen, out])
     p.add_argument("what", choices=("object", "map"))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--max-cells", type=int, default=6)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("standard", help="emit a standard object")
+    p = sub.add_parser("standard", help="emit a standard object", parents=[out])
     p.add_argument(
         "spec",
         nargs="+",
@@ -265,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " cyclic-cover:3; several specs form a disjoint union",
     )
     p.add_argument("-N", "--truncation", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_standard)
 
     return parser

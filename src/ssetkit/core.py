@@ -16,11 +16,13 @@ from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 
-# The most cells, summed over degrees, that an object document may declare.
-# A document at truncation 0 has no rows to bound its vertex count, and
+# The most cells, summed over degrees, that an object document may declare
+# and that a standard object, a nerve or a fiber product may have.  A
+# document at truncation 0 has no rows to bound its vertex count, and
 # validate allocates per declared cell.  It is far above every document the
 # tests, demos and benchmarks read, and above the 4,780,229 cells of
-# simplex:3 at truncation 100.  io.object_from_doc reads it when called.
+# simplex:3 at truncation 100.  io.object_from_doc and _check_budget read it
+# when called.
 CELL_BUDGET = 10**7
 
 
@@ -155,6 +157,12 @@ def discrete_sset(points: int, truncation: int) -> TruncatedSSet:
         face=[[]] + [[list(ident) for _ in range(m + 1)] for m in range(1, n + 1)],
         degeneracy=[[list(ident) for _ in range(m + 1)] for m in range(n)],
     )
+
+
+def _check_budget(cells: int, what: str) -> None:
+    """Raise ValueError when cells, a count made before anything is built, is over CELL_BUDGET."""
+    if cells > CELL_BUDGET:
+        raise ValueError(f"{what}: more than {CELL_BUDGET} cells in all")
 
 
 def _operators(N: int) -> tuple[tuple[str, int, range], ...]:

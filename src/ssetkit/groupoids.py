@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import TruncatedSSet
+from .core import TruncatedSSet, _check_budget
 from .standard import _object_from_keys
 
 
@@ -76,6 +76,12 @@ def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
         raise ValueError("truncation must be >= 0")
     ids = set(G.identity)
     out = [[g for g in range(G.n_arrows) if G.source[g] == o] for o in range(G.n_objects)]
+    # upto[o]: the strings of at most m arrows from o, for m = 0..truncation;
+    # such a string is empty, or an arrow g out of o and one from target g
+    upto = [1] * G.n_objects
+    for _ in range(truncation + 1):
+        _check_budget(sum(upto), f"nerve at truncation {truncation}")
+        upto = [1 + sum(upto[G.target[g]] for g in out[o]) for o in range(G.n_objects)]
 
     def vertex(o: int, w: tuple, i: int) -> int:
         return G.target[w[i - 1]] if i else o

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from .components import ComponentPartition, _Rows, _vertex_classes
-from .core import TruncatedSSet, _operators, vertex_table
+from .core import TruncatedSSet, _check_budget, _operators, vertex_table
 from .maps import SimplicialMap, terminal_map
 
 
@@ -95,6 +95,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         over_x.append(over_n)
         offset.append(offset_n)
         rank.append(rank_n)
+    _check_budget(sum(cells), "fiber product")
 
     # the pairs of degree n as two columns, x-major with each fiber
     # ascending: already lexicographic

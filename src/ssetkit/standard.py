@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from math import comb
 from typing import Callable, Hashable
 
-from .core import TruncatedSSet, _operators, disjoint_union
+from .core import TruncatedSSet, _check_budget, _operators, disjoint_union
 
 
 def monotone_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -167,13 +168,32 @@ def _cyclic_object(k: int, truncation: int) -> tuple[TruncatedSSet, list[list[tu
     return _object_from_keys(keys, face_key, degeneracy_key), keys
 
 
+def _cells(spec: StandardObjectSpec, m: int) -> int:
+    """The number of m-cells of the object spec describes, at any truncation >= m."""
+    if spec.kind == "union":
+        return sum(_cells(p, m) for p in spec.parts)
+    if spec.kind in ("circle", "cyclic-cover"):
+        return (spec.params or (1,))[0] * (m + 1)
+    # the monotone maps [m] -> [n], less those onto [n] for a boundary, and
+    # for a horn also those onto [n] minus k: C(m, n) + C(m, n - 1) = C(m + 1, n)
+    n = spec.params[0]
+    missing = {"simplex": 0, "boundary": comb(m, n), "horn": comb(m + 1, n)}
+    return comb(m + n + 1, n) - missing[spec.kind]
+
+
 def _check_buildable(spec: StandardObjectSpec, truncation: int) -> None:
-    """Raise ValueError unless build_standard(spec, truncation) builds."""
+    """Raise ValueError unless build_standard(spec, truncation) builds within CELL_BUDGET.
+
+    The cells are counted degree by degree, up to the first degree over the
+    budget, so every count stays small.
+    """
     spec.check()
     if truncation < spec.nondegenerate_dim() + 1:
         raise ValueError(
             f"truncation too small: need at least {spec.nondegenerate_dim() + 1}"
         )
+    for cells in accumulate(_cells(spec, m) for m in range(truncation + 1)):
+        _check_budget(cells, f"{spec.kind} at truncation {truncation}")
 
 
 def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:

@@ -39,6 +39,10 @@ _MALFORMED_DOCUMENTS = "tests/test_io_cli.py::test_cli_malformed_documents_are_i
 _FILE_AT_FAULT = "tests/test_io_cli.py::test_cli_errors_name_the_file_at_fault"
 _CAMPAIGN_REPORT = "tests/test_harness.py::test_campaign_report_is_its_document"
 _IDENTITY_TAMPERS = "tests/test_core.py::test_validate_matches_oracle_on_every_single_entry_tamper"
+_REPLAY_MATRIX = "tests/test_checks.py::test_each_check_replays_only_the_witness_kinds_it_reports"
+_STANDARD_BUDGET = "tests/test_standard.py::test_cell_counts_are_made_before_building"
+_NERVE_BUDGET = "tests/test_groupoids.py::test_nerve_cells_are_counted_before_building"
+_FIBER_BUDGET = "tests/test_limits.py::test_fiber_product_cells_are_counted_before_building"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -274,8 +278,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a comparison miss replays for a cell and a component that are not a pullback pair
     (
         "checks.py",
-        "        if pb.class_of[n][b] != pi0_map(h)[c]:\n",
-        "        if False:\n",
+        "    if pb.class_of[n][b] != pi0_map(h)[c]:\n",
+        "    if False:\n",
         (_TAMPERED_WITNESSES,),
     ),
     # a missing lift replays with its anchor off the base cell's j-th vertex
@@ -556,10 +560,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # an ambiguous lift replays for the covering check without being checked
     (
         "checks.py",
-        "    if isinstance(w, AmbiguousLift):\n"
-        "        return _recheck_lifting(h, w)\n",
-        "    if isinstance(w, AmbiguousLift):\n"
-        "        return True\n",
+        '"covering": {MissingLift: _recheck_missing, AmbiguousLift: _recheck_lifting},',
+        '"covering": {MissingLift: _recheck_missing, AmbiguousLift: lambda h, w: True},',
         ("tests/test_checks.py::test_out_of_range_witnesses_do_not_replay",),
     ),
     # a campaign report reads any name, or hands out its own tables
@@ -713,6 +715,86 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "        if not isinstance(other, (list, _Rows)):\n",
         "        if False:\n",
         ("tests/test_components.py::test_lazy_rows_are_unequal_to_what_is_not_a_list",),
+    ),
+    # a check's table entry accepts a witness kind the check never reports
+    (
+        "checks.py",
+        '"kan": {MissingHornFiller: _recheck_horn},',
+        '"kan": {MissingHornFiller: _recheck_horn, ComponentLeak: _recheck_leak},',
+        (_REPLAY_MATRIX,),
+    ),
+    (
+        "checks.py",
+        '"separable-lifting": {AmbiguousLift: _recheck_lifting},',
+        '"separable-lifting": {AmbiguousLift: _recheck_lifting, MissingLift: _recheck_missing},',
+        (_REPLAY_MATRIX,),
+    ),
+    (
+        "checks.py",
+        '"injection-cartesian": {ComponentLeak: _recheck_leak},',
+        '"injection-cartesian": {ComponentLeak: _recheck_leak, ComparisonClash: _recheck_clash},',
+        (_REPLAY_MATRIX,),
+    ),
+    # a separable-direct leak replays on the map, not on its diagonal
+    (
+        "checks.py",
+        "lambda h, w: _recheck_leak(diagonal(h).delta, w)",
+        "lambda h, w: _recheck_leak(h, w)",
+        (_REPLAY_MATRIX, "tests/test_checks.py::test_witnesses_revalidate_on_generated"),
+    ),
+    # a construction is built without its cell count checked first (the CLI
+    # test is not named here: without the check it would build 10^9 cells)
+    (
+        "standard.py",
+        '        _check_budget(cells, f"{spec.kind} at truncation {truncation}")\n',
+        "        pass\n",
+        (_STANDARD_BUDGET,),
+    ),
+    (
+        "groupoids.py",
+        '        _check_budget(sum(upto), f"nerve at truncation {truncation}")\n',
+        "        pass\n",
+        (_NERVE_BUDGET,),
+    ),
+    (
+        "limits.py",
+        '    _check_budget(sum(cells), "fiber product")\n',
+        "",
+        (_FIBER_BUDGET,),
+    ),
+    # one cell over the budget passes
+    (
+        "core.py",
+        "    if cells > CELL_BUDGET:\n",
+        "    if cells > CELL_BUDGET + 1:\n",
+        (_STANDARD_BUDGET, _NERVE_BUDGET, _FIBER_BUDGET),
+    ),
+    # a horn is counted like a boundary, missing the maps onto [n] minus k
+    (
+        "standard.py",
+        '"horn": comb(m + 1, n)',
+        '"horn": comb(m, n)',
+        (_STANDARD_BUDGET,),
+    ),
+    # the nerve count is one over in every degree, or forgets the empty strings
+    (
+        "groupoids.py",
+        "_check_budget(sum(upto), ",
+        "_check_budget(sum(upto) + 1, ",
+        (_NERVE_BUDGET,),
+    ),
+    (
+        "groupoids.py",
+        "upto = [1 + sum(",
+        "upto = [sum(",
+        (_NERVE_BUDGET,),
+    ),
+    # verify loses the generator options
+    (
+        "cli.py",
+        "parents=[gen, fmt]",
+        "parents=[fmt]",
+        ("tests/test_io_cli.py::test_cli_verify_campaign",),
     ),
 )
 

@@ -334,42 +334,67 @@ def test_check_report_docs(named_maps):
     assert bool(covering_check(named_maps["curated:fold-interval"])) is True
 
 
+def _one_report_per_witness_kind(named_maps, zoo):
+    """Golden name -> (map, the failing report of one check on it), one per witness kind."""
+    collapse = named_maps["curated:interval-to-point"]
+    end = sk.point_inclusion(collapse.source, 0)
+    pair = sk.copair(end, end)
+    vertex = named_maps["vertex-into-interval"]
+    leaking = sk.point_inclusion(zoo["interval"], 0)
+    cover = named_maps["curated:cyclic-double-cover"]
+    return {
+        "ambiguous-lift": (collapse, separable_via_lifting(collapse)),
+        "missing-lift": (vertex, covering_check(vertex)),
+        "missing-horn": (collapse, kan_check(collapse)),
+        "component-leak": (leaking, injection_cartesian_check(leaking)),
+        "comparison-miss": (pair, sk.trivial_covering_check(pair)),
+        "comparison-clash": (cover, sk.trivial_covering_check(cover)),
+    }
+
+
 def test_witness_document_goldens(named_maps, zoo):
     # one report per witness kind: the canonical document matches its
     # golden file, and the witness keys come as kind, then the fields
-    collapse = named_maps["curated:interval-to-point"]
-    end = sk.point_inclusion(collapse.source, 0)
-    cases = {
-        "ambiguous-lift": (
-            separable_via_lifting(collapse),
-            ["kind", "degree", "vertex", "base", "anchor", "first", "second"],
-        ),
-        "missing-lift": (
-            covering_check(named_maps["vertex-into-interval"]),
-            ["kind", "degree", "vertex", "base", "anchor"],
-        ),
-        "missing-horn": (kan_check(collapse), ["kind", "degree", "horn", "base", "faces"]),
-        "component-leak": (
-            injection_cartesian_check(sk.point_inclusion(zoo["interval"], 0)),
-            ["kind", "component", "degree", "cell"],
-        ),
-        "comparison-miss": (
-            sk.trivial_covering_check(sk.copair(end, end)),
-            ["kind", "degree", "target_cell", "component"],
-        ),
-        "comparison-clash": (
-            sk.trivial_covering_check(named_maps["curated:cyclic-double-cover"]),
-            ["kind", "degree", "first", "second"],
-        ),
+    keys = {
+        "ambiguous-lift": ["kind", "degree", "vertex", "base", "anchor", "first", "second"],
+        "missing-lift": ["kind", "degree", "vertex", "base", "anchor"],
+        "missing-horn": ["kind", "degree", "horn", "base", "faces"],
+        "component-leak": ["kind", "component", "degree", "cell"],
+        "comparison-miss": ["kind", "degree", "target_cell", "component"],
+        "comparison-clash": ["kind", "degree", "first", "second"],
     }
     kinds = set()
-    for name, (report, keys) in cases.items():
+    for name, (_, report) in _one_report_per_witness_kind(named_maps, zoo).items():
         doc = report.to_doc()
         assert dumps_canonical(doc) == (GOLDEN / f"report-{name}.json").read_text(), name
         assert list(doc) == ["check", "verdict", "stats", "witness"], name
-        assert list(doc["witness"]) == keys, name
+        assert list(doc["witness"]) == keys[name], name
         kinds.add(doc["witness"]["kind"])
     assert len(kinds) == 6
+
+
+def test_each_check_replays_only_the_witness_kinds_it_reports(named_maps, zoo):
+    # check -> the witness kinds it reports, written out apart from the
+    # replay table.  Each genuine witness is replayed under all six checks:
+    # it replays True under its own check, and an AmbiguousLift under
+    # covering too; it replays False under a check that never reports its
+    # kind.  The one other pair, the component leak under separable-direct,
+    # replays False: the diagonal of the injective map it leaks from is onto
+    # its fiber product, so nothing leaks there.
+    reports = {
+        "separable-direct": {ComponentLeak},
+        "injection-cartesian": {ComponentLeak},
+        "trivial-covering": {ComparisonClash, ComparisonMiss},
+        "covering": {MissingLift, AmbiguousLift},
+        "separable-lifting": {AmbiguousLift},
+        "kan": {MissingHornFiller},
+    }
+    for h, report in _one_report_per_witness_kind(named_maps, zoo).values():
+        w = report.witness
+        assert type(w) in reports[report.check]
+        for check, kinds in reports.items():
+            genuine = type(w) in kinds and check in (report.check, "covering")
+            assert revalidate_witness(h, CheckReport(check, False, w, {})) is genuine, (check, w)
 
 
 def test_empty_source_is_separable_everywhere(zoo):

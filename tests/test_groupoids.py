@@ -66,6 +66,19 @@ def test_nerve_counts_match_string_oracle():
         assert validate(X).ok
 
 
+def test_nerve_cells_are_counted_before_building(monkeypatch):
+    # the strings are counted first: the nerve builds at exactly the budget
+    # and is refused one cell under it
+    groupoids = (cyclic_group_groupoid(3), codiscrete_groupoid(3), orc.discrete_groupoid(2))
+    built = [(G, N, sum(nerve(G, N).cells)) for G in groupoids for N in range(5)]
+    for G, N, cells in built:
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", cells)
+        assert sum(nerve(G, N).cells) == cells
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", cells - 1)
+        with pytest.raises(ValueError, match=f"nerve at truncation {N}: more than {cells - 1} "):
+            nerve(G, N)
+
+
 def test_nerve_rejects_negative_truncation():
     with pytest.raises(ValueError, match="truncation must be >= 0"):
         nerve(cyclic_group_groupoid(2), -1)

@@ -284,6 +284,21 @@ def test_cli_cell_budget_is_invalid_input(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] is True
 
 
+def test_cli_refuses_over_budget_constructions(tmp_path, capsys):
+    # under the real budget, and before anything is built: simplex:6 at
+    # truncation 60 has 969,443,903 cells, and 4,000 points over a point
+    # have 16,000,000 pairs in the fiber product separable-direct builds
+    points = tmp_path / "points.json"
+    doc = {"source": _points_doc(4000), "target": _points_doc(1), "level": [[0] * 4000]}
+    points.write_text(io.dumps_canonical(doc))
+    for argv, what in (
+        (["standard", "simplex:6", "-N", "60"], "simplex at truncation 60"),
+        (["check", "separable-direct", str(points)], "fiber product"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {what}: more than 10000000 cells in all\n")
+
+
 def test_cli_directory_path_is_invalid_input(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -125,6 +125,19 @@ def test_product_requires_equal_truncations(zoo):
         product(zoo["interval"], sk.discrete_sset(1, 2))
 
 
+def test_fiber_product_cells_are_counted_before_building(monkeypatch, named_maps):
+    # the pairs are counted from the fibers: the fiber product builds at
+    # exactly the budget and is refused one cell under it
+    cospans = list(_cospans().values()) + [(h, h) for h in named_maps.values()]
+    built = [(f, g, sum(pullback(f, g).object.cells)) for f, g in cospans]
+    for f, g, cells in built:
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", cells)
+        assert sum(pullback(f, g).object.cells) == cells
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", cells - 1)
+        with pytest.raises(ValueError, match=f"fiber product: more than {cells - 1} cells"):
+            pullback(f, g)
+
+
 def test_two_vertex_pullback_is_empty():
     f, g = _cospans()["two-vertices"]
     fp = pullback(f, g)

@@ -20,6 +20,7 @@ from ssetkit.standard import (
     simplex_spec,
     union_spec,
 )
+from ssetkit.standard import _cells
 
 
 def test_monotone_maps_match_recursion():
@@ -132,6 +133,32 @@ def test_union_spec(zoo):
         a + b for a, b in zip(zoo["interval"].cells, zoo["circle"].cells)
     ]
     assert sk.pi0(X).count == 2
+
+
+def test_cell_counts_are_made_before_building(monkeypatch):
+    # each degree's count equals the built object's; the total builds at
+    # exactly the budget and is refused one cell under it
+    specs = [parse_spec(f"simplex:{n}") for n in range(4)]
+    specs += [parse_spec(f"boundary:{n}") for n in range(4)]
+    specs += [parse_spec(f"horn:{n}:{k}") for n in range(1, 4) for k in range(n + 1)]
+    specs += [parse_spec(f"cyclic-cover:{k}") for k in (1, 3)] + [circle_spec()]
+    specs.append(union_spec(horn_spec(3, 1), circle_spec(), boundary_spec(2)))
+    built = [
+        (spec, N, build_standard(spec, N).cells)
+        for spec in specs
+        for N in range(spec.nondegenerate_dim() + 1, 5)
+    ]
+    for spec, N, cells in built:
+        assert [_cells(spec, m) for m in range(N + 1)] == cells, (spec, N)
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", sum(cells))
+        assert build_standard(spec, N).cells == cells
+        monkeypatch.setattr(sk.core, "CELL_BUDGET", sum(cells) - 1)
+        with pytest.raises(ValueError, match=f"at truncation {N}: more than {sum(cells) - 1} "):
+            build_standard(spec, N)
+    # cyclic_cover_projection checks its cover as build_standard does: 24 cells at N = 2
+    monkeypatch.setattr(sk.core, "CELL_BUDGET", 23)
+    with pytest.raises(ValueError, match="cyclic-cover at truncation 2: more than 23 cells"):
+        sk.cyclic_cover_projection(4, 2)
 
 
 def test_truncation_too_small_is_rejected():
