@@ -8,9 +8,9 @@ and the reported witness is always the first one in the documented order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Frozen, Record
 from .core import TruncatedSSet, vertex_table
 from .components import injection_cartesian_check, pi0, pi0_map, trivial_covering_check
 from .limits import DiagonalData, diagonal
@@ -169,16 +169,17 @@ def separable_via_lifting(h: SimplicialMap) -> CheckReport:
         for j in range(n + 1):
             buckets = _buckets(h.level[n], va[n][j], A.cells[0])
             squares += len(buckets)
-            # a cell lies in one group, so the first cells of groups differ
-            best = None
+            # groups come in order of their first cell, so the first group
+            # of two or more cells holds the least such cell
+            least = None
             for xs in buckets.values():
                 if len(xs) > 1:
                     ambiguous += 1
-                    if best is None or xs[0] < best[0]:
-                        best = xs
-            if witness is None and best is not None:
-                x = best[0]
-                witness = AmbiguousLift(n, j, h.level[n][x], va[n][j][x], x, best[1])
+                    if least is None:
+                        least = xs
+            if witness is None and least is not None:
+                x = least[0]
+                witness = AmbiguousLift(n, j, h.level[n][x], va[n][j][x], x, least[1])
     stats = {"squares": squares, "ambiguous": ambiguous}
     return CheckReport("separable-lifting", witness is None, witness, stats)
 
@@ -196,8 +197,7 @@ def separable_direct(h: SimplicialMap, diag: DiagonalData | None = None) -> Chec
     return CheckReport("separable-direct", inner.verdict, inner.witness, inner.stats)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Frozen):
     """One machine-verified equivalence or implication, as a row of CLAIMS.
 
     The conclusion takes the record itself (an InstanceVerdicts or an
@@ -208,14 +208,30 @@ class Claim:
     campaigns count the records meeting it as <hypothesis>_instances.
     """
 
-    name: str  # campaign record key
-    hypothesis: str | None  # the report whose verdict the claim assumes, if any
-    conclusion: Callable[[object], bool | list[str]]
-    violations: str  # campaign document field listing the violating records
-    agreements: str | None  # campaign document field counting the holding records
-    verify: str  # the `ssetkit verify` kind whose exit code the claim decides
-    # violating campaign records carry the verdicts and the serialized instance
-    keeps_instance: bool = True
+    _fields = (
+        "name", "hypothesis", "conclusion", "violations", "agreements", "verify", "keeps_instance"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        hypothesis: str | None,
+        conclusion: Callable[[object], bool | list[str]],
+        violations: str,
+        agreements: str | None,
+        verify: str,
+        keeps_instance: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            name=name,  # campaign record key
+            hypothesis=hypothesis,  # the report whose verdict the claim assumes, if any
+            conclusion=conclusion,
+            violations=violations,  # campaign document field listing the violating records
+            agreements=agreements,  # campaign document field counting the holding records
+            verify=verify,  # the `ssetkit verify` kind whose exit code the claim decides
+            # violating campaign records carry the verdicts and the serialized instance
+            keeps_instance=keeps_instance,
+        )
 
     def value(self, obj) -> bool | list[str] | None:
         """The conclusion on obj, or None when obj is outside the hypothesis."""
@@ -286,14 +302,16 @@ def holds(verify: str, obj) -> bool:
     return not any(violates(c.value(obj)) for c in CLAIMS.values() if c.verify == verify)
 
 
-@dataclass
-class SeparabilityAgreement:
+class SeparabilityAgreement(Record):
     """Both separability characterizations, and whether they agree."""
 
-    direct: CheckReport
-    lifting: CheckReport
+    _fields = ("direct", "lifting")
     # a class attribute, not a field: one map is not held to the witness audit
     audit = None
+
+    def __init__(self, direct: CheckReport, lifting: CheckReport) -> None:
+        self.direct = direct
+        self.lifting = lifting
 
     @property
     def agree(self) -> bool:
@@ -308,8 +326,7 @@ class SeparabilityAgreement:
         }
 
 
-@dataclass
-class CoveringAgreement:
+class CoveringAgreement(Record):
     """Separability versus covering, conditional on the Kan hypothesis.
 
     When the map fails kan_check the instance is out of hypothesis and no
@@ -317,9 +334,17 @@ class CoveringAgreement:
     check on a Kan map never lacks lifts, only uniqueness.
     """
 
-    kan: CheckReport
-    direct: CheckReport | None = None
-    covering: CheckReport | None = None
+    _fields = ("kan", "direct", "covering")
+
+    def __init__(
+        self,
+        kan: CheckReport,
+        direct: CheckReport | None = None,
+        covering: CheckReport | None = None,
+    ) -> None:
+        self.kan = kan
+        self.direct = direct
+        self.covering = covering
 
     @property
     def out_of_hypothesis(self) -> bool:

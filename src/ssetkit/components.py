@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .core import TruncatedSSet, _first_difference
 from .maps import SimplicialMap
 from .report import CheckReport, ComparisonClash, ComparisonMiss, ComponentLeak
@@ -109,8 +109,7 @@ class _Rows(Sequence):
         return list, (list(self),)
 
 
-@dataclass
-class ComponentPartition:
+class ComponentPartition(Record):
     """Partition of the vertices, extended degreewise to all simplices.
 
     Components are numbered by least vertex index.  class_of[n][x] is the
@@ -122,14 +121,21 @@ class ComponentPartition:
     is counted off class_of at once.
     """
 
-    count: int
-    vertex_class: list[int]
-    class_of: Sequence[list[int]]
-    count_cells: Callable[[list[int]], dict[int, list[int]]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    _fields = ("count", "vertex_class", "class_of", "count_cells")
+    # count_cells is a way of counting, not part of the partition
+    _compare = ("count", "vertex_class", "class_of")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        count: int,
+        vertex_class: list[int],
+        class_of: Sequence[list[int]],
+        count_cells: Callable[[list[int]], dict[int, list[int]]] | None = None,
+    ) -> None:
+        self.count = count
+        self.vertex_class = vertex_class
+        self.class_of = class_of
+        self.count_cells = count_cells
         self._sizes: dict[int, list[int]] = {}
 
     def sizes(self, components: Iterable[int]) -> dict[int, list[int]]:

@@ -9,10 +9,11 @@ forgotten; everything below is stored explicitly, including degenerate cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq
 from typing import Callable, TypeVar
+
+from ._record import Record
 
 _T = TypeVar("_T")
 
@@ -26,8 +27,7 @@ _T = TypeVar("_T")
 CELL_BUDGET = 10**7
 
 
-@dataclass
-class ValidationFailure:
+class ValidationFailure(Record):
     """First law violation found by a validator.
 
     kind is one of "shape", "identity", "naturality"; detail carries the
@@ -35,9 +35,12 @@ class ValidationFailure:
     independently.
     """
 
-    kind: str
-    degree: int
-    detail: dict
+    _fields = ("kind", "degree", "detail")
+
+    def __init__(self, kind: str, degree: int, detail: dict) -> None:
+        self.kind = kind
+        self.degree = degree
+        self.detail = detail
 
     def __str__(self) -> str:
         bits = ", ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -47,13 +50,20 @@ class ValidationFailure:
         return {"kind": self.kind, "degree": self.degree, **self.detail}
 
 
-@dataclass
-class ValidationReport:
-    failure: ValidationFailure | None = None
-    # True when the top degree carries no nondegenerate cells (or the object
-    # is empty).  Constructions such as nerves may legitimately lack a buffer
-    # degree, so this is reported rather than treated as a failure.
-    has_buffer: bool = True
+class ValidationReport(Record):
+    """Outcome of a validator: the first failure found, or None.
+
+    has_buffer is True when the top degree carries no nondegenerate cells
+    (or the object is empty).  Constructions such as nerves may legitimately
+    lack a buffer degree, so this is reported rather than treated as a
+    failure.
+    """
+
+    _fields = ("failure", "has_buffer")
+
+    def __init__(self, failure: ValidationFailure | None = None, has_buffer: bool = True) -> None:
+        self.failure = failure
+        self.has_buffer = has_buffer
 
     @property
     def ok(self) -> bool:
@@ -63,8 +73,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(eq=True)
-class TruncatedSSet:
+class TruncatedSSet(Record):
     """Degreewise finite simplicial set truncated at ``truncation``.
 
     cells[n] is the number of n-simplices.  face[n][i][x] is d_i(x) for
@@ -79,12 +88,19 @@ class TruncatedSSet:
     or tamper with a copy.
     """
 
-    truncation: int
-    cells: list[int]
-    face: list[list[list[int]]]
-    degeneracy: list[list[list[int]]]
+    _fields = ("truncation", "cells", "face", "degeneracy")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        truncation: int,
+        cells: list[int],
+        face: list[list[list[int]]],
+        degeneracy: list[list[list[int]]],
+    ) -> None:
+        self.truncation = truncation
+        self.cells = cells
+        self.face = face
+        self.degeneracy = degeneracy
         self._derived: dict[str, object] = {}
 
     def __getstate__(self) -> dict:

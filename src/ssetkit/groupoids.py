@@ -10,23 +10,33 @@ identity" and "d_1 = d_0 . d_2" per 2-simplex.  No word problem is solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._record import Record
 from .core import TruncatedSSet, _check_budget
 from .standard import _object_from_keys
 
 
-@dataclass
-class FiniteGroupoid:
+class FiniteGroupoid(Record):
     """Objects 0..n_objects-1; arrows indexed with explicit structure tables."""
 
-    n_objects: int
-    source: list[int]
-    target: list[int]
-    compose: dict[tuple[int, int], int]  # (g, f) -> g after f
-    identity: list[int]  # per object
-    inverse: list[int]  # per arrow
+    _fields = ("n_objects", "source", "target", "compose", "identity", "inverse")
+
+    def __init__(
+        self,
+        n_objects: int,
+        source: list[int],
+        target: list[int],
+        compose: dict[tuple[int, int], int],
+        identity: list[int],
+        inverse: list[int],
+    ) -> None:
+        self.n_objects = n_objects
+        self.source = source
+        self.target = target
+        self.compose = compose  # (g, f) -> g after f
+        self.identity = identity  # per object
+        self.inverse = inverse  # per arrow
 
     @property
     def n_arrows(self) -> int:
@@ -112,8 +122,7 @@ def nerve(G: FiniteGroupoid, truncation: int) -> TruncatedSSet:
     return _object_from_keys(keys, face_key, degeneracy_key)
 
 
-@dataclass
-class GroupoidPresentation:
+class GroupoidPresentation(Record):
     """Syntactic presentation read off the 1- and 2-skeleton of an object.
 
     Generators are all 1-simplices (source d_1, target d_0).  Relations:
@@ -122,11 +131,27 @@ class GroupoidPresentation:
     "d_1 = d_0 . d_2".
     """
 
-    n_objects: int
-    generator_source: list[int]
-    generator_target: list[int]
-    identity_relations: list[tuple[int, int]]
-    triangle_relations: list[tuple[int, int, int, int]]
+    _fields = (
+        "n_objects",
+        "generator_source",
+        "generator_target",
+        "identity_relations",
+        "triangle_relations",
+    )
+
+    def __init__(
+        self,
+        n_objects: int,
+        generator_source: list[int],
+        generator_target: list[int],
+        identity_relations: list[tuple[int, int]],
+        triangle_relations: list[tuple[int, int, int, int]],
+    ) -> None:
+        self.n_objects = n_objects
+        self.generator_source = generator_source
+        self.generator_target = generator_target
+        self.identity_relations = identity_relations
+        self.triangle_relations = triangle_relations
 
     def format_text(self) -> str:
         lines = [f"objects: {self.n_objects}", "generators:"]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Hashable
 
+from ._record import Record, replace
 from .checks import (
     CLAIMS,
     covering_check,
@@ -55,14 +55,41 @@ DEFAULT_MIX = {
 }
 
 
-@dataclass
-class GenConfig:
-    seed: int = 0
-    max_nondegenerate_dim: int = 2
-    max_cells_per_degree: int = 6
-    trials: int = 100
-    fixture_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    include_curated: bool = True
+class GenConfig(Record):
+    """The parameters of a seeded campaign; to_doc is the document's config.
+
+    Each trial draws a family from fixture_mix (nonnegative weights by
+    family name, DEFAULT_MIX unless given).  Generated objects have
+    nondegenerate dimension at most max_nondegenerate_dim, and
+    max_cells_per_degree is the per-degree cell budget of the standard
+    pieces they are glued from.  A campaign scores the curated fixtures
+    when include_curated is set, then trials 0..trials-1.
+    """
+
+    _fields = (
+        "seed",
+        "max_nondegenerate_dim",
+        "max_cells_per_degree",
+        "trials",
+        "fixture_mix",
+        "include_curated",
+    )
+
+    def __init__(
+        self,
+        seed: int = 0,
+        max_nondegenerate_dim: int = 2,
+        max_cells_per_degree: int = 6,
+        trials: int = 100,
+        fixture_mix: dict[str, float] | None = None,
+        include_curated: bool = True,
+    ) -> None:
+        self.seed = seed
+        self.max_nondegenerate_dim = max_nondegenerate_dim
+        self.max_cells_per_degree = max_cells_per_degree
+        self.trials = trials
+        self.fixture_mix = dict(DEFAULT_MIX) if fixture_mix is None else fixture_mix
+        self.include_curated = include_curated
 
     def check(self) -> None:
         if self.max_nondegenerate_dim < 0:
@@ -80,7 +107,15 @@ class GenConfig:
             raise ValueError("at least one fixture weight must be positive")
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        """Every field in declaration order; fixture_mix is a copy."""
+        return {
+            "seed": self.seed,
+            "max_nondegenerate_dim": self.max_nondegenerate_dim,
+            "max_cells_per_degree": self.max_cells_per_degree,
+            "trials": self.trials,
+            "fixture_mix": dict(self.fixture_mix),
+            "include_curated": self.include_curated,
+        }
 
     @staticmethod
     def from_doc(doc: dict) -> "GenConfig":
@@ -349,20 +384,43 @@ def curated_instances(truncation: int = 3) -> list[tuple[str, SimplicialMap]]:
     ]
 
 
-@dataclass
-class InstanceVerdicts:
+class InstanceVerdicts(Record):
     """Every classifier run on one instance, plus derived comparisons."""
 
-    direct: CheckReport
-    lifting: CheckReport
-    covering: CheckReport
-    kan: CheckReport
-    trivial: CheckReport
-    trivial_delta: CheckReport
-    injective: bool
-    injection_cartesian: CheckReport | None
-    # checks whose failure witness does not replay; campaign scoring fills it in
-    audit: list[str] | None = None
+    _fields = (
+        "direct",
+        "lifting",
+        "covering",
+        "kan",
+        "trivial",
+        "trivial_delta",
+        "injective",
+        "injection_cartesian",
+        "audit",
+    )
+
+    def __init__(
+        self,
+        direct: CheckReport,
+        lifting: CheckReport,
+        covering: CheckReport,
+        kan: CheckReport,
+        trivial: CheckReport,
+        trivial_delta: CheckReport,
+        injective: bool,
+        injection_cartesian: CheckReport | None,
+        audit: list[str] | None = None,
+    ) -> None:
+        self.direct = direct
+        self.lifting = lifting
+        self.covering = covering
+        self.kan = kan
+        self.trivial = trivial
+        self.trivial_delta = trivial_delta
+        self.injective = injective
+        self.injection_cartesian = injection_cartesian
+        # checks whose failure witness does not replay; campaign scoring fills it in
+        self.audit = audit
 
     def implication_failures(self) -> list[str]:
         return CLAIMS["implication_failures"].value(self)
@@ -494,12 +552,14 @@ def _claim_fields(scored: list[dict]) -> dict:
     return fields
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(Record):
     """A campaign's document and its wall time; attributes read document keys."""
 
-    doc: dict
-    runtime_seconds: float
+    _fields = ("doc", "runtime_seconds")
+
+    def __init__(self, doc: dict, runtime_seconds: float) -> None:
+        self.doc = doc
+        self.runtime_seconds = runtime_seconds
 
     def __getattr__(self, name: str):
         doc = self.__dict__.get("doc", {})

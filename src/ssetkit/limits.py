@@ -36,16 +36,15 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
+from ._record import Record
 from .components import ComponentPartition, _Rows, _vertex_classes
 from .core import TruncatedSSet, _check_budget, _operators, vertex_table
 from .maps import SimplicialMap, terminal_map
 
 
-@dataclass
-class FiberProduct:
+class FiberProduct(Record):
     """The fiber product of f and g with its two projections.
 
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y],
@@ -54,13 +53,23 @@ class FiberProduct:
     read (see the module docstring).
     """
 
-    object: TruncatedSSet
-    pr1: SimplicialMap
-    pr2: SimplicialMap
-    # offset[n][x] is the number of pairs (x', y) with x' < x
-    offset: list[list[int]]
-    # rank[n][y] is the number of y' < y with g(y') = g(y)
-    rank: list[list[int]]
+    _fields = ("object", "pr1", "pr2", "offset", "rank")
+
+    def __init__(
+        self,
+        object: TruncatedSSet,
+        pr1: SimplicialMap,
+        pr2: SimplicialMap,
+        offset: list[list[int]],
+        rank: list[list[int]],
+    ) -> None:
+        self.object = object
+        self.pr1 = pr1
+        self.pr2 = pr2
+        # offset[n][x] is the number of pairs (x', y) with x' < x
+        self.offset = offset
+        # rank[n][y] is the number of y' < y with g(y') = g(y)
+        self.rank = rank
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
@@ -209,10 +218,18 @@ def product(X: TruncatedSSet, Y: TruncatedSSet) -> FiberProduct:
     return pullback(terminal_map(X), terminal_map(Y))
 
 
-@dataclass
-class DiagonalData:
-    fiber_product: FiberProduct
-    delta: SimplicialMap
+class DiagonalData(Record):
+    """The relative diagonal delta: A -> A x_B A of a map h: A -> B.
+
+    fiber_product is pullback(h, h), and delta sends each cell x of A to
+    the fiber-product cell (x, x).
+    """
+
+    _fields = ("fiber_product", "delta")
+
+    def __init__(self, fiber_product: FiberProduct, delta: SimplicialMap) -> None:
+        self.fiber_product = fiber_product
+        self.delta = delta
 
     @property
     def image(self) -> list[list[int]]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen, Record
 from .core import (
     TruncatedSSet,
     ValidationFailure,
@@ -18,23 +17,30 @@ from .core import (
 from .standard import _check_buildable, _cyclic_object, cyclic_cover_spec
 
 
-@dataclass(eq=True)
-class SimplicialMap:
+class SimplicialMap(Record):
     """Degreewise function commuting with faces and degeneracies.
 
     level[n][x] is the image of the n-simplex x.  Source and target must have
     the same truncation.
     """
 
-    source: TruncatedSSet
-    target: TruncatedSSet
-    level: list[list[int]]
+    _fields = ("source", "target", "level")
+
+    def __init__(
+        self, source: TruncatedSSet, target: TruncatedSSet, level: list[list[int]]
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.level = level
 
 
-@dataclass(frozen=True)
-class MapClass:
-    injective: bool
-    surjective: bool
+class MapClass(Frozen):
+    """Whether a map is injective, and whether it is surjective, in every degree."""
+
+    _fields = ("injective", "surjective")
+
+    def __init__(self, injective: bool, surjective: bool) -> None:
+        self.__dict__.update(injective=injective, surjective=surjective)
 
 
 def identity_map(X: TruncatedSSet) -> SimplicialMap:

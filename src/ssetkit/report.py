@@ -8,14 +8,14 @@ lexicographically least violation in the documented scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from ._record import Frozen, Record
 
 
 def _plain(value):
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-class _Witness:
+class _Witness(Frozen):
     """Base of the witness kinds; ``kind`` names the kind in documents."""
 
     kind: str
@@ -23,12 +23,11 @@ class _Witness:
     def to_doc(self) -> dict:
         """kind, then every field in declaration order, tuples as lists."""
         doc = {"kind": self.kind}
-        for f in fields(self):
-            doc[f.name] = _plain(getattr(self, f.name))
+        for name in self._fields:
+            doc[name] = _plain(getattr(self, name))
         return doc
 
 
-@dataclass(frozen=True)
 class AmbiguousLift(_Witness):
     """Two distinct lifts of ``base`` sharing the anchored vertex.
 
@@ -36,44 +35,42 @@ class AmbiguousLift(_Witness):
     in the source, and the two offending source cells.
     """
 
-    degree: int
-    vertex: int
-    base: int
-    anchor: int
-    first: int
-    second: int
-
+    _fields = ("degree", "vertex", "base", "anchor", "first", "second")
     kind = "ambiguous_lift"
 
+    def __init__(
+        self, degree: int, vertex: int, base: int, anchor: int, first: int, second: int
+    ) -> None:
+        self.__dict__.update(
+            degree=degree, vertex=vertex, base=base, anchor=anchor, first=first, second=second
+        )
 
-@dataclass(frozen=True)
+
 class MissingLift(_Witness):
     """No lift of ``base`` through the anchored vertex exists."""
 
-    degree: int
-    vertex: int
-    base: int
-    anchor: int
-
+    _fields = ("degree", "vertex", "base", "anchor")
     kind = "missing_lift"
 
+    def __init__(self, degree: int, vertex: int, base: int, anchor: int) -> None:
+        self.__dict__.update(degree=degree, vertex=vertex, base=base, anchor=anchor)
 
-@dataclass(frozen=True)
+
 class MissingHornFiller(_Witness):
     """A compatible horn over ``base`` with no filler.
 
     faces lists (i, y_i) for every slot i != horn, in ascending i.
     """
 
-    degree: int
-    horn: int
-    base: int
-    faces: tuple[tuple[int, int], ...]
-
+    _fields = ("degree", "horn", "base", "faces")
     kind = "missing_horn_filler"
 
+    def __init__(
+        self, degree: int, horn: int, base: int, faces: tuple[tuple[int, int], ...]
+    ) -> None:
+        self.__dict__.update(degree=degree, horn=horn, base=base, faces=faces)
 
-@dataclass(frozen=True)
+
 class ComponentLeak(_Witness):
     """A target component that meets the image but is not contained in it.
 
@@ -81,33 +78,31 @@ class ComponentLeak(_Witness):
     the image.
     """
 
-    component: int
-    degree: int
-    cell: int
-
+    _fields = ("component", "degree", "cell")
     kind = "component_leak"
 
+    def __init__(self, component: int, degree: int, cell: int) -> None:
+        self.__dict__.update(component=component, degree=degree, cell=cell)
 
-@dataclass(frozen=True)
+
 class ComparisonMiss(_Witness):
     """A pair (target cell, source component) missed by the comparison map."""
 
-    degree: int
-    target_cell: int
-    component: int
-
+    _fields = ("degree", "target_cell", "component")
     kind = "comparison_miss"
 
+    def __init__(self, degree: int, target_cell: int, component: int) -> None:
+        self.__dict__.update(degree=degree, target_cell=target_cell, component=component)
 
-@dataclass(frozen=True)
+
 class ComparisonClash(_Witness):
     """Two source cells identified by the comparison map."""
 
-    degree: int
-    first: int
-    second: int
-
+    _fields = ("degree", "first", "second")
     kind = "comparison_clash"
+
+    def __init__(self, degree: int, first: int, second: int) -> None:
+        self.__dict__.update(degree=degree, first=first, second=second)
 
 
 Witness = (
@@ -120,14 +115,18 @@ Witness = (
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one classifier run."""
 
-    check: str
-    verdict: bool
-    witness: Witness | None
-    stats: dict[str, int]
+    _fields = ("check", "verdict", "witness", "stats")
+
+    def __init__(
+        self, check: str, verdict: bool, witness: Witness | None, stats: dict[str, int]
+    ) -> None:
+        self.check = check
+        self.verdict = verdict
+        self.witness = witness
+        self.stats = stats
 
     def __bool__(self) -> bool:
         return self.verdict

@@ -15,11 +15,11 @@ on.  Nerves (in ``groupoids``) are keyed by their composable strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Callable, Hashable
 
+from ._record import Frozen
 from .core import TruncatedSSet, _check_budget, _operators, disjoint_union
 
 
@@ -32,8 +32,7 @@ def monotone_maps(m: int, n: int) -> list[tuple[int, ...]]:
 _ARITY = {"simplex": 1, "boundary": 1, "horn": 2, "circle": 0, "cyclic-cover": 1}
 
 
-@dataclass(frozen=True)
-class StandardObjectSpec:
+class StandardObjectSpec(Frozen):
     """Description of a standard object.
 
     kind: "simplex" | "boundary" | "horn" | "circle" | "cyclic-cover" | "union".
@@ -41,9 +40,12 @@ class StandardObjectSpec:
     () for circle; union holds sub-specs in ``parts``.
     """
 
-    kind: str
-    params: tuple[int, ...] = ()
-    parts: tuple["StandardObjectSpec", ...] = ()
+    _fields = ("kind", "params", "parts")
+
+    def __init__(
+        self, kind: str, params: tuple[int, ...] = (), parts: tuple[StandardObjectSpec, ...] = ()
+    ) -> None:
+        self.__dict__.update(kind=kind, params=params, parts=parts)
 
     def check(self) -> None:
         if self.kind == "union":

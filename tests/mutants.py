@@ -43,6 +43,7 @@ _REPLAY_MATRIX = "tests/test_checks.py::test_each_check_replays_only_the_witness
 _STANDARD_BUDGET = "tests/test_standard.py::test_cell_counts_are_made_before_building"
 _NERVE_BUDGET = "tests/test_groupoids.py::test_nerve_cells_are_counted_before_building"
 _FIBER_BUDGET = "tests/test_limits.py::test_fiber_product_cells_are_counted_before_building"
+_RECORDS = "tests/test_records.py::test_record_semantics"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -795,6 +796,48 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "parents=[gen, fmt]",
         "parents=[fmt]",
         ("tests/test_io_cli.py::test_cli_verify_campaign",),
+    ),
+    # records of two classes with equal fields compare equal
+    (
+        "_record.py",
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, Record):",
+        (_RECORDS,),
+    ),
+    # a frozen record takes assignments
+    (
+        "_record.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (_RECORDS,),
+    ),
+    # a frozen record's hash leaves out its last field
+    (
+        "_record.py",
+        "return hash(self._key())",
+        "return hash(self._key()[:-1])",
+        (_RECORDS,),
+    ),
+    # a campaign config's document shares its fixture_mix
+    (
+        "harness.py",
+        '"fixture_mix": dict(self.fixture_mix),',
+        '"fixture_mix": self.fixture_mix,',
+        (_RECORDS,),
+    ),
+    # a partition compares its way of counting
+    (
+        "components.py",
+        '    _compare = ("count", "vertex_class", "class_of")\n',
+        "",
+        (_RECORDS,),
+    ),
+    # separable-lifting reports the last ambiguous group, not the first
+    (
+        "checks.py",
+        "                    if least is None:\n",
+        "                    if True:\n",
+        ("tests/test_checks.py::test_lift_checks_match_reference",),
     ),
 )
 

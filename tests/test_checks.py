@@ -1,6 +1,5 @@
 """Morphism classifiers, their witnesses, and the verdict equivalences."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 
 import oracles as orc
 import ssetkit as sk
+from ssetkit._record import replace
 from ssetkit.checks import (
     covering_agreement,
     covering_check,
@@ -140,16 +140,16 @@ def test_witnesses_revalidate_on_generated():
 def test_tampered_witnesses_fail_revalidation(named_maps):
     h = named_maps["curated:interval-to-point"]
     report = separable_via_lifting(h)
-    bad = dataclasses.replace(report.witness, second=report.witness.first)
-    assert not revalidate_witness(h, dataclasses.replace(report, witness=bad))
+    bad = replace(report.witness, second=report.witness.first)
+    assert not revalidate_witness(h, replace(report, witness=bad))
     report = kan_check(h)
     w = report.witness
-    bad = dataclasses.replace(w, faces=((1, 1), (2, 1)))
-    assert not revalidate_witness(h, dataclasses.replace(report, witness=bad))
+    bad = replace(w, faces=((1, 1), (2, 1)))
+    assert not revalidate_witness(h, replace(report, witness=bad))
     report = covering_check(named_maps["vertex-into-interval"])
-    bad = dataclasses.replace(report.witness, base=0)
+    bad = replace(report.witness, base=0)
     assert not revalidate_witness(
-        named_maps["vertex-into-interval"], dataclasses.replace(report, witness=bad)
+        named_maps["vertex-into-interval"], replace(report, witness=bad)
     )
     # in-range witnesses that each in-range rejection of the replay must catch:
     # e is the interval's nondegenerate edge, from vertex 0 to vertex 1
@@ -230,8 +230,8 @@ def test_out_of_range_witnesses_do_not_replay(named_maps):
     ):
         assert revalidate_witness(h, report), report.check
         w = report.witness
-        shifted = dataclasses.replace(w, second=w.second - h.source.cells[w.degree])
-        assert not revalidate_witness(h, dataclasses.replace(report, witness=shifted)), w
+        shifted = replace(w, second=w.second - h.source.cells[w.degree])
+        assert not revalidate_witness(h, replace(report, witness=shifted)), w
 
 
 def test_separability_agreement_reports(named_maps):

@@ -1,7 +1,6 @@
 """Instance generator, scoring, and campaign determinism."""
 
 import copy
-import dataclasses
 import json
 import os
 import pickle
@@ -14,6 +13,7 @@ import pytest
 
 import ssetkit as sk
 from ssetkit import harness
+from ssetkit._record import replace
 from ssetkit.cli import main
 from ssetkit.core import validate
 from ssetkit.harness import (
@@ -334,15 +334,15 @@ def test_witness_audit_labels_and_order(named_maps, monkeypatch):
         dd = diagonal(h)
         v = evaluate_instance(h, dd)
         assert harness._witness_audit(h, v, dd) == []
-        for f in dataclasses.fields(v):
-            rep = getattr(v, f.name)
+        for name in v._fields:
+            rep = getattr(v, name)
             if isinstance(rep, CheckReport) and not rep.verdict:
                 # a witness of a kind the check never reports cannot replay
                 if rep.check == "kan":
                     bogus = ComponentLeak(0, 0, 0)
                 else:
                     bogus = MissingHornFiller(1, 0, 0, ((1, 0),))
-                setattr(v, f.name, dataclasses.replace(rep, witness=bogus))
+                setattr(v, name, replace(rep, witness=bogus))
         replayed.clear()
         assert harness._witness_audit(h, v, dd) == [label for _, _, label in want]
         names = {id(h): "h", id(dd.delta): "delta"}
@@ -356,7 +356,7 @@ def test_disagreement_records_carry_the_instance(monkeypatch):
 
     def flipped(h):
         report = lifting(h)
-        return dataclasses.replace(report, verdict=not report.verdict)
+        return replace(report, verdict=not report.verdict)
 
     monkeypatch.setattr(harness, "separable_via_lifting", flipped)
     report = run_campaign(GenConfig(seed=3, trials=8))

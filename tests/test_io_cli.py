@@ -1,7 +1,6 @@
 """JSON interchange format and the command-line interface."""
 
 import copy
-import dataclasses
 import errno
 import json
 import os
@@ -14,6 +13,7 @@ import pytest
 
 import ssetkit as sk
 from ssetkit import checks, harness, io
+from ssetkit._record import replace
 from ssetkit.cli import _campaign_text, main
 from ssetkit.core import validate
 from ssetkit.harness import _claim_fields
@@ -448,7 +448,7 @@ def _flipped(check):
 
     def flipped(h, *args):  # separable_direct also takes the diagonal
         report = check(h, *args)
-        return dataclasses.replace(report, verdict=not report.verdict)
+        return replace(report, verdict=not report.verdict)
 
     return flipped
 
@@ -619,7 +619,7 @@ commands = [["check", "covering"], ["check", "kan"], ["validate"],
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(cmd + [path]) for cmd in commands]
 assert codes == [0] * len(commands), codes
-heavy = ("numpy", "multiprocessing", "concurrent.futures")
+heavy = ("numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
 print(" ".join(m for m in heavy if m in sys.modules))
 """
     out = _fresh(["-c", script])
