@@ -132,10 +132,7 @@ class GroupoidPresentation(Record):
     """
 
     _fields = (
-        "n_objects",
-        "generator_source",
-        "generator_target",
-        "identity_relations",
+        "n_objects", "generator_source", "generator_target", "identity_relations",
         "triangle_relations",
     )
 

@@ -67,11 +67,7 @@ class GenConfig(Record):
     """
 
     _fields = (
-        "seed",
-        "max_nondegenerate_dim",
-        "max_cells_per_degree",
-        "trials",
-        "fixture_mix",
+        "seed", "max_nondegenerate_dim", "max_cells_per_degree", "trials", "fixture_mix",
         "include_curated",
     )
 
@@ -108,14 +104,8 @@ class GenConfig(Record):
 
     def to_doc(self) -> dict:
         """Every field in declaration order; fixture_mix is a copy."""
-        return {
-            "seed": self.seed,
-            "max_nondegenerate_dim": self.max_nondegenerate_dim,
-            "max_cells_per_degree": self.max_cells_per_degree,
-            "trials": self.trials,
-            "fixture_mix": dict(self.fixture_mix),
-            "include_curated": self.include_curated,
-        }
+        fields = {name: getattr(self, name) for name in self._fields}
+        return {**fields, "fixture_mix": dict(self.fixture_mix)}
 
     @staticmethod
     def from_doc(doc: dict) -> "GenConfig":
@@ -388,15 +378,8 @@ class InstanceVerdicts(Record):
     """Every classifier run on one instance, plus derived comparisons."""
 
     _fields = (
-        "direct",
-        "lifting",
-        "covering",
-        "kan",
-        "trivial",
-        "trivial_delta",
-        "injective",
-        "injection_cartesian",
-        "audit",
+        "direct", "lifting", "covering", "kan", "trivial", "trivial_delta", "injective",
+        "injection_cartesian", "audit",
     )
 
     def __init__(

@@ -821,8 +821,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a campaign config's document shares its fixture_mix
     (
         "harness.py",
-        '"fixture_mix": dict(self.fixture_mix),',
-        '"fixture_mix": self.fixture_mix,',
+        '"fixture_mix": dict(self.fixture_mix)}',
+        '"fixture_mix": self.fixture_mix}',
         (_RECORDS,),
     ),
     # a partition compares its way of counting
