@@ -8,8 +8,6 @@ and the reported witness is always the first one in the documented order.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ._record import Frozen, Record
 from .core import TruncatedSSet, vertex_table
 from .components import injection_cartesian_check, pi0, pi0_map, trivial_covering_check
@@ -206,32 +204,19 @@ class Claim(Frozen):
     returns a boolean, or a list of failures that is empty when the claim
     holds.  A claim with a hypothesis assumes that report's verdict;
     campaigns count the records meeting it as <hypothesis>_instances.
+
+    name is the campaign record key; hypothesis names the report whose
+    verdict the claim assumes, if any; violations is the campaign document
+    field listing the violating records, and agreements the one counting
+    the holding records, if any; verify is the `ssetkit verify` kind whose
+    exit code the claim decides; with keeps_instance, violating campaign
+    records carry the verdicts and the serialized instance.
     """
 
     _fields = (
         "name", "hypothesis", "conclusion", "violations", "agreements", "verify", "keeps_instance"
     )
-
-    def __init__(
-        self,
-        name: str,
-        hypothesis: str | None,
-        conclusion: Callable[[object], bool | list[str]],
-        violations: str,
-        agreements: str | None,
-        verify: str,
-        keeps_instance: bool = True,
-    ) -> None:
-        self.__dict__.update(
-            name=name,  # campaign record key
-            hypothesis=hypothesis,  # the report whose verdict the claim assumes, if any
-            conclusion=conclusion,
-            violations=violations,  # campaign document field listing the violating records
-            agreements=agreements,  # campaign document field counting the holding records
-            verify=verify,  # the `ssetkit verify` kind whose exit code the claim decides
-            # violating campaign records carry the verdicts and the serialized instance
-            keeps_instance=keeps_instance,
-        )
+    _defaults = {"keeps_instance": True}
 
     def value(self, obj) -> bool | list[str] | None:
         """The conclusion on obj, or None when obj is outside the hypothesis."""
@@ -309,10 +294,6 @@ class SeparabilityAgreement(Record):
     # a class attribute, not a field: one map is not held to the witness audit
     audit = None
 
-    def __init__(self, direct: CheckReport, lifting: CheckReport) -> None:
-        self.direct = direct
-        self.lifting = lifting
-
     @property
     def agree(self) -> bool:
         return CLAIMS["separability_agree"].value(self)
@@ -335,16 +316,7 @@ class CoveringAgreement(Record):
     """
 
     _fields = ("kan", "direct", "covering")
-
-    def __init__(
-        self,
-        kan: CheckReport,
-        direct: CheckReport | None = None,
-        covering: CheckReport | None = None,
-    ) -> None:
-        self.kan = kan
-        self.direct = direct
-        self.covering = covering
+    _defaults = {"direct": None, "covering": None}
 
     @property
     def out_of_hypothesis(self) -> bool:

@@ -107,7 +107,10 @@ def _cmd_pi0(args) -> int:
 
 def _cmd_pi1(args) -> int:
     X = _load_valid_object(args.path)
-    pres = pi1_presentation(X)
+    try:
+        pres = pi1_presentation(X)
+    except ValueError as exc:
+        raise ValueError(f"{args.path}: {exc}") from exc
     _emit(args, pres.to_doc(), pres.format_text())
     return 0
 

@@ -37,11 +37,6 @@ class ValidationFailure(Record):
 
     _fields = ("kind", "degree", "detail")
 
-    def __init__(self, kind: str, degree: int, detail: dict) -> None:
-        self.kind = kind
-        self.degree = degree
-        self.detail = detail
-
     def __str__(self) -> str:
         bits = ", ".join(f"{k}={v}" for k, v in self.detail.items())
         return f"{self.kind} failure at degree {self.degree}: {bits}"
@@ -60,10 +55,7 @@ class ValidationReport(Record):
     """
 
     _fields = ("failure", "has_buffer")
-
-    def __init__(self, failure: ValidationFailure | None = None, has_buffer: bool = True) -> None:
-        self.failure = failure
-        self.has_buffer = has_buffer
+    _defaults = {"failure": None, "has_buffer": True}
 
     @property
     def ok(self) -> bool:

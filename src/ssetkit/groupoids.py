@@ -18,25 +18,14 @@ from .standard import _object_from_keys
 
 
 class FiniteGroupoid(Record):
-    """Objects 0..n_objects-1; arrows indexed with explicit structure tables."""
+    """Objects 0..n_objects-1; arrows indexed with explicit structure tables.
+
+    source[a] and target[a] are the ends of arrow a; compose maps (g, f) to
+    g after f; identity[x] is the identity arrow of object x, and
+    inverse[a] the inverse of arrow a.
+    """
 
     _fields = ("n_objects", "source", "target", "compose", "identity", "inverse")
-
-    def __init__(
-        self,
-        n_objects: int,
-        source: list[int],
-        target: list[int],
-        compose: dict[tuple[int, int], int],
-        identity: list[int],
-        inverse: list[int],
-    ) -> None:
-        self.n_objects = n_objects
-        self.source = source
-        self.target = target
-        self.compose = compose  # (g, f) -> g after f
-        self.identity = identity  # per object
-        self.inverse = inverse  # per arrow
 
     @property
     def n_arrows(self) -> int:
@@ -135,20 +124,6 @@ class GroupoidPresentation(Record):
         "n_objects", "generator_source", "generator_target", "identity_relations",
         "triangle_relations",
     )
-
-    def __init__(
-        self,
-        n_objects: int,
-        generator_source: list[int],
-        generator_target: list[int],
-        identity_relations: list[tuple[int, int]],
-        triangle_relations: list[tuple[int, int, int, int]],
-    ) -> None:
-        self.n_objects = n_objects
-        self.generator_source = generator_source
-        self.generator_target = generator_target
-        self.identity_relations = identity_relations
-        self.triangle_relations = triangle_relations
 
     def format_text(self) -> str:
         lines = [f"objects: {self.n_objects}", "generators:"]

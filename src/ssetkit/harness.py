@@ -10,6 +10,7 @@ must draw a valid map, and a campaign raises RuntimeError when one does not.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from typing import TYPE_CHECKING, Hashable
@@ -58,9 +59,9 @@ DEFAULT_MIX = {
 class GenConfig(Record):
     """The parameters of a seeded campaign; to_doc is the document's config.
 
-    Each trial draws a family from fixture_mix (nonnegative weights by
-    family name, DEFAULT_MIX unless given).  Generated objects have
-    nondegenerate dimension at most max_nondegenerate_dim, and
+    Each trial draws a family from fixture_mix (nonnegative finite weights
+    by family name, with a finite sum, DEFAULT_MIX unless given).  Generated
+    objects have nondegenerate dimension at most max_nondegenerate_dim, and
     max_cells_per_degree is the per-degree cell budget of the standard
     pieces they are glued from.  A campaign scores the curated fixtures
     when include_curated is set, then trials 0..trials-1.
@@ -97,6 +98,9 @@ class GenConfig(Record):
         unknown = set(self.fixture_mix) - set(_FAMILIES)
         if unknown:
             raise ValueError(f"unknown fixture families: {sorted(unknown)}")
+        # a weight that is nan or infinite makes the sum so too
+        if not math.isfinite(sum(self.fixture_mix.values())):
+            raise ValueError("fixture weights must be finite, and so must their sum")
         if any(w < 0 for w in self.fixture_mix.values()):
             raise ValueError("fixture weights must be nonnegative")
         if not any(w > 0 for w in self.fixture_mix.values()):
@@ -375,35 +379,17 @@ def curated_instances(truncation: int = 3) -> list[tuple[str, SimplicialMap]]:
 
 
 class InstanceVerdicts(Record):
-    """Every classifier run on one instance, plus derived comparisons."""
+    """Every classifier run on one instance, plus derived comparisons.
+
+    audit lists the checks whose failure witness does not replay; campaign
+    scoring fills it in, and it is None until then.
+    """
 
     _fields = (
         "direct", "lifting", "covering", "kan", "trivial", "trivial_delta", "injective",
         "injection_cartesian", "audit",
     )
-
-    def __init__(
-        self,
-        direct: CheckReport,
-        lifting: CheckReport,
-        covering: CheckReport,
-        kan: CheckReport,
-        trivial: CheckReport,
-        trivial_delta: CheckReport,
-        injective: bool,
-        injection_cartesian: CheckReport | None,
-        audit: list[str] | None = None,
-    ) -> None:
-        self.direct = direct
-        self.lifting = lifting
-        self.covering = covering
-        self.kan = kan
-        self.trivial = trivial
-        self.trivial_delta = trivial_delta
-        self.injective = injective
-        self.injection_cartesian = injection_cartesian
-        # checks whose failure witness does not replay; campaign scoring fills it in
-        self.audit = audit
+    _defaults = {"audit": None}
 
     def implication_failures(self) -> list[str]:
         return CLAIMS["implication_failures"].value(self)
@@ -539,10 +525,6 @@ class CampaignReport(Record):
     """A campaign's document and its wall time; attributes read document keys."""
 
     _fields = ("doc", "runtime_seconds")
-
-    def __init__(self, doc: dict, runtime_seconds: float) -> None:
-        self.doc = doc
-        self.runtime_seconds = runtime_seconds
 
     def __getattr__(self, name: str):
         doc = self.__dict__.get("doc", {})

@@ -48,28 +48,14 @@ class FiberProduct(Record):
     """The fiber product of f and g with its two projections.
 
     The cell of the pair (x, y) at degree n is offset[n][x] + rank[n][y],
-    and the pair of cell p is (pr1.level[n][p], pr2.level[n][p]).  The
-    tables of object, pr1 and pr2 are built one degree at a time on first
-    read (see the module docstring).
+    where offset[n][x] is the number of pairs (x', y) with x' < x and
+    rank[n][y] the number of y' < y with g(y') = g(y); the pair of cell p
+    is (pr1.level[n][p], pr2.level[n][p]).  The tables of object, pr1 and
+    pr2 are built one degree at a time on first read (see the module
+    docstring).
     """
 
     _fields = ("object", "pr1", "pr2", "offset", "rank")
-
-    def __init__(
-        self,
-        object: TruncatedSSet,
-        pr1: SimplicialMap,
-        pr2: SimplicialMap,
-        offset: list[list[int]],
-        rank: list[list[int]],
-    ) -> None:
-        self.object = object
-        self.pr1 = pr1
-        self.pr2 = pr2
-        # offset[n][x] is the number of pairs (x', y) with x' < x
-        self.offset = offset
-        # rank[n][y] is the number of y' < y with g(y') = g(y)
-        self.rank = rank
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
@@ -226,10 +212,6 @@ class DiagonalData(Record):
     """
 
     _fields = ("fiber_product", "delta")
-
-    def __init__(self, fiber_product: FiberProduct, delta: SimplicialMap) -> None:
-        self.fiber_product = fiber_product
-        self.delta = delta
 
     @property
     def image(self) -> list[list[int]]:

@@ -26,21 +26,11 @@ class SimplicialMap(Record):
 
     _fields = ("source", "target", "level")
 
-    def __init__(
-        self, source: TruncatedSSet, target: TruncatedSSet, level: list[list[int]]
-    ) -> None:
-        self.source = source
-        self.target = target
-        self.level = level
-
 
 class MapClass(Frozen):
     """Whether a map is injective, and whether it is surjective, in every degree."""
 
     _fields = ("injective", "surjective")
-
-    def __init__(self, injective: bool, surjective: bool) -> None:
-        self.__dict__.update(injective=injective, surjective=surjective)
 
 
 def identity_map(X: TruncatedSSet) -> SimplicialMap:

@@ -38,22 +38,12 @@ class AmbiguousLift(_Witness):
     _fields = ("degree", "vertex", "base", "anchor", "first", "second")
     kind = "ambiguous_lift"
 
-    def __init__(
-        self, degree: int, vertex: int, base: int, anchor: int, first: int, second: int
-    ) -> None:
-        self.__dict__.update(
-            degree=degree, vertex=vertex, base=base, anchor=anchor, first=first, second=second
-        )
-
 
 class MissingLift(_Witness):
     """No lift of ``base`` through the anchored vertex exists."""
 
     _fields = ("degree", "vertex", "base", "anchor")
     kind = "missing_lift"
-
-    def __init__(self, degree: int, vertex: int, base: int, anchor: int) -> None:
-        self.__dict__.update(degree=degree, vertex=vertex, base=base, anchor=anchor)
 
 
 class MissingHornFiller(_Witness):
@@ -64,11 +54,6 @@ class MissingHornFiller(_Witness):
 
     _fields = ("degree", "horn", "base", "faces")
     kind = "missing_horn_filler"
-
-    def __init__(
-        self, degree: int, horn: int, base: int, faces: tuple[tuple[int, int], ...]
-    ) -> None:
-        self.__dict__.update(degree=degree, horn=horn, base=base, faces=faces)
 
 
 class ComponentLeak(_Witness):
@@ -81,18 +66,12 @@ class ComponentLeak(_Witness):
     _fields = ("component", "degree", "cell")
     kind = "component_leak"
 
-    def __init__(self, component: int, degree: int, cell: int) -> None:
-        self.__dict__.update(component=component, degree=degree, cell=cell)
-
 
 class ComparisonMiss(_Witness):
     """A pair (target cell, source component) missed by the comparison map."""
 
     _fields = ("degree", "target_cell", "component")
     kind = "comparison_miss"
-
-    def __init__(self, degree: int, target_cell: int, component: int) -> None:
-        self.__dict__.update(degree=degree, target_cell=target_cell, component=component)
 
 
 class ComparisonClash(_Witness):
@@ -101,32 +80,15 @@ class ComparisonClash(_Witness):
     _fields = ("degree", "first", "second")
     kind = "comparison_clash"
 
-    def __init__(self, degree: int, first: int, second: int) -> None:
-        self.__dict__.update(degree=degree, first=first, second=second)
-
-
-Witness = (
-    AmbiguousLift
-    | MissingLift
-    | MissingHornFiller
-    | ComponentLeak
-    | ComparisonMiss
-    | ComparisonClash
-)
-
 
 class CheckReport(Record):
-    """Outcome of one classifier run."""
+    """Outcome of one classifier run.
+
+    witness is None when the verdict holds, and otherwise one of the witness
+    kinds above; stats counts what the scan looked at.
+    """
 
     _fields = ("check", "verdict", "witness", "stats")
-
-    def __init__(
-        self, check: str, verdict: bool, witness: Witness | None, stats: dict[str, int]
-    ) -> None:
-        self.check = check
-        self.verdict = verdict
-        self.witness = witness
-        self.stats = stats
 
     def __bool__(self) -> bool:
         return self.verdict

@@ -41,11 +41,7 @@ class StandardObjectSpec(Frozen):
     """
 
     _fields = ("kind", "params", "parts")
-
-    def __init__(
-        self, kind: str, params: tuple[int, ...] = (), parts: tuple[StandardObjectSpec, ...] = ()
-    ) -> None:
-        self.__dict__.update(kind=kind, params=params, parts=parts)
+    _defaults = {"params": (), "parts": ()}
 
     def check(self) -> None:
         if self.kind == "union":

@@ -839,6 +839,55 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "                    if True:\n",
         ("tests/test_checks.py::test_lift_checks_match_reference",),
     ),
+    # the generated __init__ drops its last field, on a mutable and on a frozen record
+    (
+        "_record.py",
+        'body = "; ".join(f"self.{f} = {f}" for f in fields)',
+        'body = "; ".join(f"self.{f} = {f}" for f in fields[:-1])',
+        (_RECORDS,),
+    ),
+    (
+        "_record.py",
+        "{', '.join(f'{f}={f}' for f in fields)}",
+        "{', '.join(f'{f}={f}' for f in fields[:-1])}",
+        (_RECORDS,),
+    ),
+    # the generated __init__ ignores the values in _defaults
+    (
+        "_record.py",
+        'f"{f}=_defaults[{f!r}]"',
+        'f"{f}=None"',
+        (_RECORDS,),
+    ),
+    # an __init__ is generated only for the classes that define their own.  Claim
+    # is exempt: CLAIMS is built on import, and a failed import counts as an error
+    (
+        "_record.py",
+        'if "__init__" not in cls.__dict__:',
+        'if "__init__" in cls.__dict__ or cls.__name__ == "Claim":',
+        (_RECORDS,),
+    ),
+    # a frozen record stores its fields through setattr (Claim exempt, as above)
+    (
+        "_record.py",
+        "if issubclass(cls, Frozen):",
+        'if cls.__name__ == "Claim":',
+        (_RECORDS,),
+    ),
+    # a campaign config lets a weight that is not finite through to the draws
+    (
+        "harness.py",
+        "if not math.isfinite(sum(self.fixture_mix.values())):",
+        "if False:",
+        ("tests/test_harness.py::test_config_checks",),
+    ),
+    # pi1 on an object without triangles does not name the file
+    (
+        "cli.py",
+        'raise ValueError(f"{args.path}: {exc}") from exc',
+        "raise",
+        (_FILE_AT_FAULT,),
+    ),
 )
 
 

@@ -49,6 +49,11 @@ def test_config_checks():
         GenConfig(fixture_mix={"gluing": 0.0}).check()
     with pytest.raises(ValueError):
         GenConfig(fixture_mix={"gluing": -1.0}).check()
+    # a weight that is not finite, or a sum that overflows, would reach the draws
+    for mix in ({"gluing": float("nan"), "fold": 1.0}, {"gluing": float("inf")},
+                {"gluing": 1e308, "fold": 1e308}):
+        with pytest.raises(ValueError, match="finite"):
+            GenConfig(fixture_mix=mix).check()
     GenConfig().check()
 
 

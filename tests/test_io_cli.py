@@ -219,6 +219,8 @@ def test_cli_errors_name_the_file_at_fault(tmp_path, zoo, capsys):
     short["cells"].pop()
     shortpath = tmp_path / "short.json"
     shortpath.write_text(io.dumps_canonical(short))
+    flat = tmp_path / "flat.json"  # a valid object with no triangles to read relations off
+    flat.write_text(io.dumps_canonical(io.object_to_doc(sk.discrete_sset(2, 1))))
     not_an_object = "object document must be a JSON object"
     cases = (
         (["check", "covering", refmap], f"{listed}: {not_an_object}"),
@@ -227,6 +229,7 @@ def test_cli_errors_name_the_file_at_fault(tmp_path, zoo, capsys):
          f"{inline}: target must be an object document or a file path"),
         (["pi0", listed], f"{listed}: {not_an_object}"),
         (["pi1", listed], f"{listed}: {not_an_object}"),
+        (["pi1", flat], f"{flat}: need truncation >= 2 to read off triangle relations"),
         (["validate", listed], f"{listed}: {not_an_object}"),
         (["validate", shortpath],
          f"{shortpath}: cells must list one count per degree 0..truncation"),

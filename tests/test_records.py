@@ -1,6 +1,7 @@
 """The record classes: equality, hashing, immutability, replace and copies."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -50,6 +51,9 @@ RECORDS = {
     "CampaignReport": lambda: sk.CampaignReport({"scored": 1}, 0.5),
 }
 
+# the records whose __init__ stores more than its arguments, so is not generated
+OWN_INIT = {"TruncatedSSet", "ComponentPartition", "GenConfig"}
+
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_semantics(name):
@@ -62,6 +66,21 @@ def test_record_semantics(name):
         assert twin == r and twin is not r
     assert repr(r) == f"{name}({', '.join(f'{f}={values[f]!r}' for f in r._compare)})"
     assert type(r).__doc__
+    # the constructor takes the fields in order; a generated one has the class's defaults
+    params = inspect.signature(type(r)).parameters
+    assert list(params) == list(r._fields)
+    defaults = {f: p.default for f, p in params.items() if p.default is not p.empty}
+    if name not in OWN_INIT:
+        assert defaults == type(r)._defaults
+    required = {f: v for f, v in values.items() if f not in defaults}
+    made = type(r)(**required)
+    if name != "GenConfig":  # whose fixture_mix of None stores a copy of DEFAULT_MIX
+        assert {f: getattr(made, f) for f in defaults} == defaults
+    for f in required:
+        with pytest.raises(TypeError, match=f):
+            type(r)(**{g: v for g, v in required.items() if g != f})
+    with pytest.raises(TypeError, match="unknown"):
+        type(r)(**values, unknown=0)
     # replace builds a changed record and leaves r as it was
     first = r._fields[0]
     changed = replace(r, **{first: "changed"})
