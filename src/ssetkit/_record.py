@@ -5,9 +5,8 @@ and its default values, if any, in ``_defaults``; every default must be
 immutable, since one value serves every record.  From these two an
 ``__init__`` that stores each argument is compiled once per class, as
 ``collections.namedtuple`` compiles its ``__new__``; a class that defines
-its own ``__init__`` keeps it.  Three do, because they store more than their
-arguments: ``TruncatedSSet`` (an empty ``_derived``), ``ComponentPartition``
-(an empty ``_sizes``) and ``GenConfig`` (a fresh copy of ``DEFAULT_MIX``).
+its own ``__init__`` keeps it.  One does, ``GenConfig``, because its
+``fixture_mix`` of None stores a fresh copy of ``DEFAULT_MIX``.
 Two records are equal when they are of the same class and their compared
 fields (``_compare``, every field unless the class says otherwise) are equal
 as a tuple; the repr shows the compared fields as ``Name(field=value, ...)``.

@@ -118,32 +118,21 @@ class ComponentPartition(Record):
     is first read.  sizes() counts the cells of a component per degree:
     with count_cells, which fiber products supply, only the components
     asked about are counted and no row is read; without it, every component
-    is counted off class_of at once.
+    is counted off class_of at once.  The counts are kept in a memo made on
+    first use, which equality, repr and replace ignore.
     """
 
     _fields = ("count", "vertex_class", "class_of", "count_cells")
     # count_cells is a way of counting, not part of the partition
     _compare = ("count", "vertex_class", "class_of")
-
-    def __init__(
-        self,
-        count: int,
-        vertex_class: list[int],
-        class_of: Sequence[list[int]],
-        count_cells: Callable[[list[int]], dict[int, list[int]]] | None = None,
-    ) -> None:
-        self.count = count
-        self.vertex_class = vertex_class
-        self.class_of = class_of
-        self.count_cells = count_cells
-        self._sizes: dict[int, list[int]] = {}
+    _defaults = {"count_cells": None}
 
     def sizes(self, components: Iterable[int]) -> dict[int, list[int]]:
         """sizes(cs)[c][n]: the number of n-cells in component c, for each c in cs.
 
         Each component is counted once per partition, when first asked for.
         """
-        known, wanted = self._sizes, set(components)
+        known, wanted = vars(self).setdefault("_sizes", {}), set(components)
         todo = sorted(wanted - known.keys())
         if todo and self.count_cells is not None:
             known.update(self.count_cells(todo))

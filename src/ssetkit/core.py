@@ -74,42 +74,24 @@ class TruncatedSSet(Record):
     Simplex identity is positional.
 
     Derived tables (vertex_table, pi0) are computed once per object, on first
-    use, and kept on it; equality, repr, serialization and copies ignore
-    them, and a copy starts without them.  The tables must therefore not be
-    mutated once anything has been derived from them: build a new object,
-    or tamper with a copy.
+    use, and kept on it in a cache that is itself made on first use;
+    equality, repr, serialization and copies ignore them, and a copy starts
+    without them.  The tables must therefore not be mutated once anything
+    has been derived from them: build a new object, or tamper with a copy.
     """
 
     _fields = ("truncation", "cells", "face", "degeneracy")
-
-    def __init__(
-        self,
-        truncation: int,
-        cells: list[int],
-        face: list[list[list[int]]],
-        degeneracy: list[list[list[int]]],
-    ) -> None:
-        self.truncation = truncation
-        self.cells = cells
-        self.face = face
-        self.degeneracy = degeneracy
-        self._derived: dict[str, object] = {}
 
     def __getstate__(self) -> dict:
         # copy.copy, copy.deepcopy and pickle go through here
         return {k: v for k, v in self.__dict__.items() if k != "_derived"}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derived = {}
-
     def derived(self, name: str, build: Callable[["TruncatedSSet"], _T]) -> _T:
         """The derived table ``name``: build(self) on first use, then kept."""
-        try:
-            return self._derived[name]
-        except KeyError:
-            value = self._derived[name] = build(self)
-            return value
+        tables = vars(self).setdefault("_derived", {})
+        if name not in tables:
+            tables[name] = build(self)
+        return tables[name]
 
     def nondegenerate(self, n: int) -> list[bool]:
         """Whether each n-cell is nondegenerate, one i-row at a time.

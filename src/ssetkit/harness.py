@@ -111,10 +111,6 @@ class GenConfig(Record):
         fields = {name: getattr(self, name) for name in self._fields}
         return {**fields, "fixture_mix": dict(self.fixture_mix)}
 
-    @staticmethod
-    def from_doc(doc: dict) -> "GenConfig":
-        return GenConfig(**{**doc, "fixture_mix": dict(doc["fixture_mix"])})
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The stream of one trial; seed and trial are taken mod 2**64."""
@@ -469,9 +465,8 @@ _ADEQUACY_CLASSES = {
 }
 
 
-def _trial_record(cfg_doc: dict, trial: int) -> dict:
+def _trial_record(cfg: GenConfig, trial: int) -> dict:
     """Generate, validate and score one trial; JSON-ready output."""
-    cfg = GenConfig.from_doc(cfg_doc)
     family, h = gen_morphism(cfg, trial)
     valid = validate_parts(h)[1].ok
     # a skipped trial must be a deliberate near miss, never a generator bug
@@ -559,7 +554,6 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     if cfg.include_curated:
         for name, h in curated_instances(max(2, cfg.max_nondegenerate_dim + 1)):
             records.append(_score(name, "curated", h))
-    cfg_doc = cfg.to_doc()
     # the pool starts all its workers at once, so start no idle ones
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
@@ -567,10 +561,10 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records.extend(
-                pool.map(_trial_record, [cfg_doc] * cfg.trials, range(cfg.trials), chunksize=8)
+                pool.map(_trial_record, [cfg] * cfg.trials, range(cfg.trials), chunksize=8)
             )
     else:
-        records.extend(_trial_record(cfg_doc, t) for t in range(cfg.trials))
+        records.extend(_trial_record(cfg, t) for t in range(cfg.trials))
 
     scored = [rec for rec in records if not rec["skipped"]]
     families: dict[str, int] = {}
@@ -582,7 +576,7 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     adequacy["adequate"] = all(adequacy[c] > 0 for c in _ADEQUACY_CLASSES)
     claims = _claim_fields(scored)
     doc = {
-        "config": cfg_doc,
+        "config": cfg.to_doc(),
         "scored": len(scored),
         "skipped": len(records) - len(scored),
         "curated": families.get("curated", 0),

@@ -44,6 +44,7 @@ _STANDARD_BUDGET = "tests/test_standard.py::test_cell_counts_are_made_before_bui
 _NERVE_BUDGET = "tests/test_groupoids.py::test_nerve_cells_are_counted_before_building"
 _FIBER_BUDGET = "tests/test_limits.py::test_fiber_product_cells_are_counted_before_building"
 _RECORDS = "tests/test_records.py::test_record_semantics"
+_COPIES = "tests/test_components.py::test_copies_never_carry_derived_tables"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -880,6 +881,27 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "if not math.isfinite(sum(self.fixture_mix.values())):",
         "if False:",
         ("tests/test_harness.py::test_config_checks",),
+    ),
+    # a derived table is built on every call instead of once per object
+    (
+        "core.py",
+        "tables[name] = build(self)",
+        "return build(self)",
+        (_COPIES,),
+    ),
+    # copies and pickles carry the derived tables, which a tampered copy then reads
+    (
+        "core.py",
+        'return {k: v for k, v in self.__dict__.items() if k != "_derived"}',
+        "return dict(self.__dict__)",
+        (_COPIES,),
+    ),
+    # a partition counts its components afresh on every sizes() call
+    (
+        "components.py",
+        'vars(self).setdefault("_sizes", {})',
+        "{}",
+        ("tests/test_limits.py::test_fiber_product_partition_counts_each_component_once",),
     ),
     # pi1 on an object without triangles does not name the file
     (

@@ -1,6 +1,7 @@
 """Connected components and the two component-comparison checks."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -213,8 +214,13 @@ def test_pi0_map_rejects_a_map_that_splits_a_component(zoo):
 def test_copies_never_carry_derived_tables(zoo):
     X = zoo["two-points"]
     part, verts = pi0(X), vertex_table(X)
+    # every copy equals X and builds its own tables
+    for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert Y == X and repr(Y) == repr(X)
+        assert pi0(Y) == part and pi0(Y) is not part and pi0(Y) is pi0(Y)
+        assert vertex_table(Y) == verts and vertex_table(Y) is not verts
+    # a tampered deep copy reads its own rows, and X keeps its tables
     Y = copy.deepcopy(X)
-    assert Y == X and repr(Y) == repr(X)
     Y.face[1][0][1] = 0  # the degenerate edge at vertex 1 now ends at vertex 0
     assert pi0(Y) == orc.reference_pi0(Y) and pi0(Y).count == 1
     assert vertex_table(Y) == orc.naive_vertex_table(Y) and [row[1] for row in vertex_table(Y)[1]] == [1, 0]

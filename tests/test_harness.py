@@ -59,7 +59,7 @@ def test_config_checks():
 
 def test_config_round_trip():
     cfg = GenConfig(seed=9, trials=12, max_cells_per_degree=4)
-    assert GenConfig.from_doc(cfg.to_doc()) == cfg
+    assert GenConfig(**cfg.to_doc()) == cfg
 
 
 def test_trial_rng_is_stable():

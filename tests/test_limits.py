@@ -369,3 +369,23 @@ def test_pi0_of_fiber_product_from_pairs(zoo, differential_maps):
         assert len(part.class_of) == len(want.class_of), name
         assert part.class_of == want.class_of and want.class_of == part.class_of, name
         assert not _tables_built(obj), name
+
+
+def test_fiber_product_partition_counts_each_component_once():
+    h = sk.cyclic_cover_projection(3, 3)
+    part = pi0(diagonal(h).fiber_product.object)
+    assert part.count == 3
+    want = orc.reference_pi0(orc.reference_pullback(h, h)[0])
+    counts = [Counter(row) for row in want.class_of]
+    every = {c: [k[c] for k in counts] for c in range(want.count)}
+    requests, count_cells = [], part.count_cells
+
+    def recorded(components):
+        requests.append(list(components))
+        return count_cells(components)
+
+    part.count_cells = recorded
+    assert part.sizes([0]) == {0: every[0]}
+    assert part.sizes([0, 1]) == {0: every[0], 1: every[1]}
+    assert part.sizes(range(part.count)) == every
+    assert requests == [[0], [1], [2]]

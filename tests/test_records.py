@@ -52,7 +52,7 @@ RECORDS = {
 }
 
 # the records whose __init__ stores more than its arguments, so is not generated
-OWN_INIT = {"TruncatedSSet", "ComponentPartition", "GenConfig"}
+OWN_INIT = {"GenConfig"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
