@@ -13,7 +13,9 @@ import functools
 import math
 import os
 import time
-from typing import TYPE_CHECKING, Hashable
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Hashable
 
 from ._record import Record, replace
 from .checks import (
@@ -41,11 +43,6 @@ from .maps import (
 from .report import CheckReport
 from .standard import StandardObjectSpec, build_standard, circle_spec, simplex_spec
 from . import io
-
-# numpy and the process pool are imported where they are used, so importing
-# the package, as every CLI call does, loads neither
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MIX = {
     "gluing": 0.35,
@@ -112,13 +109,92 @@ class GenConfig(Record):
         return {**fields, "fixture_mix": dict(self.fixture_mix)}
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The stream of one trial; seed and trial are taken mod 2**64."""
-    import numpy as np
+_MASK64 = (1 << 64) - 1
 
-    # a list would go through float64 for entries of 2**63 or more
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def _philox_block(counter: int, k0: int, k1: int) -> tuple[int, int, int, int]:
+    """Philox4x64-10 (Salmon et al., SC'11) of a 256-bit counter under the key (k0, k1)."""
+    c0, c1, c2, c3 = (counter >> s & _MASK64 for s in (0, 64, 128, 192))
+    for _ in range(10):
+        p = 0xD2E7470EE14C6C93 * c0
+        q = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (q >> 64) ^ c1 ^ k0, q & _MASK64, (p >> 64) ^ c3 ^ k1, p & _MASK64
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return c0, c1, c2, c3
+
+
+class PhiloxStream:
+    """The draws of numpy.random.Generator(numpy.random.Philox(key=[k0, k1])).
+
+    random, integers and choice return, call for call, what the Generator
+    methods of the same names return for a single value (as Python numbers),
+    for keys below 2**64.  integers takes ranges of at most 2**32 values,
+    which covers every draw the generator makes; a wider one raises
+    ValueError, as an empty one does.
+    """
+
+    __slots__ = ("_key", "_counter", "_block", "_pos", "_half")
+
+    def __init__(self, k0: int, k1: int) -> None:
+        self._key = (k0, k1)
+        self._counter = 0
+        self._block = (0, 0, 0, 0)
+        self._pos = 4
+        self._half: int | None = None
+
+    def next64(self) -> int:
+        # the counter is incremented before each block (_philox_block reads it
+        # mod 2**256), and the block's four words go out in order
+        if self._pos == 4:
+            self._counter += 1
+            self._block = _philox_block(self._counter, *self._key)
+            self._pos = 0
+        self._pos += 1
+        return self._block[self._pos - 1]
+
+    def next32(self) -> int:
+        """The low half of a fresh word; the next call returns its high half."""
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self.next64()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """A float in [0, 1), a multiple of 2**-53."""
+        return (self.next64() >> 11) * 2.0**-53
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An integer in [lo, hi), by Lemire's method on next32."""
+        n = hi - lo
+        if n <= 0:
+            raise ValueError("low >= high")
+        if n > 1 << 32:
+            raise ValueError("integers draws from at most 2**32 values")
+        if n == 1:
+            return lo
+        if n == 1 << 32:
+            return lo + self.next32()
+        m = self.next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self.next32() * n
+        return lo + (m >> 32)
+
+    def choice(self, k: int, p: list[float]) -> int:
+        """An index below k drawn with the weights p, which sum to about 1."""
+        if len(p) != k:
+            raise ValueError("k and p must have the same size")
+        cdf = list(accumulate(p))
+        return bisect_right([c / cdf[-1] for c in cdf], self.random())
+
+
+def trial_rng(seed: int, trial: int) -> PhiloxStream:
+    """The stream of one trial; seed and trial are taken mod 2**64."""
+    return PhiloxStream(seed & _MASK64, trial & _MASK64)
 
 
 _PIECE_CATALOG: list[tuple[str, tuple[int, ...], list[int]]] = [
@@ -217,14 +293,14 @@ def quotient(
     return Y, SimplicialMap(X, Y, label)
 
 
-def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
+def _gen_object(rng: PhiloxStream, cfg: GenConfig) -> TruncatedSSet:
     dim = cfg.max_nondegenerate_dim
     N = dim + 1
     if rng.random() < 0.04:
         return empty_sset(N)
     budget = [cfg.max_cells_per_degree] * (dim + 1)
     pieces: list[TruncatedSSet] = []
-    for _ in range(int(rng.integers(1, 4))):
+    for _ in range(rng.integers(1, 4)):
         feasible = [
             (kind, params, prof)
             for kind, params, prof in _PIECE_CATALOG
@@ -232,21 +308,21 @@ def _gen_object(rng: np.random.Generator, cfg: GenConfig) -> TruncatedSSet:
         ]
         if not feasible:
             break
-        kind, params, prof = feasible[int(rng.integers(0, len(feasible)))]
+        kind, params, prof = feasible[rng.integers(0, len(feasible))]
         for m, c in enumerate(prof):
             budget[m] -= c
         pieces.append(_fresh(StandardObjectSpec(kind, params), N))
     X = pieces[0] if pieces else _fresh(simplex_spec(0), N)
     for p in pieces[1:]:
         X = disjoint_union(X, p)
-    pairs = _random_pairs(rng, X, int(rng.integers(0, max(2, X.cells[0]))), edges=dim > 0)
+    pairs = _random_pairs(rng, X, rng.integers(0, max(2, X.cells[0])), edges=dim > 0)
     if pairs:
         X, _ = quotient(X, pairs)
     return X
 
 
 def _random_pairs(
-    rng: np.random.Generator, X: TruncatedSSet, draws: int, edges: bool
+    rng: PhiloxStream, X: TruncatedSSet, draws: int, edges: bool
 ) -> list[tuple[int, int, int]]:
     """Up to draws identifications (deg, a, b) of two distinct cells of X.
 
@@ -257,18 +333,18 @@ def _random_pairs(
     for _ in range(draws):
         deg = 1 if edges and rng.random() >= 0.8 else 0
         if X.cells[deg] >= 2:
-            a = int(rng.integers(0, X.cells[deg]))
-            b = int(rng.integers(0, X.cells[deg]))
+            a = rng.integers(0, X.cells[deg])
+            b = rng.integers(0, X.cells[deg])
             if a != b:
                 pairs.append((deg, a, b))
     return pairs
 
 
-def _family_gluing(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
+def _family_gluing(rng: PhiloxStream, cfg: GenConfig) -> SimplicialMap:
     roll = rng.random()
     if roll < 0.5:
         X = _gen_object(rng, cfg)
-        return quotient(X, _random_pairs(rng, X, int(rng.integers(1, 4)), edges=True))[1]
+        return quotient(X, _random_pairs(rng, X, rng.integers(1, 4), edges=True))[1]
     if roll < 0.8:
         X = _gen_object(rng, cfg)
         Y = _gen_object(rng, cfg)
@@ -277,29 +353,29 @@ def _family_gluing(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
     return terminal_map(_gen_object(rng, cfg))
 
 
-def _family_cyclic(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
+def _family_cyclic(rng: PhiloxStream, cfg: GenConfig) -> SimplicialMap:
     N = max(2, cfg.max_nondegenerate_dim + 1)
-    p = _fresh(int(rng.integers(1, 5)), N)
+    p = _fresh(rng.integers(1, 5), N)
     if rng.random() < 0.3:
-        q = _fresh(int(rng.integers(1, 5)), N)
+        q = _fresh(rng.integers(1, 5), N)
         return copair(p, q)
     return p
 
 
-def _family_fold(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
+def _family_fold(rng: PhiloxStream, cfg: GenConfig) -> SimplicialMap:
     return fold_map(_gen_object(rng, cfg))
 
 
-def _family_nerve_product(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
+def _family_nerve_product(rng: PhiloxStream, cfg: GenConfig) -> SimplicialMap:
     X = _gen_object(rng, cfg)
     pick = rng.choice(len(_GROUPS), p=[0.4, 0.25, 0.25, 0.1])
-    K = _fresh(_GROUPS[int(pick)], X.truncation)
+    K = _fresh(_GROUPS[pick], X.truncation)
     return product(X, K).pr1
 
 
-def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap:
+def _family_corrupted(rng: PhiloxStream, cfg: GenConfig) -> SimplicialMap:
     others = [n for n in _FAMILIES if n != "corrupted"]
-    base = _FAMILIES[others[int(rng.integers(0, len(others)))]](rng, cfg)
+    base = _FAMILIES[others[rng.integers(0, len(others))]](rng, cfg)
     A, B = base.source, base.target
     spots: list[tuple[str, int, int]] = [
         ("level", n, 0) for n in range(A.truncation + 1) if A.cells[n] and B.cells[n] >= 2
@@ -308,12 +384,12 @@ def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap
         spots += [(name, n, step) for n in degrees if A.cells[n] and A.cells[n + step] >= 2]
     for _ in range(40 if spots else 0):
         # each attempt copies the rows it bumps; base is never edited
-        kind, n, step = spots[int(rng.integers(0, len(spots)))]
+        kind, n, step = spots[rng.integers(0, len(spots))]
         source, level = A, list(base.level)
         if kind == "level":
             level[n] = _bumped(level[n], rng, B.cells[n])
         else:
-            i = int(rng.integers(0, n + 1))
+            i = rng.integers(0, n + 1)
             tables = {"face": list(A.face), "degeneracy": list(A.degeneracy)}
             rows = tables[kind]
             rows[n] = list(rows[n])
@@ -326,11 +402,11 @@ def _family_corrupted(rng: np.random.Generator, cfg: GenConfig) -> SimplicialMap
     return SimplicialMap(A, B, base.level[:-1])
 
 
-def _bumped(row: list[int], rng: np.random.Generator, size: int) -> list[int]:
+def _bumped(row: list[int], rng: PhiloxStream, size: int) -> list[int]:
     """A copy of row with one random entry moved by a random nonzero amount mod size."""
     row = list(row)
-    x = int(rng.integers(0, len(row)))
-    row[x] = (row[x] + int(rng.integers(1, size))) % size
+    x = rng.integers(0, len(row))
+    row[x] = (row[x] + rng.integers(1, size)) % size
     return row
 
 
@@ -349,15 +425,24 @@ def gen_sset(cfg: GenConfig, trial: int = 0) -> TruncatedSSet:
     return _gen_object(trial_rng(cfg.seed, trial), cfg)
 
 
+def _family_weights(mix: dict[str, float]) -> tuple[list[str], list[float]]:
+    """The families of positive weight, sorted, and their weights over their sum.
+
+    These are the floats of numpy's w / w.sum(): its sum of fewer than 8
+    terms is taken in order, as sum takes it.
+    """
+    names = sorted(n for n, w in mix.items() if w > 0)
+    weights = [float(mix[n]) for n in names]
+    total = sum(weights)
+    return names, [w / total for w in weights]
+
+
 def gen_morphism(cfg: GenConfig, trial: int = 0) -> tuple[str, SimplicialMap]:
     """One generated (family, map) instance for the given trial index."""
-    import numpy as np
-
     cfg.check()
     rng = trial_rng(cfg.seed, trial)
-    names = sorted(n for n, w in cfg.fixture_mix.items() if w > 0)
-    weights = np.array([cfg.fixture_mix[n] for n in names], dtype=float)
-    name = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    names, p = _family_weights(cfg.fixture_mix)
+    name = names[rng.choice(len(names), p)]
     return name, _FAMILIES[name](rng, cfg)
 
 
@@ -557,6 +642,8 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     # the pool starts all its workers at once, so start no idle ones
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that importing the package, as every CLI call does,
+        # loads no process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -45,6 +45,7 @@ _NERVE_BUDGET = "tests/test_groupoids.py::test_nerve_cells_are_counted_before_bu
 _FIBER_BUDGET = "tests/test_limits.py::test_fiber_product_cells_are_counted_before_building"
 _RECORDS = "tests/test_records.py::test_record_semantics"
 _COPIES = "tests/test_components.py::test_copies_never_carry_derived_tables"
+_STREAM = "tests/test_rng.py::test_stream_matches_numpy"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -139,12 +140,43 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "",
         ("tests/test_checks.py::test_kan_check_matches_reference",),
     ),
-    # a Philox key given as a list goes through float64
+    # the key is not masked to 64 bits, so seed -1 is not seed 2**64 - 1
     (
         "harness.py",
-        "dtype=np.uint64)",
-        ")",
+        "PhiloxStream(seed & _MASK64, trial & _MASK64)",
+        "PhiloxStream(seed, trial & _MASK64)",
         ("tests/test_harness.py::test_trial_rng_keeps_every_64_bit_seed_apart",),
+    ),
+    # the counter is bumped after its block, so the stream starts at block 0
+    (
+        "harness.py",
+        "            self._counter += 1\n"
+        "            self._block = _philox_block(self._counter, *self._key)\n",
+        "            self._block = _philox_block(self._counter, *self._key)\n"
+        "            self._counter += 1\n",
+        (_STREAM,),
+    ),
+    # next32 hands out the high half of a word first
+    (
+        "harness.py",
+        "        self._half = word >> 32\n        return word & 0xFFFFFFFF\n",
+        "        self._half = word & 0xFFFFFFFF\n        return word >> 32\n",
+        (_STREAM,),
+    ),
+    # integers keeps Lemire's biased draws instead of drawing again
+    (
+        "harness.py",
+        "            while m & 0xFFFFFFFF < threshold:\n"
+        "                m = self.next32() * n\n",
+        "",
+        (_STREAM,),
+    ),
+    # random() keeps 52 bits, not 53
+    (
+        "harness.py",
+        "(self.next64() >> 11) * 2.0**-53",
+        "(self.next64() >> 12) * 2.0**-53",
+        (_STREAM,),
     ),
     # the generator's cache hands out its own object instead of a copy
     (

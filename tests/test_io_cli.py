@@ -613,14 +613,17 @@ def _fresh(args, timeout=120):
 
 def test_cli_map_commands_import_no_numpy_or_pool(tmp_path, named_maps):
     path = _write_map(tmp_path, named_maps["curated:cyclic-double-cover"])
+    # the seeded commands draw their maps, at --jobs 1 in this process
     script = f"""
 import contextlib, io, sys
 from ssetkit.cli import _campaign_text, main
 path = {path!r}
-commands = [["check", "covering"], ["check", "kan"], ["validate"],
-            ["verify", "theorem1"], ["verify", "chain"]]
+commands = [cmd + [path] for cmd in (["check", "covering"], ["check", "kan"], ["validate"],
+                                     ["verify", "theorem1"], ["verify", "chain"])]
+commands += [["gen", "map", "--seed", "42", "--trial", "3"],
+             ["verify", "theorem1", "--seed", "3", "--trials", "5", "--jobs", "1"]]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(cmd + [path]) for cmd in commands]
+    codes = [main(cmd) for cmd in commands]
 assert codes == [0] * len(commands), codes
 heavy = ("numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect")
 print(" ".join(m for m in heavy if m in sys.modules))
@@ -628,6 +631,18 @@ print(" ".join(m for m in heavy if m in sys.modules))
     out = _fresh(["-c", script])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_cli_gen_map_needs_no_numpy():
+    script = """
+import sys
+sys.modules["numpy"] = None
+from ssetkit.cli import main
+sys.exit(main(["gen", "map", "--seed", "42", "--trial", "3"]))
+"""
+    out = _fresh(["-c", script])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (GOLDEN / "gen-map-seed42-trial3.json").read_text()
 
 
 def test_cli_gen_map_matches_in_process():
