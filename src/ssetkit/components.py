@@ -113,13 +113,14 @@ class ComponentPartition(Record):
     """Partition of the vertices, extended degreewise to all simplices.
 
     Components are numbered by least vertex index.  class_of[n][x] is the
-    component of every vertex of x.  class_of is a list of rows, or (for a
-    fiber product) a _Rows that builds each row, degree 0 included, when it
-    is first read.  sizes() counts the cells of a component per degree:
-    with count_cells, which fiber products supply, only the components
-    asked about are counted and no row is read; without it, every component
-    is counted off class_of at once.  The counts are kept in a memo made on
-    first use, which equality, repr and replace ignore.
+    component of every vertex of x, and class_of[0] is vertex_class itself.
+    class_of is a list of rows, or (for a fiber product) a _Rows that builds
+    each row above degree 0 when it is first read.  sizes() counts the
+    cells of a component per degree: with count_cells, which fiber products
+    supply, only the components asked about are counted and no row is read;
+    without it, every component is counted off class_of at once.  The counts
+    are kept in a memo made on first use, which equality, repr and replace
+    ignore.
     """
 
     _fields = ("count", "vertex_class", "class_of", "count_cells")
@@ -172,7 +173,7 @@ def _pi0(X: TruncatedSSet) -> ComponentPartition:
     # Degree by degree: if every (n-1)-simplex has one class, x has one class
     # exactly when its faces d_n x (vertices 0..n-1) and d_0 x (vertex n)
     # agree, so this fails at the first simplex whose vertices disagree.
-    class_of = [list(vertex_class)]
+    class_of = [vertex_class]
     for n in range(1, X.truncation + 1):
         prev = class_of[-1]
         row = [prev[y] for y in X.face[n][n]]

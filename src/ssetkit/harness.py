@@ -309,7 +309,7 @@ def _gen_object(rng: PhiloxStream, cfg: GenConfig) -> TruncatedSSet:
         for m, c in enumerate(prof):
             budget[m] -= c
         pieces.append(_fresh(StandardObjectSpec(kind, params), N))
-    X = pieces[0] if pieces else _fresh(simplex_spec(0), N)
+    X = pieces[0]  # the first pass can always take simplex:0
     for p in pieces[1:]:
         X = disjoint_union(X, p)
     pairs = _random_pairs(rng, X, rng.integers(0, max(2, X.cells[0])), edges=dim > 0)

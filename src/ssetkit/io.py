@@ -57,6 +57,13 @@ def _require_keys(doc: dict, keys: set[str], what: str) -> None:
         raise InterchangeError(f"{what}: " + ", ".join(bits))
 
 
+def _int_list(value) -> bool:
+    """Whether value is a list of ints, none of them a bool."""
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    )
+
+
 def _int_matrix_list(value, what: str) -> list[list[list[int]]]:
     if not isinstance(value, list):
         raise InterchangeError(f"{what} must be a list")
@@ -66,9 +73,7 @@ def _int_matrix_list(value, what: str) -> list[list[list[int]]]:
             raise InterchangeError(f"{what}[{deg}] must be a list")
         mat = []
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or any(
-                not isinstance(v, int) or isinstance(v, bool) for v in row
-            ):
+            if not _int_list(row):
                 raise InterchangeError(f"{what}[{deg}][{i}] must be a list of integers")
             mat.append(list(row))
         out.append(mat)
@@ -90,11 +95,7 @@ def object_from_doc(doc: dict) -> TruncatedSSet:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InterchangeError("truncation must be a nonnegative integer")
     cells = doc["cells"]
-    if (
-        not isinstance(cells, list)
-        or len(cells) != n + 1
-        or any(not isinstance(c, int) or isinstance(c, bool) for c in cells)
-    ):
+    if not _int_list(cells) or len(cells) != n + 1:
         raise InterchangeError("cells must list one count per degree 0..truncation")
     if sum(c for c in cells if c > 0) > core.CELL_BUDGET:
         raise InterchangeError(f"cells declare more than {core.CELL_BUDGET} cells in all")
@@ -131,11 +132,7 @@ def map_from_doc(doc: dict, base_dir: Path | None = None) -> SimplicialMap:
     source = _resolve_endpoint(doc["source"], base_dir, "source")
     target = _resolve_endpoint(doc["target"], base_dir, "target")
     level = doc["level"]
-    if not isinstance(level, list) or any(
-        not isinstance(row, list)
-        or any(not isinstance(v, int) or isinstance(v, bool) for v in row)
-        for row in level
-    ):
+    if not isinstance(level, list) or not all(map(_int_list, level)):
         raise InterchangeError("level must be a list of integer lists")
     return SimplicialMap(source, target, [list(r) for r in level])
 

@@ -160,11 +160,10 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
     # pi0: union the vertex pairs of each edge pair; an n-cell (x, y) has the
     # class of its last vertex pair, found as offset + rank
     count, vertex_class = _vertex_classes(cells[0], *edge_ends())
-    left_0, right_0 = left(0), right(0)
 
     def row(n: int) -> list[int]:
         if not n:
-            return list(vertex_class)
+            return vertex_class
         return table(n, 0, vertex_table(X)[n][n], vertex_table(Y)[n][n], vertex_class)
 
     def count_cells(components: list[int]) -> dict[int, list[int]]:
@@ -173,7 +172,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap) -> FiberProduct:
         # a, and mg likewise for Y.  A component's n-cells are the sum over
         # its vertex pairs; pairs of the same two kinds are summed at once.
         keep = list(map(set(components).__contains__, vertex_class))
-        xs, ys = list(compress(left_0, keep)), list(compress(right_0, keep))
+        xs, ys = list(compress(left(0), keep)), list(compress(right(0), keep))
         classes = list(compress(vertex_class, keep))
         vertices = Counter(classes)  # each vertex pair is one 0-cell
         out = {c: [vertices[c]] for c in components}

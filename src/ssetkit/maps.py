@@ -14,7 +14,7 @@ from .core import (
     disjoint_union,
     validate,
 )
-from .standard import _check_buildable, _cyclic_object, cyclic_cover_spec
+from .standard import build_standard, circle_spec, cyclic_cover_spec
 
 
 class SimplicialMap(Record):
@@ -154,13 +154,12 @@ def cyclic_cover_projection(k: int, truncation: int) -> SimplicialMap:
     """The k-fold cover of the circle, wrapping k vertices and k edges around.
 
     k and the truncation are checked as build_standard checks cyclic-cover:k.
+    The level is read off the cell numbering: the m-cells of both ends list
+    their vertices first, then the m surjections [m] -> [1] of each edge in
+    one order.  So every vertex lies over the circle's cell 0, and the i-th
+    cell of each edge (i = 0, ..., m - 1) over the circle's cell 1 + i.
     """
-    _check_buildable(cyclic_cover_spec(k), truncation)
-    C, keys_c = _cyclic_object(k, truncation)
-    S, keys_s = _cyclic_object(1, truncation)
-    index_s = [{key: i for i, key in enumerate(keys)} for keys in keys_s]
-    level = [
-        [index_s[m][(phi, d, 0)] for (phi, d, c) in keys_c[m]]
-        for m in range(truncation + 1)
-    ]
+    C = build_standard(cyclic_cover_spec(k), truncation)
+    S = build_standard(circle_spec(), truncation)
+    level = [[0] * k + list(range(1, m + 1)) * k for m in range(truncation + 1)]
     return SimplicialMap(C, S, level)

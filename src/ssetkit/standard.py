@@ -132,13 +132,14 @@ def _tables_from_tuples(
     )
 
 
-def _cyclic_object(k: int, truncation: int) -> tuple[TruncatedSSet, list[list[tuple]]]:
-    """The k-fold cyclic cover of the circle, with its cell keys per degree.
+def _cyclic_object(k: int, truncation: int) -> TruncatedSSet:
+    """The k-fold cyclic cover of the circle.
 
     Vertex c and the edge from c to c + 1 mod k give the m-cells (phi, d, c),
     ordered by (d, c, phi): phi is a monotone surjection [m] -> [d] for the
-    vertex (d = 0) or the edge (d = 1).  A face drops an entry of phi; when
-    what remains, psi, is constant, the edge has collapsed to its end
+    vertex (d = 0) or the edge (d = 1).  So the k vertices come first, then
+    the m surjections of each edge in turn.  A face drops an entry of phi;
+    when what remains, psi, is constant, the edge has collapsed to its end
     c + psi[0] mod k.  A degeneracy repeats an entry.
     """
     keys = [
@@ -163,7 +164,7 @@ def _cyclic_object(k: int, truncation: int) -> tuple[TruncatedSSet, list[list[tu
         phi, d, c = key
         return (phi[: i + 1] + phi[i:], d, c)
 
-    return _object_from_keys(keys, face_key, degeneracy_key), keys
+    return _object_from_keys(keys, face_key, degeneracy_key)
 
 
 def _cells(spec: StandardObjectSpec, m: int) -> int:
@@ -179,9 +180,13 @@ def _cells(spec: StandardObjectSpec, m: int) -> int:
     return comb(m + n + 1, n) - missing[spec.kind]
 
 
-def _check_buildable(spec: StandardObjectSpec, truncation: int) -> None:
-    """Raise ValueError unless build_standard(spec, truncation) builds within CELL_BUDGET.
+def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
+    """Build a standard object at the requested truncation.
 
+    The truncation must leave a buffer degree above the last nondegenerate
+    cells so that checks quantifying over stored degrees see every horn and
+    square that matters.  ValueError is raised, before anything is built,
+    for a bad spec, a truncation too small or more cells than CELL_BUDGET.
     The cells are counted degree by degree, up to the first degree over the
     budget, so every count stays small.
     """
@@ -192,16 +197,6 @@ def _check_buildable(spec: StandardObjectSpec, truncation: int) -> None:
         )
     for cells in accumulate(_cells(spec, m) for m in range(truncation + 1)):
         _check_budget(cells, f"{spec.kind} at truncation {truncation}")
-
-
-def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
-    """Build a standard object at the requested truncation.
-
-    The truncation must leave a buffer degree above the last nondegenerate
-    cells so that checks quantifying over stored degrees see every horn and
-    square that matters.
-    """
-    _check_buildable(spec, truncation)
     if spec.kind == "simplex":
         (n,) = spec.params
         return _tables_from_tuples(n, truncation, lambda t: True)
@@ -215,7 +210,7 @@ def build_standard(spec: StandardObjectSpec, truncation: int) -> TruncatedSSet:
         )
     if spec.kind in ("circle", "cyclic-cover"):
         # the circle is the one-fold cyclic cover
-        return _cyclic_object(*spec.params or (1,), truncation)[0]
+        return _cyclic_object(*spec.params or (1,), truncation)
     # union
     parts = [build_standard(p, truncation) for p in spec.parts]
     out = parts[0]

@@ -46,6 +46,7 @@ _FIBER_BUDGET = "tests/test_limits.py::test_fiber_product_cells_are_counted_befo
 _RECORDS = "tests/test_records.py::test_record_semantics"
 _COPIES = "tests/test_components.py::test_copies_never_carry_derived_tables"
 _STREAM = "tests/test_rng.py::test_stream_matches_numpy"
+_CYCLIC_LEVEL = "tests/test_standard.py::test_cyclic_cover_level_is_the_keyed_level"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -115,6 +116,13 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "return ((0,) * len(psi), 0, (c + psi[0]) % k)",
         "return ((0,) * len(psi), 0, c)",
         (_STANDARD_DOCUMENTS,),
+    ),
+    # a cyclic cover's edge cells lie one cell too low over the circle
+    (
+        "maps.py",
+        "list(range(1, m + 1)) * k",
+        "list(range(m)) * k",
+        (_CYCLIC_LEVEL,),
     ),
     # load_json opens special files again (a FIFO blocks until the test's timeout)
     (
@@ -431,6 +439,13 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "proper[b] = []",
         (_FIBER_PI0,),
     ),
+    # the fiber product's cell counts read each vertex pair's second vertex twice
+    (
+        "limits.py",
+        "compress(left(0), keep)",
+        "compress(right(0), keep)",
+        (_FIBER_PI0,),
+    ),
     # the fiber product's cell counts drop the multiplicity of each kind pair
     (
         "limits.py",
@@ -515,9 +530,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         "io.py",
-        "    if not isinstance(level, list) or any(\n",
-        "    if False and any(\n",
+        "    if not isinstance(level, list) or not all(map(_int_list, level)):\n",
+        "    if False:\n",
         (_INTERCHANGE_REJECTIONS, _MALFORMED_DOCUMENTS),
+    ),
+    # bools pass for integers in cells, face rows and level rows
+    (
+        "io.py",
+        "isinstance(v, int) and not isinstance(v, bool) for v in value",
+        "isinstance(v, int) for v in value",
+        (_INTERCHANGE_REJECTIONS,),
     ),
     (
         "maps.py",
@@ -664,6 +686,13 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_checks.py::test_checks_match_oracles_on_generated",
             "tests/test_checks.py::test_witnesses_revalidate_on_generated",
         ),
+    ),
+    # kan_check keeps degree-4 families whose slots 2 and 3 do not agree
+    (
+        "checks.py",
+        "                for q in range(2, p):\n",
+        "                for q in range(2, 2):\n",
+        (_KAN_REFERENCE,),
     ),
     # the horn lookups swap the d_0 and d_1 indexes
     (

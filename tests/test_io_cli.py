@@ -74,6 +74,9 @@ def test_interchange_rejections(zoo):
     bad["face"][0][0][0] = "x"
     with pytest.raises(io.InterchangeError):
         io.object_from_doc(bad)
+    bad["face"][0][0][0] = False  # nor face entries
+    with pytest.raises(io.InterchangeError):
+        io.object_from_doc(bad)
     with pytest.raises(io.InterchangeError):
         io.object_from_doc([1, 2, 3])
     with pytest.raises(io.InterchangeError, match="cells"):
@@ -81,6 +84,10 @@ def test_interchange_rejections(zoo):
     mdoc = io.map_to_doc(terminal_map(zoo["interval"]))
     bad = dict(mdoc)
     bad["levels"] = bad.pop("level")
+    with pytest.raises(io.InterchangeError):
+        io.map_from_doc(bad)
+    bad = copy.deepcopy(mdoc)
+    bad["level"][0][0] = False  # nor level entries
     with pytest.raises(io.InterchangeError):
         io.map_from_doc(bad)
     for doc in _malformed_documents(zoo).values():

@@ -104,26 +104,49 @@ def test_circle_and_cyclic_cover_counts(zoo):
         assert sk.pi0(C).count == 1
 
 
+def _cyclic_keys(k, N):
+    # the keys (phi, d, c) of the m-cells of cyclic-cover:k, m = 0..N, in the
+    # order _cyclic_object's docstring gives, by (d, c, phi): the vertices,
+    # then each edge under the monotone surjections [m] -> [1], which in
+    # lexicographic order have m, m - 1, ..., 1 zeros
+    return [
+        [((0,) * (m + 1), 0, c) for c in range(k)]
+        + [((0,) * j + (1,) * (m + 1 - j), 1, c) for c in range(k) for j in range(m, 0, -1)]
+        for m in range(N + 1)
+    ]
+
+
+def _keyed_level(top_keys, bottom_keys, k):
+    # the level that sends (phi, d, c) to (phi, d, c mod k)
+    index = [{key: x for x, key in enumerate(at_n)} for at_n in bottom_keys]
+    return [
+        [index[n][(phi, d, c % k)] for phi, d, c in at_n] for n, at_n in enumerate(top_keys)
+    ]
+
+
 def test_cyclic_covers_compose():
     # C_km -> C_k sends (phi, d, c) to (phi, d, c mod k): a covering whose
     # composite with the projection of C_k is the projection of C_km
     from ssetkit.checks import covering_check
     from ssetkit.maps import SimplicialMap, compose, validate_parts
-    from ssetkit.standard import _cyclic_object
 
     for k, m in ((1, 2), (2, 2), (3, 2), (2, 3)):
-        top, top_keys = _cyclic_object(k * m, 3)
-        bottom, bottom_keys = _cyclic_object(k, 3)
-        index = [{key: x for x, key in enumerate(at_n)} for at_n in bottom_keys]
-        level = [
-            [index[n][(phi, d, c % k)] for phi, d, c in top_keys[n]] for n in range(4)
-        ]
+        top = build_standard(cyclic_cover_spec(k * m), 3)
+        bottom = build_standard(cyclic_cover_spec(k), 3)
+        level = _keyed_level(_cyclic_keys(k * m, 3), _cyclic_keys(k, 3), k)
         p = SimplicialMap(top, bottom, level)
         assert validate_parts(p)[1].ok
         assert covering_check(p).verdict
         assert compose(sk.cyclic_cover_projection(k, 3), p) == sk.cyclic_cover_projection(
             k * m, 3
         )
+
+
+def test_cyclic_cover_level_is_the_keyed_level():
+    for k in (1, 2, 3, 16):
+        for N in (2, 3, 5):
+            want = _keyed_level(_cyclic_keys(k, N), _cyclic_keys(1, N), 1)
+            assert sk.cyclic_cover_projection(k, N).level == want, (k, N)
 
 
 def test_union_spec(zoo):
