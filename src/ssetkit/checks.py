@@ -12,7 +12,7 @@ from ._record import Frozen, Record
 from .core import TruncatedSSet, vertex_table
 from .components import injection_cartesian_check, pi0, pi0_map, trivial_covering_check
 from .limits import DiagonalData, diagonal
-from .maps import SimplicialMap
+from .maps import SimplicialMap, classify
 from .report import (
     AmbiguousLift,
     CheckReport,
@@ -355,6 +355,46 @@ def covering_agreement(h: SimplicialMap) -> CoveringAgreement:
     if not rep.out_of_hypothesis:
         rep.direct, rep.covering = separable_direct(h), covering_check(h)
     return rep
+
+
+class InstanceVerdicts(Record):
+    """Every classifier run on one instance, plus derived comparisons.
+
+    audit lists the checks whose failure witness does not replay; campaign
+    scoring fills it in, and it is None until then.
+    """
+
+    _fields = (
+        "direct", "lifting", "covering", "kan", "trivial", "trivial_delta", "injective",
+        "injection_cartesian", "audit",
+    )
+    _defaults = {"audit": None}
+
+    def implication_failures(self) -> list[str]:
+        return CLAIMS["implication_failures"].value(self)
+
+    def injection_failures(self) -> list[str]:
+        return CLAIMS["injection_failures"].value(self)
+
+
+def evaluate_instance(h: SimplicialMap, diag: DiagonalData | None = None) -> InstanceVerdicts:
+    """Run every classifier once, sharing the diagonal construction.
+
+    diag, when given, must be diagonal(h); it is built here otherwise.
+    """
+    dd = diag or diagonal(h)
+    direct = separable_direct(h, dd)
+    injective = classify(h).injective
+    return InstanceVerdicts(
+        direct=direct,
+        lifting=separable_via_lifting(h),
+        covering=covering_check(h),
+        kan=kan_check(h),
+        trivial=trivial_covering_check(h),
+        trivial_delta=trivial_covering_check(dd.delta),
+        injective=injective,
+        injection_cartesian=injection_cartesian_check(h) if injective else None,
+    )
 
 
 def revalidate_witness(h: SimplicialMap, report: CheckReport) -> bool:

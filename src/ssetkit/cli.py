@@ -11,31 +11,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
 
+# what every command uses; each command imports the rest of what it runs when
+# it runs, so that a call compiles only the modules it needs
 from . import io
-from .checks import (
-    covering_agreement,
-    covering_check,
-    holds,
-    kan_check,
-    separability_agreement,
-    separable_direct,
-    separable_via_lifting,
-)
-from .components import pi0, trivial_covering_check
 from .core import validate
-from .groupoids import pi1_presentation
-from .harness import (
-    GenConfig,
-    _claim_fields,
-    evaluate_instance,
-    gen_morphism,
-    gen_sset,
-    run_campaign,
-)
 from .maps import validate_parts
-from .standard import build_standard, parse_spec, union_spec
+
+
+def _module(name: str):
+    """The submodule of this package called name, imported on first use."""
+    return import_module(f".{name}", __package__)
 
 
 def _emit(args, doc, text: str | None = None) -> None:
@@ -92,6 +80,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pi0(args) -> int:
+    from .components import pi0
+
     X = _load_valid_object(args.path)
     part = pi0(X)
     _emit(
@@ -106,6 +96,8 @@ def _cmd_pi0(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
+    from .groupoids import pi1_presentation
+
     X = _load_valid_object(args.path)
     try:
         pres = pi1_presentation(X)
@@ -115,24 +107,29 @@ def _cmd_pi1(args) -> int:
     return 0
 
 
+# the report `check KIND map.json` computes for one map
 _CHECKS = {
-    "trivial-covering": lambda h, args: trivial_covering_check(h),
-    "covering": lambda h, args: covering_check(h),
-    "kan": lambda h, args: kan_check(h, bound=args.bound),
-    "separable-direct": lambda h, args: separable_direct(h),
-    "separable-lifting": lambda h, args: separable_via_lifting(h),
+    "trivial-covering": lambda h, args: _module("components").trivial_covering_check(h),
+    "covering": lambda h, args: _module("checks").covering_check(h),
+    "kan": lambda h, args: _module("checks").kan_check(h, bound=args.bound),
+    "separable-direct": lambda h, args: _module("checks").separable_direct(h),
+    "separable-lifting": lambda h, args: _module("checks").separable_via_lifting(h),
 }
 
 
 def _cmd_check(args) -> int:
+    if args.bound is not None and args.kind != "kan":
+        raise ValueError(f"--bound applies only to kan, not to {args.kind}")
     h = _load_valid_map(args.map)
     rep = _CHECKS[args.kind](h, args)
     _emit(args, rep.to_doc())
     return 0 if rep.verdict else 1
 
 
-def _gen_config(args, trials: int = 0) -> GenConfig:
+def _gen_config(args, trials: int = 0):
     """The generator settings of a command line; only a campaign runs trials."""
+    from .harness import GenConfig
+
     return GenConfig(
         seed=args.seed,
         max_nondegenerate_dim=args.max_dim,
@@ -143,14 +140,16 @@ def _gen_config(args, trials: int = 0) -> GenConfig:
 
 # the reports `verify KIND map.json` computes for one map
 _VERIFY_MAP = {
-    "theorem1": separability_agreement,
-    "theorem2": covering_agreement,
-    "chain": evaluate_instance,
+    "theorem1": lambda h: _module("checks").separability_agreement(h),
+    "theorem2": lambda h: _module("checks").covering_agreement(h),
+    "chain": lambda h: _module("checks").evaluate_instance(h),
 }
 
 
 def _cmd_verify(args) -> int:
     if args.map is not None:
+        from .checks import holds
+
         h = _load_valid_map(args.map)
         rep = _VERIFY_MAP[args.kind](h)
         ok = holds(args.kind, rep)
@@ -160,6 +159,8 @@ def _cmd_verify(args) -> int:
         else:
             _emit(args, rep.to_doc())
         return 0 if ok else 1
+    from .harness import run_campaign
+
     campaign = run_campaign(_gen_config(args, trials=args.trials), jobs=args.jobs)
     doc = campaign.to_doc()
     doc["ok"] = campaign.holds(args.kind)
@@ -172,6 +173,8 @@ def _campaign_text(doc: dict) -> str:
 
     adequacy is a table, so it prints as indented key: value lines.
     """
+    from .harness import _claim_fields
+
     lines = [f"scored: {doc['scored']} (skipped {doc['skipped']}, curated {doc['curated']})"]
     for key in _claim_fields([]):  # the claim fields, in document order
         value = doc[key]
@@ -192,6 +195,8 @@ def _write(args, doc) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .harness import gen_morphism, gen_sset
+
     cfg = _gen_config(args)
     if args.what == "object":
         return _write(args, io.object_to_doc(gen_sset(cfg, trial=args.trial)))
@@ -200,6 +205,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_standard(args) -> int:
+    from .standard import build_standard, parse_spec, union_spec
+
     specs = [parse_spec(s) for s in args.spec]
     spec = specs[0] if len(specs) == 1 else union_spec(*specs)
     truncation = args.truncation

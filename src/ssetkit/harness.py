@@ -19,22 +19,13 @@ from itertools import accumulate
 from typing import Hashable
 
 from ._record import Record, replace
-from .checks import (
-    CLAIMS,
-    covering_check,
-    kan_check,
-    revalidate_witness,
-    separable_direct,
-    separable_via_lifting,
-    violates,
-)
-from .components import _UnionFind, injection_cartesian_check, trivial_covering_check
+from .checks import CLAIMS, InstanceVerdicts, evaluate_instance, revalidate_witness, violates
+from .components import _UnionFind
 from .core import TruncatedSSet, _operators, disjoint_union, empty_sset
 from .groupoids import codiscrete_groupoid, cyclic_group_groupoid, nerve
 from .limits import DiagonalData, diagonal, product
 from .maps import (
     SimplicialMap,
-    classify,
     copair,
     cyclic_cover_projection,
     fold_map,
@@ -457,46 +448,6 @@ def curated_instances(truncation: int = 3) -> list[tuple[str, SimplicialMap]]:
     ]
 
 
-class InstanceVerdicts(Record):
-    """Every classifier run on one instance, plus derived comparisons.
-
-    audit lists the checks whose failure witness does not replay; campaign
-    scoring fills it in, and it is None until then.
-    """
-
-    _fields = (
-        "direct", "lifting", "covering", "kan", "trivial", "trivial_delta", "injective",
-        "injection_cartesian", "audit",
-    )
-    _defaults = {"audit": None}
-
-    def implication_failures(self) -> list[str]:
-        return CLAIMS["implication_failures"].value(self)
-
-    def injection_failures(self) -> list[str]:
-        return CLAIMS["injection_failures"].value(self)
-
-
-def evaluate_instance(h: SimplicialMap, diag: DiagonalData | None = None) -> InstanceVerdicts:
-    """Run every classifier once, sharing the diagonal construction.
-
-    diag, when given, must be diagonal(h); it is built here otherwise.
-    """
-    dd = diag or diagonal(h)
-    direct = separable_direct(h, dd)
-    injective = classify(h).injective
-    return InstanceVerdicts(
-        direct=direct,
-        lifting=separable_via_lifting(h),
-        covering=covering_check(h),
-        kan=kan_check(h),
-        trivial=trivial_covering_check(h),
-        trivial_delta=trivial_covering_check(dd.delta),
-        injective=injective,
-        injection_cartesian=injection_cartesian_check(h) if injective else None,
-    )
-
-
 def _witness_audit(h: SimplicialMap, v: InstanceVerdicts, dd: DiagonalData) -> list[str]:
     """Re-check every failure witness; return the checks whose witness is bogus.
 
@@ -640,8 +591,8 @@ def run_campaign(cfg: GenConfig, jobs: int = 1) -> CampaignReport:
     # the pool starts all its workers at once, so start no idle ones
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
-        # imported here, so that importing the package, as every CLI call does,
-        # loads no process pool
+        # imported here, so that `gen` and serial campaigns, which load this
+        # module, load no process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

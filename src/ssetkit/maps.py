@@ -14,7 +14,6 @@ from .core import (
     disjoint_union,
     validate,
 )
-from .standard import build_standard, circle_spec, cyclic_cover_spec
 
 
 class SimplicialMap(Record):
@@ -159,6 +158,9 @@ def cyclic_cover_projection(k: int, truncation: int) -> SimplicialMap:
     one order.  So every vertex lies over the circle's cell 0, and the i-th
     cell of each edge (i = 0, ..., m - 1) over the circle's cell 1 + i.
     """
+    # imported here, so that validating a map file never loads standard
+    from .standard import build_standard, circle_spec, cyclic_cover_spec
+
     C = build_standard(cyclic_cover_spec(k), truncation)
     S = build_standard(circle_spec(), truncation)
     level = [[0] * k + list(range(1, m + 1)) * k for m in range(truncation + 1)]

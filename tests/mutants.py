@@ -47,6 +47,7 @@ _RECORDS = "tests/test_records.py::test_record_semantics"
 _COPIES = "tests/test_components.py::test_copies_never_carry_derived_tables"
 _STREAM = "tests/test_rng.py::test_stream_matches_numpy"
 _CYCLIC_LEVEL = "tests/test_standard.py::test_cyclic_cover_level_is_the_keyed_level"
+_LOADS_ONLY = "tests/test_io_cli.py::test_each_command_loads_only_the_modules_it_runs"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # a claim row reads a report the record does not have
@@ -978,6 +979,34 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         'raise ValueError(f"{args.path}: {exc}") from exc',
         "raise",
         (_FILE_AT_FAULT,),
+    ),
+    # the lazy namespace reads one name from a module that does not define it
+    (
+        "__init__.py",
+        '"io": (),',
+        '"io": ("pullback",),',
+        ("tests/test_namespace.py::test_each_name_is_the_object_its_module_defines",),
+    ),
+    # the command line loads the generator at start-up again
+    (
+        "cli.py",
+        "from .maps import validate_parts\n",
+        "from .maps import validate_parts\nfrom . import harness\n",
+        (_LOADS_ONLY,),
+    ),
+    # maps loads the standard objects at import again, so validate compiles them
+    (
+        "maps.py",
+        "class SimplicialMap(Record):",
+        "from .standard import build_standard\n\n\nclass SimplicialMap(Record):",
+        (_LOADS_ONLY,),
+    ),
+    # check KIND --bound N is ignored again unless KIND is kan
+    (
+        "cli.py",
+        'if args.bound is not None and args.kind != "kan":',
+        "if False:",
+        ("tests/test_io_cli.py::test_cli_bound_is_invalid_input_unless_the_check_is_kan",),
     ),
 )
 

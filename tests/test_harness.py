@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ssetkit as sk
-from ssetkit import harness
+from ssetkit import checks, harness
 from ssetkit._record import replace
 from ssetkit.cli import main
 from ssetkit.core import validate
@@ -359,13 +359,13 @@ def test_witness_audit_labels_and_order(named_maps, monkeypatch):
 
 
 def test_disagreement_records_carry_the_instance(monkeypatch):
-    lifting = harness.separable_via_lifting
+    lifting = checks.separable_via_lifting
 
     def flipped(h):
         report = lifting(h)
         return replace(report, verdict=not report.verdict)
 
-    monkeypatch.setattr(harness, "separable_via_lifting", flipped)
+    monkeypatch.setattr(checks, "separable_via_lifting", flipped)
     report = run_campaign(GenConfig(seed=3, trials=8))
     assert not report.ok
     assert report.separability_disagreements

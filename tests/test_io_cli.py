@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ssetkit as sk
-from ssetkit import checks, harness, io
+from ssetkit import checks, io
 from ssetkit._record import replace
 from ssetkit.cli import _campaign_text, main
 from ssetkit.core import validate
@@ -377,6 +377,17 @@ def test_cli_negative_kan_bound_is_invalid_input(tmp_path, named_maps, capsys):
     assert captured.out == "" and "error:" in captured.err
 
 
+def test_cli_bound_is_invalid_input_unless_the_check_is_kan(tmp_path, named_maps, capsys):
+    from ssetkit import cli
+
+    path = _write_map(tmp_path, named_maps["curated:fold-interval"])
+    for kind in sorted(set(cli._CHECKS) - {"kan"}):
+        assert main(["check", kind, path, "--bound", "2"]) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), kind
+        assert "--bound" in captured.err, kind
+
+
 def test_cli_pi0(tmp_path, zoo, capsys):
     U = sk.disjoint_union(zoo["interval"], zoo["circle"])
     path = _write_object(tmp_path, U)
@@ -475,12 +486,16 @@ def test_cli_verify_single_map_exits_1_when_a_claim_fails(
         # the double cover is Kan, so its flipped covering verdict is in hypothesis
         ("theorem2", cover, checks, "covering_check", in_hypothesis),
         # the identity is a trivial covering that the flipped check calls no covering
-        ("chain", trivial, harness, "covering_check", {**chain, "ok": False}),
-        # an injection whose flipped injection-cartesian verdict is not its trivial covering's
-        ("chain", trivial, harness, "injection_cartesian_check",
-         {"failures": ["injection-cartesian vs trivial-covering on the map"], "ok": False}),
+        ("chain", trivial, checks, "covering_check", {**chain, "ok": False}),
+        # an injection whose flipped injection-cartesian verdict is not its trivial covering's;
+        # separable-direct runs the same check on the diagonal, so its verdict flips too
+        ("chain", trivial, checks, "injection_cartesian_check", {"failures": [
+            "covering implies separable",
+            "injection-cartesian vs trivial-covering on the map",
+            "injection-cartesian vs trivial-covering on the diagonal",
+        ], "ok": False}),
         # a separable map, flipped, whose diagonal is still a trivial covering
-        ("chain", trivial, harness, "separable_direct", {"failures": [
+        ("chain", trivial, checks, "separable_direct", {"failures": [
             "covering implies separable",
             "injection-cartesian vs trivial-covering on the diagonal",
         ]}),
@@ -638,6 +653,34 @@ print(" ".join(m for m in heavy if m in sys.modules))
     out = _fresh(["-c", script])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, named_maps):
+    path = _write_map(tmp_path, named_maps["curated:cyclic-double-cover"])
+    # one process: the package alone, then validate, then every check and single-map verify
+    script = f"""
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m.removeprefix("ssetkit.") for m in sys.modules if m.startswith("ssetkit."))
+import ssetkit
+stages = [loaded()]
+from ssetkit.cli import _CHECKS, _VERIFY_MAP, main
+path = {path!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["validate", path])]
+    stages.append(loaded())
+    codes += [main(["check", kind, path]) for kind in _CHECKS]
+    codes += [main(["verify", kind, path]) for kind in _VERIFY_MAP]
+stages.append(loaded())
+print(json.dumps([codes, stages]))
+"""
+    out = _fresh(["-c", script])
+    assert out.returncode == 0, out.stderr
+    codes, (package, validated, checked) = json.loads(out.stdout)
+    assert all(code in (0, 1) for code in codes), codes
+    assert package == []
+    assert set(validated) <= {"_record", "cli", "core", "io", "maps"}, validated
+    assert not {"harness", "standard", "groupoids"} & set(checked), checked
 
 
 def test_cli_gen_map_needs_no_numpy():
